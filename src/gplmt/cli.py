@@ -16,7 +16,12 @@ from pathlib import Path
 from . import __version__
 from .model import Experiment, OverallStatus, UnknownTargetError, resolve_group
 from .parser import load_experiment
-from .planetlab import PlanetLabError, expand_experiment, planetlab_target_names
+from .planetlab import (
+    PlanetLabError,
+    expand_experiment,
+    list_slice_nodes,
+    planetlab_target_names,
+)
 from .scheduler import RealClock, VirtualClock, run_experiment
 from .telemetry import (
     EventKind,
@@ -241,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         experiment = expand_experiment(
             experiment,
-            fetch=None if offline else _online_fetch,
+            fetch=None if offline else list_slice_nodes,
             include_non_boot=config.include_non_boot,
         )
     except PlanetLabError as exc:
@@ -264,17 +269,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gplmt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        event_log = EventLog(run_dir / "events.jsonl")
-    except SinkIoError as exc:
-        print(f"gplmt: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    for message in pending_warnings:
-        event_log.record(
-            ExecutionEvent(timestamp=0.0, kind=EventKind.WARNING, detail=message)
-        )
-        print(f"gplmt: warning: {message}", file=sys.stderr)
-
     if offline:
         clock = VirtualClock()
         factory = make_transport_factory(clock, mock_script, force_mock=True)
@@ -283,29 +277,34 @@ def main(argv: list[str] | None = None) -> int:
         factory = make_transport_factory(
             clock, mock_script, force_mock=mock_script is not None
         )
+    # the event sink may fail on open, on any record, and on close
     try:
-        report = run_experiment(
-            experiment,
-            transport_factory=factory,
-            clock=clock,
-            limiter_config=config.rate_limit,
-            event_log=event_log,
-            run_dir=run_dir,
-        )
-    finally:
-        event_log.close()
+        event_log = EventLog(run_dir / "events.jsonl")
+        try:
+            for message in pending_warnings:
+                event_log.record(
+                    ExecutionEvent(timestamp=0.0, kind=EventKind.WARNING, detail=message)
+                )
+                print(f"gplmt: warning: {message}", file=sys.stderr)
+            report = run_experiment(
+                experiment,
+                transport_factory=factory,
+                clock=clock,
+                limiter_config=config.rate_limit,
+                event_log=event_log,
+                run_dir=run_dir,
+            )
+        finally:
+            event_log.close()
+    except SinkIoError as exc:
+        print(f"gplmt: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if offline:
         _print_timeline(event_log.events, sys.stdout)
     print(f"gplmt: run directory: {run_dir}", file=sys.stderr)
     print(f"gplmt: overall: {report.overall.value}", file=sys.stderr)
     return _EXIT_BY_STATUS[report.overall]
-
-
-def _online_fetch(api_url: str, user: str, credential: str, slice_name: str):
-    from .planetlab import list_slice_nodes
-
-    return list_slice_nodes(api_url, user, credential, slice_name)
 
 
 def console_main() -> None:

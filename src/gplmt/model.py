@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class UnknownTargetError(KeyError):
@@ -304,6 +304,47 @@ def call_graph(experiment: Experiment) -> dict[str, list[str]]:
     return {tl.name: list(refs(tl.tasks)) for tl in experiment.tasklists}
 
 
+def find_cycle(
+    graph: Mapping[str, list[str]], roots: Iterable[str] | None = None
+) -> list[str] | None:
+    """First cycle met by a depth-first walk from ``roots`` (default: every
+    node, in order), as a closed path [a, ..., a]. Edges to names that are
+    not keys of ``graph`` are ignored."""
+    state: dict[str, int] = {}  # 1 = on the stack, 2 = finished
+    stack: list[str] = []
+
+    def visit(name: str) -> list[str] | None:
+        state[name] = 1
+        stack.append(name)
+        for ref in graph[name]:
+            if state.get(ref) == 1:
+                return stack[stack.index(ref):] + [ref]
+            if state.get(ref) is None and ref in graph:
+                cycle = visit(ref)
+                if cycle is not None:
+                    return cycle
+        stack.pop()
+        state[name] = 2
+        return None
+
+    for name in graph if roots is None else roots:
+        if state.get(name) is None:
+            cycle = visit(name)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def cleanup_cycles(experiment: Experiment) -> Iterator[tuple[str, str]]:
+    """(owner, first tasklist met twice) for every tasklist whose chain of
+    cleanup references runs into a cycle, in definition order."""
+    graph = {tl.name: [tl.cleanup] if tl.cleanup else [] for tl in experiment.tasklists}
+    for tl in experiment.tasklists:
+        cycle = find_cycle(graph, [tl.name])
+        if cycle is not None:
+            yield tl.name, cycle[0]
+
+
 def iter_steps_items(items: tuple[StepsItem, ...]) -> Iterator[StepsItem]:
     """All items of a steps block, descending into repeat bodies."""
     for item in items:
@@ -363,8 +404,13 @@ def audit(experiment: Experiment) -> list[str]:
             problems.append(f"tasklist {tl.name!r} has non-positive timeout")
         if tl.cleanup is not None and tl.cleanup not in tasklists:
             problems.append(f"tasklist {tl.name!r} cleanup {tl.cleanup!r} is undefined")
-    problems.extend(_audit_cleanup_chains(experiment))
-    problems.extend(_audit_call_graph(experiment))
+    problems.extend(
+        f"cleanup chain of {owner!r} is cyclic at {at!r}"
+        for owner, at in cleanup_cycles(experiment)
+    )
+    cycle = find_cycle(call_graph(experiment))
+    if cycle is not None:
+        problems.append(f"call graph contains a cycle through {cycle[0]!r}")
 
     for item in iter_steps_items(experiment.steps.items):
         if isinstance(item, (Step, RegisterTeardown)):
@@ -416,41 +462,6 @@ def _audit_target(t: TargetDef) -> list[str]:
         if any(v is not None for v in conn.values()):
             problems.append(f"group {t.name!r} must not carry connection fields")
     return problems
-
-
-def _audit_cleanup_chains(experiment: Experiment) -> list[str]:
-    tasklists = experiment.tasklist_map()
-    problems = []
-    for tl in experiment.tasklists:
-        seen = {tl.name}
-        cur = tl.cleanup
-        while cur is not None and cur in tasklists:
-            if cur in seen:
-                problems.append(f"cleanup chain of {tl.name!r} is cyclic at {cur!r}")
-                break
-            seen.add(cur)
-            cur = tasklists[cur].cleanup
-    return problems
-
-
-def _audit_call_graph(experiment: Experiment) -> list[str]:
-    graph = call_graph(experiment)
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(n: str) -> bool:
-        state[n] = 1
-        for m in graph.get(n, ()):
-            if state.get(m) == 1:
-                return True
-            if state.get(m) is None and m in graph and visit(m):
-                return True
-        state[n] = 2
-        return False
-
-    for name in graph:
-        if state.get(name) is None and visit(name):
-            return [f"call graph contains a cycle through {name!r}"]
-    return []
 
 
 def _audit_call_refs(tl: Tasklist, tasklists: Mapping[str, Tasklist]) -> list[str]:

@@ -36,7 +36,11 @@ from .model import (
     Task,
     Tasklist,
     TimeSpec,
+    call_graph,
+    cleanup_cycles,
+    find_cycle,
 )
+from .telemetry import ArtifactPathError, _safe_component
 
 Location = tuple[str, int, int]
 
@@ -352,7 +356,6 @@ class _Validator:
         self.tasklist_nodes: dict[str, XmlNode] = {}
         self.tasklist_order: list[Tasklist] = []
         self.call_refs: list[tuple[str, XmlNode]] = []
-        self.cleanup_refs: list[tuple[str, str, XmlNode]] = []
 
     def err(self, node: XmlNode, code: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, node.location))
@@ -472,6 +475,10 @@ class _Validator:
             attrs = self._check_attrs(node, allowed=("name", "type"), required=())
         if name is None:
             return None
+        try:
+            _safe_component(name)  # the node name becomes its artifact directory
+        except ArtifactPathError:
+            self.err(node, "BadAttributeValue", f"target name {name!r} is not a safe directory name")
 
         fields = self._lower_target_children(node, kind)
         target = self._build_target(node, kind, name, attrs, fields)
@@ -655,8 +662,6 @@ class _Validator:
         self.tasklists[name] = tasklist
         self.tasklist_nodes[name] = node
         self.tasklist_order.append(tasklist)
-        if tasklist.cleanup is not None:
-            self.cleanup_refs.append((name, tasklist.cleanup, node))
 
     def _lower_task(self, node: XmlNode) -> Task | None:
         if node.tag == "run":
@@ -695,61 +700,29 @@ class _Validator:
         for ref, node in self.call_refs:
             if ref not in self.tasklists:
                 self.err(node, "UnknownReference", f"call references undefined tasklist {ref!r}")
-        cycle = self._find_call_cycle()
+        cycle = find_cycle(call_graph(self._defined_tasklists()))
         if cycle is not None:
             node = self.tasklist_nodes[cycle[0]]
             self.err(node, "CallCycle", "call cycle: " + " -> ".join(cycle))
 
-    def _find_call_cycle(self) -> list[str] | None:
-        graph: dict[str, list[str]] = {name: [] for name in self.tasklists}
-
-        def collect(tasks: tuple[Task, ...], out: list[str]) -> None:
-            for task in tasks:
-                if isinstance(task, CallTask) and task.ref in graph:
-                    out.append(task.ref)
-                elif isinstance(task, (SeqTask, ParTask)):
-                    collect(task.children, out)
-
-        for name, tasklist in self.tasklists.items():
-            collect(tasklist.tasks, graph[name])
-
-        state: dict[str, int] = {}  # 1 = on stack, 2 = finished
-        stack: list[str] = []
-
-        def visit(name: str) -> list[str] | None:
-            state[name] = 1
-            stack.append(name)
-            for ref in graph[name]:
-                if state.get(ref) == 1:
-                    return stack[stack.index(ref):] + [ref]
-                if state.get(ref) is None:
-                    cycle = visit(ref)
-                    if cycle is not None:
-                        return cycle
-            stack.pop()
-            state[name] = 2
-            return None
-
-        for name in graph:
-            if state.get(name) is None:
-                cycle = visit(name)
-                if cycle is not None:
-                    return cycle
-        return None
-
     def _check_cleanups(self) -> None:
-        for owner, ref, node in self.cleanup_refs:
-            if ref not in self.tasklists:
-                self.err(node, "UnknownReference", f"cleanup references undefined tasklist {ref!r}")
-        for owner, ref, node in self.cleanup_refs:
-            seen = {owner}
-            current: str | None = ref
-            while current is not None and current in self.tasklists:
-                if current in seen:
-                    self.err(node, "CleanupCycle", f"cleanup chain of {owner!r} cycles at {current!r}")
-                    break
-                seen.add(current)
-                current = self.tasklists[current].cleanup
+        for tasklist in self.tasklist_order:
+            if tasklist.cleanup is not None and tasklist.cleanup not in self.tasklists:
+                self.err(
+                    self.tasklist_nodes[tasklist.name],
+                    "UnknownReference",
+                    f"cleanup references undefined tasklist {tasklist.cleanup!r}",
+                )
+        for owner, at in cleanup_cycles(self._defined_tasklists()):
+            self.err(
+                self.tasklist_nodes[owner],
+                "CleanupCycle",
+                f"cleanup chain of {owner!r} cycles at {at!r}",
+            )
+
+    def _defined_tasklists(self) -> Experiment:
+        """The tasklists defined so far, as the graph helpers take them."""
+        return Experiment(tasklists=tuple(self.tasklist_order))
 
     # -- steps --------------------------------------------------------------
 

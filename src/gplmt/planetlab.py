@@ -9,6 +9,7 @@ for tests and demos without a real federation.
 from __future__ import annotations
 
 import http.client
+import re
 import socket
 import threading
 import xmlrpc.client
@@ -19,6 +20,9 @@ from xmlrpc.server import SimpleXMLRPCServer
 from .model import Experiment, TargetDef, TargetKind
 
 BOOT_STATE_LIVE = "boot"
+
+_LABEL = r"(?!-)[A-Za-z0-9-]{1,63}(?<!-)"
+_HOSTNAME_RE = re.compile(rf"{_LABEL}(?:\.{_LABEL})*")
 
 
 class PlanetLabError(Exception):
@@ -125,13 +129,16 @@ def expand_planetlab_target(
     One leaf per distinct hostname, named `<target>:<hostname>`, logging in
     as the slice (the PlanetLab convention). Nodes not in boot state are
     dropped unless `include_non_boot` is set. The target's exports move to
-    the group, so resolution applies them to every leaf.
+    the group, so resolution applies them to every leaf. A kept hostname
+    that is not an RFC 1123 host name raises MalformedResponse.
     """
     members = []
     seen: set[str] = set()
     for record in records:
         if record.boot_state != BOOT_STATE_LIVE and not include_non_boot:
             continue
+        if len(record.hostname) > 253 or not _HOSTNAME_RE.fullmatch(record.hostname):
+            raise MalformedResponse(f"slice node hostname {record.hostname!r} is not a host name")
         if record.hostname in seen:
             continue
         seen.add(record.hostname)

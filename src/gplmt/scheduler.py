@@ -43,7 +43,14 @@ from .model import (
     TimeSpec,
     resolve_group,
 )
-from .telemetry import EventKind, EventLog, ExecutionEvent, render_report, write_report
+from .telemetry import (
+    ArtifactPathError,
+    EventKind,
+    EventLog,
+    ExecutionEvent,
+    render_report,
+    write_report,
+)
 from .transport import (
     DEFAULT_RECONNECT_BUDGET,
     MockScript,
@@ -203,19 +210,6 @@ class _StepContext:
     is_teardown: bool = False
 
 
-@dataclass
-class StepOutcome:
-    """Per-node results of one step execution."""
-
-    step_index: int
-    tasklist: str
-    per_node: dict[str, str]
-
-    @property
-    def failed(self) -> bool:
-        return any(state in ("Failed", "Aborted") for state in self.per_node.values())
-
-
 class ExperimentRunner:
     """Single-run executor; create one per experiment execution."""
 
@@ -292,9 +286,11 @@ class ExperimentRunner:
         await self.drain_teardowns()
         await self.pool.close_all()
 
-        interim, _ = render_report(self.log.events)
-        self.emit(EventKind.EXPERIMENT_END, detail=interim.overall.value)
+        # ExperimentEnd changes neither the status nor the summary, so the
+        # report is rendered once and only its event tuple is replaced.
         report, summary = render_report(self.log.events)
+        self.emit(EventKind.EXPERIMENT_END, detail=report.overall.value)
+        report = replace(report, events=self.log.events)
         if self.run_dir is not None:
             write_report(self.run_dir, report, summary)
         return report
@@ -386,7 +382,7 @@ class ExperimentRunner:
         leaves.sort(key=lambda pair: pair[0].name)
         return leaves
 
-    async def execute_step(self, step: Step) -> StepOutcome:
+    async def execute_step(self, step: Step) -> None:
         step_index = next(self._step_counter)
         tasklist = self.tasklists[step.tasklist_ref]
         if step.start is not None:
@@ -406,7 +402,7 @@ class ExperimentRunner:
                 detail=f"step resolves to zero nodes (targets={step.targets_ref})",
             )
             self.emit(EventKind.STEP_END, step_index=step_index, tasklist=tasklist.name)
-            return StepOutcome(step_index, tasklist.name, {})
+            return
 
         ctx = _StepContext(
             step_index=step_index,
@@ -425,7 +421,6 @@ class ExperimentRunner:
         )
         if self.panicked:
             raise _PanicSignal()
-        return StepOutcome(step_index, tasklist.name, dict(ctx.outcomes))
 
     # -- per-node tasklist execution ----------------------------------------
 
@@ -455,9 +450,10 @@ class ExperimentRunner:
         except asyncio.CancelledError:
             ctx.outcomes[node] = "Aborted"
             raise
-        except TransportError as exc:
-            # Session acquisition failed: the node's first failure, subject
-            # to the error mode; without a session no cleanup can run.
+        except (TransportError, ArtifactPathError) as exc:
+            # Session acquisition failed, or the node name cannot name its
+            # artifact directory: the node's first failure, subject to the
+            # error mode; without a session no cleanup can run.
             ctx.outcomes[node] = "Failed"
             self.emit(
                 EventKind.WARNING,
@@ -498,7 +494,7 @@ class ExperimentRunner:
         ctx: _StepContext,
     ) -> None:
         node = session.node
-        deadline = self._tasklist_deadline(governing, ctx)
+        deadline = self._deadline(governing.timeout, ctx.stop_instant)
         escalation: ErrorMode | None = None
         detail = ""
         try:
@@ -519,22 +515,18 @@ class ExperimentRunner:
             state = "Aborted"
         ctx.outcomes[node] = state
 
+        self._apply_escalation(escalation, ctx, node, governing.name, detail)
         if escalation is ErrorMode.PANIC:
-            self.trigger_panic(node, governing.name, detail, ctx.step_task)
-            self._cancel_step_siblings(ctx, node)
             return
-        if escalation is ErrorMode.ABORT_STEP:
-            self._cancel_step_siblings(ctx, node)
         if governing.cleanup is not None and (not self.panicked or ctx.is_teardown):
             await self._run_cleanup(governing.cleanup, session, leaf, env, ctx)
 
-    def _tasklist_deadline(self, tasklist: Tasklist, ctx: _StepContext) -> float | None:
-        bounds = []
-        if tasklist.timeout is not None:
-            bounds.append(self.clock.now() + tasklist.timeout)
-        if ctx.stop_instant is not None:
-            bounds.append(ctx.stop_instant)
-        return min(bounds) if bounds else None
+    def _deadline(self, timeout: float | None, outer: float | None) -> float | None:
+        """Now plus `timeout`, capped by the `outer` deadline; None bounds nothing."""
+        if timeout is None:
+            return outer
+        own = self.clock.now() + timeout
+        return own if outer is None else min(outer, own)
 
     def _cancel_step_siblings(self, ctx: _StepContext, failing_node: str) -> None:
         for name, task in ctx.node_tasks.items():
@@ -542,7 +534,7 @@ class ExperimentRunner:
                 task.cancel()
 
     def _apply_escalation(
-        self, mode: ErrorMode, ctx: _StepContext, node: str, tasklist: str, detail: str
+        self, mode: ErrorMode | None, ctx: _StepContext, node: str, tasklist: str, detail: str
     ) -> None:
         if mode is ErrorMode.PANIC:
             self.trigger_panic(node, tasklist, detail, ctx.step_task)
@@ -577,9 +569,7 @@ class ExperimentRunner:
                 detail=f"cleanup session: {exc}",
             )
             return
-        deadline = None
-        if cleanup.timeout is not None:
-            deadline = self.clock.now() + cleanup.timeout
+        deadline = self._deadline(cleanup.timeout, None)
         try:
             worst, _ = await self._run_tasks(
                 replace(cleanup, on_error=ErrorMode.ABORT_TASKLIST),
@@ -798,8 +788,6 @@ class ExperimentRunner:
                 worst = _worse(worst, outcome)
                 if outcome is not TaskOutcome.SUCCESS and not contained:
                     uncontained = True
-        if isinstance(to_raise, _Escalation):
-            raise to_raise
         if to_raise is not None:
             raise to_raise
         return worst, not uncontained and worst is not TaskOutcome.SUCCESS
@@ -822,10 +810,7 @@ class ExperimentRunner:
         callee's own body failed.
         """
         callee = self.tasklists[task.ref]
-        callee_deadline = deadline
-        if callee.timeout is not None:
-            own = self.clock.now() + callee.timeout
-            callee_deadline = own if deadline is None else min(deadline, own)
+        callee_deadline = self._deadline(callee.timeout, deadline)
         leaf = self.targets.get(session.node)
         worst = TaskOutcome.SUCCESS
         reraise: BaseException | None = None

@@ -120,8 +120,11 @@ class EventLog:
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+                handle, self._handle = self._handle, None
+                try:
+                    handle.close()  # flushes again what a failed write left buffered
+                except OSError as exc:
+                    raise SinkIoError(str(exc)) from exc
 
     @property
     def events(self) -> tuple[ExecutionEvent, ...]:
@@ -179,7 +182,8 @@ def _outcome_pairs(detail: str) -> list[tuple[str, str]]:
     pairs = []
     for token in detail.split():
         if "=" in token:
-            node, _, state = token.partition("=")
+            # node names may contain "=", states never do
+            node, _, state = token.rpartition("=")
             pairs.append((node, state))
     return pairs
 

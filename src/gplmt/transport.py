@@ -17,9 +17,10 @@ import signal
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 from .model import TargetDef, TargetKind, TaskOutcome, TaskResult
+from .telemetry import ArtifactPathError, _safe_component, artifact_path, node_artifact_dir
 
 DEFAULT_RECONNECT_BASE = 1.0
 DEFAULT_RECONNECT_FACTOR = 2.0
@@ -127,6 +128,12 @@ class Session:
         self.clock = clock
         self.pool = pool
         self.lock = asyncio.Lock()  # serializes tasklist executions per node
+        self._artifact_dir: Path | None = None  # created on the first write
+
+    def _node_dir(self) -> Path:
+        if self._artifact_dir is None:
+            self._artifact_dir = node_artifact_dir(self.pool.artifact_root, self.node)
+        return self._artifact_dir
 
     def _require_connected(self) -> None:
         if self.state is not SessionState.CONNECTED:
@@ -156,12 +163,11 @@ class Session:
 
         stdout_ref = stderr_ref = ""
         if self.pool.artifact_root is not None and artifact_label is not None:
-            node_dir = Path(self.pool.artifact_root) / self.node
-            node_dir.mkdir(parents=True, exist_ok=True)
+            node_dir = self._node_dir()
             stdout_ref = f"{self.node}/stdout-{artifact_label}.log"
             stderr_ref = f"{self.node}/stderr-{artifact_label}.log"
-            (Path(self.pool.artifact_root) / stdout_ref).write_bytes(output.stdout)
-            (Path(self.pool.artifact_root) / stderr_ref).write_bytes(output.stderr)
+            (node_dir / f"stdout-{artifact_label}.log").write_bytes(output.stdout)
+            (node_dir / f"stderr-{artifact_label}.log").write_bytes(output.stderr)
 
         if output.connection_lost:
             outcome = TaskOutcome.CONNECTION_LOST
@@ -182,18 +188,16 @@ class Session:
             outcome=outcome,
         )
 
-    async def fetch(self, remote_path: str, local_dir: str | Path | None = None) -> Path:
-        """Copy a node-side file into `<local_dir>/<node>/<basename>`."""
+    async def fetch(self, remote_path: str) -> Path:
+        """Copy a node-side file into `<artifact_root>/<node>/<basename>`."""
         self._require_connected()
-        base = Path(local_dir) if local_dir is not None else self.pool.artifact_root
-        if base is None:
+        if self.pool.artifact_root is None:
             raise TransportError("no artifact directory configured for fetch")
-        destination_dir = Path(base) / self.node
-        destination_dir.mkdir(parents=True, exist_ok=True)
-        basename = PurePosixPath(remote_path).name
-        if not basename or basename in (".", ".."):
-            raise RemoteFileMissing(f"not a file path: {remote_path!r}")
-        destination = destination_dir / basename
+        self._node_dir()  # the destination's directory
+        try:
+            destination = artifact_path(self.pool.artifact_root, self.node, remote_path)
+        except ArtifactPathError:
+            raise RemoteFileMissing(f"not a file path: {remote_path!r}") from None
         await self.transport.fetch(remote_path, destination)
         return destination
 
@@ -239,6 +243,11 @@ class SessionPool:
         return self._node_locks.setdefault(node, asyncio.Lock())
 
     async def acquire(self, target: TargetDef, limiter: RateLimiter, clock) -> Session:
+        """Return the node's live session, establishing one if needed.
+
+        With an artifact root, a node name that cannot serve as one path
+        component raises ArtifactPathError before any connection attempt.
+        """
         if target.kind is TargetKind.GROUP:
             raise ValueError(f"cannot open a session to group {target.name!r}")
         async with self._creation_lock(target.name):
@@ -248,6 +257,8 @@ class SessionPool:
             if session is not None and session.state is SessionState.LOST:
                 return await self._reconnect_locked(session, limiter, clock)
             if session is None:
+                if self.artifact_root is not None:
+                    _safe_component(target.name)
                 transport = self.transport_factory(target)
                 session = Session(target.name, transport, clock, self)
                 self._sessions[target.name] = session
@@ -295,16 +306,6 @@ class SessionPool:
         return [s for s in self._sessions.values() if s.state is SessionState.CONNECTED]
 
 
-async def acquire_session(target: TargetDef, pool: SessionPool, limiter: RateLimiter, clock) -> Session:
-    """Return the node's live session, establishing one if needed."""
-    return await pool.acquire(target, limiter, clock)
-
-
-async def reconnect(session: Session, limiter: RateLimiter, clock) -> Session:
-    """Re-establish a Lost session under the limiter with backoff."""
-    return await session.pool.reconnect(session, limiter, clock)
-
-
 # --------------------------------------------------------------------------
 # local transport
 
@@ -313,6 +314,22 @@ def _merged_env(env: tuple[tuple[str, str], ...]) -> dict[str, str]:
     merged = dict(os.environ)
     merged.update(env)
     return merged
+
+
+async def _collect(proc, deadline: float | None, clock) -> ExecOutput:
+    """Wait for a process's output; when `deadline` passes first, terminate
+    its process group and report TimedOut."""
+    timeout = None
+    if deadline is not None:
+        timeout = max(0.0, deadline - clock.now())
+    try:
+        stdout, stderr = await asyncio.wait_for(proc.communicate(), timeout)
+    except asyncio.TimeoutError:
+        await _terminate_group(proc)
+        await proc.wait()
+        code = proc.returncode if proc.returncode is not None else -15
+        return ExecOutput(code, b"", b"", timed_out=True)
+    return ExecOutput(proc.returncode, stdout, stderr)
 
 
 async def _terminate_group(proc) -> None:
@@ -349,17 +366,7 @@ class LocalTransport:
             env=_merged_env(env),
             start_new_session=True,  # its own process group, so timeouts kill children too
         )
-        timeout = None
-        if deadline is not None:
-            timeout = max(0.0, deadline - self.clock.now())
-        try:
-            stdout, stderr = await asyncio.wait_for(proc.communicate(), timeout)
-        except asyncio.TimeoutError:
-            await _terminate_group(proc)
-            await proc.wait()
-            code = proc.returncode if proc.returncode is not None else -15
-            return ExecOutput(code, b"", b"", timed_out=True)
-        return ExecOutput(proc.returncode, stdout, stderr)
+        return await _collect(proc, deadline, self.clock)
 
     async def fetch(self, remote_path: str, destination: Path) -> None:
         source = Path(remote_path).expanduser()
@@ -376,10 +383,14 @@ class LocalTransport:
         return None
 
 
-def _copy_atomic(source: Path, destination: Path) -> None:
+def _write_atomic(destination: Path, data: bytes) -> None:
     temp = destination.with_name(destination.name + ".part")
-    temp.write_bytes(source.read_bytes())
+    temp.write_bytes(data)
     os.replace(temp, destination)
+
+
+def _copy_atomic(source: Path, destination: Path) -> None:
+    _write_atomic(destination, source.read_bytes())
 
 
 # --------------------------------------------------------------------------
@@ -454,19 +465,10 @@ class SshTransport:
             stderr=asyncio.subprocess.PIPE,
             start_new_session=True,
         )
-        timeout = None
-        if deadline is not None:
-            timeout = max(0.0, deadline - self.clock.now())
-        try:
-            stdout, stderr = await asyncio.wait_for(proc.communicate(), timeout)
-        except asyncio.TimeoutError:
-            await _terminate_group(proc)
-            await proc.wait()
-            code = proc.returncode if proc.returncode is not None else -15
-            return ExecOutput(code, b"", b"", timed_out=True)
-        if proc.returncode == 255:  # the client's own "connection failed" code
-            return ExecOutput(255, stdout, stderr, connection_lost=True)
-        return ExecOutput(proc.returncode, stdout, stderr)
+        output = await _collect(proc, deadline, self.clock)
+        if output.exit_code == 255 and not output.timed_out:
+            output.connection_lost = True  # the client's own "connection failed" code
+        return output
 
     async def fetch(self, remote_path: str, destination: Path) -> None:
         argv = self._base_argv() + [
@@ -482,9 +484,7 @@ class SshTransport:
             raise RemoteFileMissing(
                 f"{remote_path}: " + stderr.decode(errors="replace").strip()
             )
-        temp = destination.with_name(destination.name + ".part")
-        temp.write_bytes(stdout)
-        os.replace(temp, destination)
+        _write_atomic(destination, stdout)
 
     async def push(self, local_path: Path, remote_path: str) -> None:
         quoted = shlex.quote(remote_path)
@@ -655,9 +655,7 @@ class MockTransport:
             raise RemoteFileMissing(remote_path)
         else:
             data = b""
-        temp = destination.with_name(destination.name + ".part")
-        temp.write_bytes(data)
-        os.replace(temp, destination)
+        _write_atomic(destination, data)
 
     async def push(self, local_path: Path, remote_path: str) -> None:
         self.files[remote_path] = local_path.read_bytes()

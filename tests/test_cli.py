@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 import gplmt
+from gplmt import cli
 from gplmt.cli import (
     EXIT_COMPLETED,
     EXIT_ERRORS,
@@ -22,6 +24,8 @@ from gplmt.cli import (
 )
 from gplmt.model import UnknownTargetError
 from gplmt.parser import load_experiment
+from gplmt.planetlab import FakePlanetLabApi
+from gplmt.telemetry import EventLog, SinkIoError
 
 FIXTURES = Path(gplmt.__file__).parent / "fixtures"
 
@@ -320,3 +324,90 @@ def test_run_mode_prints_no_timeline(tmp_path, capsys):
     path = write_doc(tmp_path, SMALL_DOC)
     assert main([str(path), "--log-dir", str(tmp_path / "logs")]) == EXIT_COMPLETED
     assert capsys.readouterr().out == ""  # timeline is a dry-run affordance
+
+
+# --- hostile input and sink failures ---
+
+
+def test_failing_node_whose_name_contains_equals_is_an_error(tmp_path):
+    """A failing node named "x=y" still makes the run CompletedWithErrors.
+
+    Names containing spaces are still split apart by the report's parsing of
+    event details; typed event fields (see ROADMAP.md) are the planned fix.
+    """
+    doc = """
+<experiment>
+ <targets><target name="x=y" type="local" /></targets>
+ <tasklists><tasklist name="t"><run>false</run></tasklist></tasklists>
+ <steps><step tasklist="t" targets="x=y" /></steps>
+</experiment>
+"""
+    path = write_doc(tmp_path, doc)
+    script = tmp_path / "mock.json"
+    script.write_text('{"nodes": {"x=y": {"rules": [{"pattern": "*", "exit": 1}]}}}')
+    log_dir = tmp_path / "logs"
+    code = main([str(path), "--dry-run", "--mock-script", str(script),
+                 "--log-dir", str(log_dir)])
+    assert code == EXIT_ERRORS
+    payload = json.loads((run_dir_of(log_dir) / "report.json").read_text())
+    assert payload["overall"] == "CompletedWithErrors"
+    assert payload["per_node_outcomes"] == {"x=y|t#s0": "Failed"}
+
+
+def test_slice_hostname_that_is_not_a_host_name_exits_one(tmp_path, capsys):
+    script = tmp_path / "mock.json"
+    script.write_text("{}")
+    log_dir = tmp_path / "logs"
+    with FakePlanetLabApi("myslice", "sekrit", [("../../../escape", "boot")],
+                          user="me@example.org") as api:
+        doc = f"""
+<experiment>
+ <targets>
+   <target name="pl" type="planetlab" api-url="{api.url}"
+           slice="myslice" user="me@example.org"><password>sekrit</password></target>
+ </targets>
+ <tasklists>
+   <tasklist name="work"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="work" targets="pl" />
+ </steps>
+</experiment>
+"""
+        path = write_doc(tmp_path, doc)
+        code = main([str(path), "--mock-script", str(script), "--log-dir", str(log_dir)])
+    assert code == EXIT_USAGE
+    assert "gplmt: error: slice API:" in capsys.readouterr().err
+    assert not log_dir.exists()
+
+
+def test_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, monkeypatch):
+    fixture = str(FIXTURES / "listing1.xml")
+    assert main([fixture, "--dry-run", "--log-dir", str(tmp_path / "clean")]) == EXIT_COMPLETED
+    total = len((run_dir_of(tmp_path / "clean") / "events.jsonl").read_text().splitlines())
+    record = EventLog.record
+    for healthy in range(total):
+        count = itertools.count()
+
+        def record_until_the_disk_fills(self, event):
+            if next(count) >= healthy:
+                raise SinkIoError("No space left on device")
+            record(self, event)
+
+        monkeypatch.setattr(EventLog, "record", record_until_the_disk_fills)
+        capsys.readouterr()
+        code = main([fixture, "--dry-run", "--log-dir", str(tmp_path / f"logs{healthy}")])
+        assert code == EXIT_USAGE, healthy
+        err = capsys.readouterr().err
+        assert "gplmt: error: No space left on device" in err, healthy
+        assert "Traceback" not in err, healthy
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_disk_under_the_event_log_exits_one(tmp_path, capsys, monkeypatch):
+    # the failed write stays buffered, so closing the log fails again
+    monkeypatch.setattr(cli, "EventLog", lambda path: EventLog("/dev/full"))
+    code = main([str(FIXTURES / "listing1.xml"), "--dry-run",
+                 "--log-dir", str(tmp_path / "logs")])
+    assert code == EXIT_USAGE
+    assert "gplmt: error:" in capsys.readouterr().err

@@ -378,6 +378,15 @@ def test_self_call_is_a_cycle(tmp_path):
     assert "CallCycle" in error_codes(diags)
 
 
+@pytest.mark.parametrize("name", ["a/b", "..", "pl:../../../escape", "back\\slash"])
+def test_target_name_must_be_a_safe_directory_name(tmp_path, name):
+    xml = VALID.replace('name="n"', f'name="{name}"').replace('targets="n"', f'targets="{name}"')
+    exp, diags = check(tmp_path, xml)
+    assert exp is None
+    assert error_codes(diags) == ["BadAttributeValue"]
+    assert repr(name) in diags[0].message
+
+
 def test_cleanup_unknown_reference(tmp_path):
     xml = VALID.replace('<tasklist name="t">', '<tasklist name="t" cleanup="ghost">')
     exp, diags = check(tmp_path, xml)

@@ -78,6 +78,15 @@ def test_expansion_deduplicates_hostnames():
     assert len(group.members) == 1
 
 
+@pytest.mark.parametrize(
+    "hostname", ["../../../escape", "a/b.example.org", "", "-a.example.org", "a..b", "x" * 64]
+)
+def test_expansion_rejects_hostnames_that_are_not_host_names(hostname):
+    records = [SliceNodeRecord("a.example.org", "boot", 1), SliceNodeRecord(hostname, "boot", 2)]
+    with pytest.raises(MalformedResponse):
+        expand_planetlab_target(pl_target(), records)
+
+
 def test_expansion_moves_env_exports_to_the_group():
     target = pl_target(env_exports=(("REGION", "eu"),))
     group = expand_planetlab_target(target, THREE_HOSTS)

@@ -8,7 +8,16 @@ from pathlib import Path
 import pytest
 
 import gplmt
-from gplmt.model import OverallStatus
+from gplmt.model import (
+    Experiment,
+    OverallStatus,
+    RunTask,
+    Step,
+    StepsProgram,
+    TargetDef,
+    TargetKind,
+    Tasklist,
+)
 from gplmt.parser import load_experiment
 from gplmt.scheduler import (
     RealClock,
@@ -810,3 +819,30 @@ def test_dry_runs_are_deterministic():
     _, first = dry_events(experiment)
     _, second = dry_events(experiment)
     assert first == second
+
+
+def test_unsafe_node_name_fails_the_node_and_writes_nothing_outside(tmp_path):
+    """A leaf name that would leave the run directory takes the session
+    failure path: a warning, the node Failed, and no file outside."""
+    escape = TargetDef("pl:../../../escape", TargetKind.SSH, ssh_user="s", ssh_host="h")
+    alpha = TargetDef("alpha", TargetKind.LOCAL)
+    experiment = Experiment(
+        targets=(TargetDef("fleet", TargetKind.GROUP, members=(escape, alpha)),),
+        tasklists=(Tasklist("t", (RunTask("true"),)),),
+        steps=StepsProgram((Step("t", "fleet"),)),
+    )
+    run = tmp_path / "a" / "b" / "run"
+    report = dry_run(experiment, run_dir=run)
+
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+    assert report.per_node_outcomes == {
+        "alpha|t#s0": "Succeeded",
+        "pl:../../../escape|t#s0": "Failed",
+    }
+    warnings = [e for e in report.events if e.kind.value == "Warning"]
+    assert [(w.node, w.detail.split(":")[0]) for w in warnings] == [(escape.name, "session")]
+    written = [p for p in tmp_path.rglob("*") if p not in run.parents and p != run]
+    assert all(p.is_relative_to(run) for p in written), written
+    assert sorted(p.name for p in run.iterdir()) == [
+        "alpha", "events.jsonl", "report.json", "report.txt",
+    ]
