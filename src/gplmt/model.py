@@ -222,6 +222,23 @@ class TaskResult:
     outcome: TaskOutcome = TaskOutcome.SUCCESS
 
 
+class NodeState(str, enum.Enum):
+    """How one node's execution of a step or teardown ended.
+
+    A str mix-in, because the report compares these against the states it
+    reads back out of event details.
+    """
+
+    SUCCEEDED = "Succeeded"
+    FAILED = "Failed"
+    ABORTED = "Aborted"  # cancelled after it started
+    SKIPPED = "Skipped"  # cancelled before it started
+
+
+#: Node states that make a run CompletedWithErrors.
+ERROR_NODE_STATES = frozenset({NodeState.FAILED, NodeState.ABORTED})
+
+
 class OverallStatus(enum.Enum):
     COMPLETED = "Completed"
     COMPLETED_WITH_ERRORS = "CompletedWithErrors"
@@ -232,8 +249,10 @@ class OverallStatus(enum.Enum):
 class ExperimentReport:
     """Final run summary: the event log plus per-node, per-tasklist outcomes.
 
-    ``per_node_outcomes`` is keyed by "node|tasklist#step_index" where
-    step_index is the step execution ordinal from the event log.
+    ``per_node_outcomes`` maps "node|tasklist#s<step>" for a step execution
+    and "node|tasklist#t<ordinal>" for a teardown to a NodeState value.
+    <step> is the step execution ordinal from the event log; <ordinal>
+    counts teardown executions from 0 in the order they ran.
     """
 
     events: tuple = ()

@@ -23,10 +23,12 @@ from pathlib import Path
 
 from .model import (
     CallTask,
+    EnvPairs,
     ErrorMode,
     Experiment,
     ExperimentReport,
     GetTask,
+    NodeState,
     ParTask,
     PutTask,
     RegisterTeardown,
@@ -56,6 +58,7 @@ from .transport import (
     MockScript,
     RateLimiter,
     RateLimiterConfig,
+    Session,
     SessionClosed,
     SessionPool,
     TransportError,
@@ -199,15 +202,27 @@ def _worse(a: TaskOutcome, b: TaskOutcome) -> TaskOutcome:
 
 @dataclass
 class _StepContext:
-    """Shared state of one step execution across its per-node tasks."""
+    """Shared state of one step or teardown execution across its per-node tasks."""
 
     step_index: int | None
     exec_label: str
-    stop_instant: float | None
-    outcomes: dict[str, str]
-    node_tasks: dict[str, asyncio.Task] = field(default_factory=dict)
+    stop_instant: float | None = None
     step_task: asyncio.Task | None = None
     is_teardown: bool = False
+    outcomes: dict[str, NodeState] = field(default_factory=dict)
+    node_tasks: dict[str, asyncio.Task] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _NodeRun:
+    """What every task of one node's execution shares; a cleanup runs under
+    a copy with its own session and the artifact label prefix "c"."""
+
+    session: Session
+    leaf: TargetDef
+    env: EnvPairs
+    ctx: _StepContext
+    label_prefix: str = ""
 
 
 class ExperimentRunner:
@@ -238,7 +253,6 @@ class ExperimentRunner:
         self.pool: SessionPool | None = None
         self.limiter: RateLimiter | None = None
         self._step_counter = itertools.count()
-        self._teardown_counter = itertools.count()
         self._all_step_tasks: list[asyncio.Task] = []
 
     # -- event helpers ------------------------------------------------------
@@ -366,7 +380,7 @@ class ExperimentRunner:
         wall_base = self.clock.wall() - self.clock.now()
         return spec.instant.timestamp() - wall_base
 
-    def _resolve_nodes(self, targets_ref: str) -> list[tuple[TargetDef, tuple[tuple[str, str], ...]]]:
+    def _resolve_nodes(self, targets_ref: str) -> list[tuple[TargetDef, EnvPairs]]:
         leaves = resolve_group(self.targets[targets_ref], self.targets)
         if self.experiment.node_filter is not None:
             leaves = [
@@ -384,88 +398,100 @@ class ExperimentRunner:
 
     async def execute_step(self, step: Step) -> None:
         step_index = next(self._step_counter)
-        tasklist = self.tasklists[step.tasklist_ref]
         if step.start is not None:
             await self.clock.sleep_until(self._instant(step.start))
-        leaves = self._resolve_nodes(step.targets_ref)
-        self.emit(
-            EventKind.STEP_START,
-            step_index=step_index,
-            tasklist=tasklist.name,
-            detail=f"targets={step.targets_ref} nodes={len(leaves)}",
-        )
-        if not leaves:
-            self.emit(
-                EventKind.WARNING,
-                step_index=step_index,
-                tasklist=tasklist.name,
-                detail=f"step resolves to zero nodes (targets={step.targets_ref})",
-            )
-            self.emit(EventKind.STEP_END, step_index=step_index, tasklist=tasklist.name)
-            return
-
         ctx = _StepContext(
             step_index=step_index,
             exec_label=str(step_index),
             stop_instant=self._instant(step.stop) if step.stop is not None else None,
-            outcomes={leaf.name: "Skipped" for leaf, _ in leaves},
             step_task=asyncio.current_task(),
         )
-        for leaf, env in leaves:
-            node_task = asyncio.create_task(self.execute_tasklist(tasklist, leaf, env, ctx))
-            ctx.node_tasks[leaf.name] = node_task
-        await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
-        detail = " ".join(f"{node}={state}" for node, state in sorted(ctx.outcomes.items()))
-        self.emit(
-            EventKind.STEP_END, step_index=step_index, tasklist=tasklist.name, detail=detail
-        )
+        await self._execute_on_nodes(ctx, self.tasklists[step.tasklist_ref], step.targets_ref)
         if self.panicked:
             raise _PanicSignal()
 
+    async def _execute_on_nodes(
+        self, ctx: _StepContext, tasklist: Tasklist, targets_ref: str
+    ) -> None:
+        """Run the tasklist on every node the targets resolve to, one task
+        per node, between the start and end events of the step or teardown."""
+        if ctx.is_teardown:
+            start, end, what = EventKind.TEARDOWN_START, EventKind.TEARDOWN_END, "teardown"
+        else:
+            start, end, what = EventKind.STEP_START, EventKind.STEP_END, "step"
+        leaves = self._resolve_nodes(targets_ref)
+        self.emit(
+            start,
+            step_index=ctx.step_index,
+            tasklist=tasklist.name,
+            detail=f"targets={targets_ref} nodes={len(leaves)}",
+        )
+        if not leaves:
+            self.emit(
+                EventKind.WARNING,
+                step_index=ctx.step_index,
+                tasklist=tasklist.name,
+                detail=f"{what} resolves to zero nodes (targets={targets_ref})",
+            )
+            self.emit(end, step_index=ctx.step_index, tasklist=tasklist.name)
+            return
+        ctx.outcomes = {leaf.name: NodeState.SKIPPED for leaf, _ in leaves}
+        for leaf, env in leaves:
+            ctx.node_tasks[leaf.name] = asyncio.create_task(
+                self.execute_tasklist(tasklist, leaf, env, ctx)
+            )
+        await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
+        detail = " ".join(f"{node}={state.value}" for node, state in sorted(ctx.outcomes.items()))
+        self.emit(end, step_index=ctx.step_index, tasklist=tasklist.name, detail=detail)
+
     # -- per-node tasklist execution ----------------------------------------
+
+    def _emit_node(
+        self, kind: EventKind, ctx: _StepContext, node: str, tasklist: str, detail: str, path=None
+    ) -> None:
+        """Record an event of one node inside a step or teardown execution."""
+        self.emit(kind, node, ctx.step_index, tasklist, path, detail)
 
     async def execute_tasklist(
         self,
         tasklist: Tasklist,
         leaf: TargetDef,
-        env: tuple[tuple[str, str], ...],
+        env: EnvPairs,
         ctx: _StepContext,
-        mode_override: ErrorMode | None = None,
     ) -> None:
-        """Run one tasklist on one node; outcome lands in ctx.outcomes."""
+        """Run one tasklist on one node; outcome lands in ctx.outcomes.
+
+        A teardown always runs its tasklist as abort-tasklist.
+        """
         node = leaf.name
-        governing = tasklist if mode_override is None else replace(tasklist, on_error=mode_override)
+        governing = tasklist
+        if ctx.is_teardown:
+            governing = replace(tasklist, on_error=ErrorMode.ABORT_TASKLIST)
         try:
             session = await self._enter_node(leaf, ctx)
         except asyncio.TimeoutError:
-            ctx.outcomes[node] = "Failed"
-            self.emit(
+            ctx.outcomes[node] = NodeState.FAILED
+            self._emit_node(
                 EventKind.WARNING,
-                node=node,
-                step_index=ctx.step_index,
-                tasklist=tasklist.name,
-                detail="stop time passed before execution began",
+                ctx,
+                node,
+                tasklist.name,
+                "stop time passed before execution began",
             )
             return
         except asyncio.CancelledError:
-            ctx.outcomes[node] = "Aborted"
+            ctx.outcomes[node] = NodeState.ABORTED
             raise
         except (TransportError, ArtifactPathError) as exc:
             # Session acquisition failed, or the node name cannot name its
             # artifact directory: the node's first failure, subject to the
             # error mode; without a session no cleanup can run.
-            ctx.outcomes[node] = "Failed"
-            self.emit(
-                EventKind.WARNING,
-                node=node,
-                step_index=ctx.step_index,
-                tasklist=tasklist.name,
-                detail=f"session: {exc}",
-            )
+            ctx.outcomes[node] = NodeState.FAILED
+            self._emit_node(EventKind.WARNING, ctx, node, tasklist.name, f"session: {exc}")
             self._apply_escalation(governing.on_error, ctx, node, tasklist.name, str(exc))
             return
         try:
-            await self._body_and_cleanup(governing, session, leaf, env, ctx)
+            await self._body_and_cleanup(_NodeRun(session, leaf, env, ctx), governing)
         finally:
             session.lock.release()
 
@@ -485,41 +511,32 @@ class ExperimentRunner:
             raise asyncio.TimeoutError()
         return await asyncio.wait_for(acquire(), remaining)
 
-    async def _body_and_cleanup(
-        self,
-        governing: Tasklist,
-        session,
-        leaf: TargetDef,
-        env: tuple[tuple[str, str], ...],
-        ctx: _StepContext,
-    ) -> None:
-        node = session.node
+    async def _body_and_cleanup(self, run: _NodeRun, governing: Tasklist) -> None:
+        ctx, node = run.ctx, run.leaf.name
         deadline = self._deadline(governing.timeout, ctx.stop_instant)
         escalation: ErrorMode | None = None
         detail = ""
         try:
-            worst, _ = await self._run_tasks(
-                governing, governing.tasks, session, env, ctx, deadline, ()
-            )
-            state = "Succeeded" if worst is TaskOutcome.SUCCESS else "Failed"
+            worst, _ = await self._run_tasks(run, governing, governing.tasks, deadline, ())
+            state = NodeState.SUCCEEDED if worst is TaskOutcome.SUCCESS else NodeState.FAILED
         except _DeadlineHit:
-            state = "Failed"
+            state = NodeState.FAILED
         except _Escalation as exc:
-            state = "Failed"
+            state = NodeState.FAILED
             escalation = exc.mode
             detail = f"on-error={exc.mode.value}"
         except asyncio.CancelledError:
-            ctx.outcomes[node] = "Aborted"
+            ctx.outcomes[node] = NodeState.ABORTED
             if self.panicked and not ctx.is_teardown:
                 raise
-            state = "Aborted"
+            state = NodeState.ABORTED
         ctx.outcomes[node] = state
 
         self._apply_escalation(escalation, ctx, node, governing.name, detail)
         if escalation is ErrorMode.PANIC:
             return
         if governing.cleanup is not None and (not self.panicked or ctx.is_teardown):
-            await self._run_cleanup(governing.cleanup, session, leaf, env, ctx)
+            await self._run_cleanup(run, governing.cleanup)
 
     def _deadline(self, timeout: float | None, outer: float | None) -> float | None:
         """Now plus `timeout`, capped by the `outer` deadline; None bounds nothing."""
@@ -542,14 +559,7 @@ class ExperimentRunner:
         elif mode is ErrorMode.ABORT_STEP:
             self._cancel_step_siblings(ctx, node)
 
-    async def _run_cleanup(
-        self,
-        cleanup_ref: str,
-        session,
-        leaf: TargetDef,
-        env: tuple[tuple[str, str], ...],
-        ctx: _StepContext,
-    ) -> None:
+    async def _run_cleanup(self, run: _NodeRun, cleanup_ref: str) -> None:
         """Run a cleanup tasklist to completion on the same node.
 
         Cleanups are contained: effective mode abort-tasklist, bounded by
@@ -558,52 +568,39 @@ class ExperimentRunner:
         logged and never escalate.
         """
         cleanup = self.tasklists[cleanup_ref]
+        node = run.leaf.name
         try:
-            session = await self.pool.acquire(leaf, self.limiter, self.clock)
+            session = await self.pool.acquire(run.leaf, self.limiter, self.clock)
         except TransportError as exc:
-            self.emit(
-                EventKind.WARNING,
-                node=leaf.name,
-                step_index=ctx.step_index,
-                tasklist=cleanup.name,
-                detail=f"cleanup session: {exc}",
+            self._emit_node(
+                EventKind.WARNING, run.ctx, node, cleanup.name, f"cleanup session: {exc}"
             )
             return
         deadline = self._deadline(cleanup.timeout, None)
         try:
             worst, _ = await self._run_tasks(
+                replace(run, session=session, label_prefix="c"),
                 replace(cleanup, on_error=ErrorMode.ABORT_TASKLIST),
                 cleanup.tasks,
-                session,
-                env,
-                ctx,
                 deadline,
                 (),
-                label_prefix="c",
             )
         except _DeadlineHit:
             worst = TaskOutcome.TIMED_OUT
         if worst is not TaskOutcome.SUCCESS:
-            self.emit(
-                EventKind.WARNING,
-                node=leaf.name,
-                step_index=ctx.step_index,
-                tasklist=cleanup.name,
-                detail=f"cleanup finished {worst.value}",
+            self._emit_node(
+                EventKind.WARNING, run.ctx, node, cleanup.name, f"cleanup finished {worst.value}"
             )
 
     # -- task trees ------------------------------------------------------
 
     async def _run_tasks(
         self,
+        run: _NodeRun,
         governing: Tasklist,
         tasks: tuple[Task, ...],
-        session,
-        env: tuple[tuple[str, str], ...],
-        ctx: _StepContext,
         deadline: float | None,
         path: tuple[int, ...],
-        label_prefix: str = "",
     ) -> tuple[TaskOutcome, bool]:
         """Run a task sequence under one governing tasklist.
 
@@ -615,7 +612,7 @@ class ExperimentRunner:
         uncontained = False
         for index, task in enumerate(tasks):
             outcome, contained = await self._run_one(
-                governing, task, session, env, ctx, deadline, path + (index,), label_prefix
+                run, governing, task, deadline, path + (index,)
             )
             worst = _worse(worst, outcome)
             if outcome is not TaskOutcome.SUCCESS and not contained:
@@ -627,131 +624,92 @@ class ExperimentRunner:
 
     async def _run_one(
         self,
+        run: _NodeRun,
         governing: Tasklist,
         task: Task,
-        session,
-        env: tuple[tuple[str, str], ...],
-        ctx: _StepContext,
         deadline: float | None,
         path: tuple[int, ...],
-        label_prefix: str,
     ) -> tuple[TaskOutcome, bool]:
         if deadline is not None and self.clock.now() >= deadline:
             raise _DeadlineHit()
         if isinstance(task, RunTask):
-            return await self._run_command(governing, task, session, env, ctx, deadline, path, label_prefix), False
+            return await self._run_command(run, governing, task, deadline, path), False
         if isinstance(task, (GetTask, PutTask)):
-            return await self._run_transfer(governing, task, session, ctx, path), False
+            return await self._run_transfer(run, governing, task, path), False
         if isinstance(task, SeqTask):
             worst, uncontained = await self._run_tasks(
-                governing, task.children, session, env, ctx, deadline, path, label_prefix
+                run, governing, task.children, deadline, path
             )
             return worst, not uncontained and worst is not TaskOutcome.SUCCESS
         if isinstance(task, ParTask):
-            return await self._run_par(governing, task, session, env, ctx, deadline, path, label_prefix)
-        return await self._run_call(task, session, env, ctx, deadline, path, label_prefix)
+            return await self._run_par(run, governing, task, deadline, path)
+        return await self._run_call(run, task, deadline, path)
 
     async def _run_command(
         self,
+        run: _NodeRun,
         governing: Tasklist,
         task: RunTask,
-        session,
-        env: tuple[tuple[str, str], ...],
-        ctx: _StepContext,
         deadline: float | None,
         path: tuple[int, ...],
-        label_prefix: str,
     ) -> TaskOutcome:
-        node = session.node
-        label = f"{label_prefix}{ctx.exec_label}-" + "-".join(map(str, path))
-        self.emit(
-            EventKind.TASK_START,
-            node=node,
-            step_index=ctx.step_index,
-            tasklist=governing.name,
-            task_path=path,
-            detail=f"run {task.command}",
+        node = run.leaf.name
+        label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
+        self._emit_node(
+            EventKind.TASK_START, run.ctx, node, governing.name, f"run {task.command}", path
         )
         try:
-            result = await session.exec(task.command, env, deadline, artifact_label=label)
+            result = await run.session.exec(task.command, run.env, deadline, artifact_label=label)
         except SessionClosed:
-            self.emit(
-                EventKind.TASK_END,
-                node=node,
-                step_index=ctx.step_index,
-                tasklist=governing.name,
-                task_path=path,
-                detail=TaskOutcome.CONNECTION_LOST.value,
-            )
-            return TaskOutcome.CONNECTION_LOST
-        detail = f"{result.outcome.value} exit={result.exit_code}"
-        if result.stdout_ref:
-            detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
-        self.emit(
-            EventKind.TASK_END,
-            node=node,
-            step_index=ctx.step_index,
-            tasklist=governing.name,
-            task_path=path,
-            detail=detail,
-        )
-        if result.outcome is TaskOutcome.TIMED_OUT:
+            outcome = TaskOutcome.CONNECTION_LOST
+            detail = outcome.value
+        else:
+            outcome = result.outcome
+            detail = f"{outcome.value} exit={result.exit_code}"
+            if result.stdout_ref:
+                detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
+        self._emit_node(EventKind.TASK_END, run.ctx, node, governing.name, detail, path)
+        if outcome is TaskOutcome.TIMED_OUT:
             raise _DeadlineHit()
-        return result.outcome
+        return outcome
 
     async def _run_transfer(
         self,
+        run: _NodeRun,
         governing: Tasklist,
         task: GetTask | PutTask,
-        session,
-        ctx: _StepContext,
         path: tuple[int, ...],
     ) -> TaskOutcome:
-        node = session.node
+        node = run.leaf.name
         verb = "get" if isinstance(task, GetTask) else "put"
         file_path = task.remote_path if isinstance(task, GetTask) else task.local_path
-        self.emit(
-            EventKind.TASK_START,
-            node=node,
-            step_index=ctx.step_index,
-            tasklist=governing.name,
-            task_path=path,
-            detail=f"{verb} {file_path}",
+        self._emit_node(
+            EventKind.TASK_START, run.ctx, node, governing.name, f"{verb} {file_path}", path
         )
         outcome = TaskOutcome.SUCCESS
         detail = "Success"
         try:
             if isinstance(task, GetTask):
-                destination = await session.fetch(task.remote_path)
+                destination = await run.session.fetch(task.remote_path)
                 detail = f"Success artifact={node}/{destination.name}"
             else:
-                await session.push(task.local_path, task.local_path)
+                await run.session.push(task.local_path, task.local_path)
         except SessionClosed:
             outcome = TaskOutcome.CONNECTION_LOST
             detail = TaskOutcome.CONNECTION_LOST.value
         except TransportError:
             outcome = TaskOutcome.FAILED
             detail = f"Failed {verb}={file_path}"
-        self.emit(
-            EventKind.TASK_END,
-            node=node,
-            step_index=ctx.step_index,
-            tasklist=governing.name,
-            task_path=path,
-            detail=detail,
-        )
+        self._emit_node(EventKind.TASK_END, run.ctx, node, governing.name, detail, path)
         return outcome
 
     async def _run_par(
         self,
+        run: _NodeRun,
         governing: Tasklist,
         task: ParTask,
-        session,
-        env: tuple[tuple[str, str], ...],
-        ctx: _StepContext,
         deadline: float | None,
         path: tuple[int, ...],
-        label_prefix: str,
     ) -> tuple[TaskOutcome, bool]:
         """All children start at once; the construct ends with the last one.
 
@@ -760,13 +718,9 @@ class ExperimentRunner:
         winning, so parallel work is never torn down halfway by a sibling.
         """
         children = [
-            asyncio.create_task(
-                self._run_one(governing, child, session, env, ctx, deadline, path + (index,), label_prefix)
-            )
+            asyncio.create_task(self._run_one(run, governing, child, deadline, path + (index,)))
             for index, child in enumerate(task.children)
         ]
-        if not children:
-            return TaskOutcome.SUCCESS, False
         results = await asyncio.gather(*children, return_exceptions=True)
         worst = TaskOutcome.SUCCESS
         uncontained = False
@@ -794,13 +748,10 @@ class ExperimentRunner:
 
     async def _run_call(
         self,
+        run: _NodeRun,
         task: CallTask,
-        session,
-        env: tuple[tuple[str, str], ...],
-        ctx: _StepContext,
         deadline: float | None,
         path: tuple[int, ...],
-        label_prefix: str,
     ) -> tuple[TaskOutcome, bool]:
         """Execute the referenced tasklist inline, inheriting the deadline.
 
@@ -811,13 +762,10 @@ class ExperimentRunner:
         """
         callee = self.tasklists[task.ref]
         callee_deadline = self._deadline(callee.timeout, deadline)
-        leaf = self.targets.get(session.node)
         worst = TaskOutcome.SUCCESS
         reraise: BaseException | None = None
         try:
-            worst, _ = await self._run_tasks(
-                callee, callee.tasks, session, env, ctx, callee_deadline, path, label_prefix
-            )
+            worst, _ = await self._run_tasks(run, callee, callee.tasks, callee_deadline, path)
         except _DeadlineHit as exc:
             worst = TaskOutcome.TIMED_OUT
             if deadline is not None and self.clock.now() >= deadline:
@@ -827,8 +775,8 @@ class ExperimentRunner:
             if exc.mode is ErrorMode.PANIC:
                 raise
             reraise = exc
-        if worst is not TaskOutcome.SUCCESS and callee.cleanup is not None and leaf is not None:
-            await self._run_cleanup(callee.cleanup, session, leaf, env, ctx)
+        if worst is not TaskOutcome.SUCCESS and callee.cleanup is not None:
+            await self._run_cleanup(run, callee.cleanup)
         if reraise is not None:
             raise reraise
         if worst is not TaskOutcome.SUCCESS:
@@ -843,39 +791,11 @@ class ExperimentRunner:
         Teardown failures are logged and never stop later teardowns; the
         effective error mode is always abort-tasklist.
         """
-        for registration in reversed(self.registry):
-            ordinal = next(self._teardown_counter)
-            tasklist = self.tasklists[registration.tasklist_ref]
-            leaves = self._resolve_nodes(registration.targets_ref)
-            self.emit(
-                EventKind.TEARDOWN_START,
-                tasklist=tasklist.name,
-                detail=f"targets={registration.targets_ref} nodes={len(leaves)}",
+        for ordinal, registration in enumerate(reversed(self.registry)):
+            ctx = _StepContext(step_index=None, exec_label=f"t{ordinal}", is_teardown=True)
+            await self._execute_on_nodes(
+                ctx, self.tasklists[registration.tasklist_ref], registration.targets_ref
             )
-            if not leaves:
-                self.emit(
-                    EventKind.WARNING,
-                    tasklist=tasklist.name,
-                    detail=f"teardown resolves to zero nodes (targets={registration.targets_ref})",
-                )
-                self.emit(EventKind.TEARDOWN_END, tasklist=tasklist.name)
-                continue
-            ctx = _StepContext(
-                step_index=None,
-                exec_label=f"t{ordinal}",
-                stop_instant=None,
-                outcomes={leaf.name: "Skipped" for leaf, _ in leaves},
-                is_teardown=True,
-            )
-            for leaf, env in leaves:
-                ctx.node_tasks[leaf.name] = asyncio.create_task(
-                    self.execute_tasklist(
-                        tasklist, leaf, env, ctx, mode_override=ErrorMode.ABORT_TASKLIST
-                    )
-                )
-            await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
-            detail = " ".join(f"{n}={s}" for n, s in sorted(ctx.outcomes.items()))
-            self.emit(EventKind.TEARDOWN_END, tasklist=tasklist.name, detail=detail)
 
 
 # --------------------------------------------------------------------------

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
 
-from .model import ExperimentReport, OverallStatus
+from .model import ERROR_NODE_STATES, ExperimentReport, OverallStatus
 
 
 class SinkIoError(Exception):
@@ -175,17 +176,10 @@ def node_artifact_dir(run_dir: str | Path, node: str) -> Path:
     return directory
 
 
-_FAILED_NODE_STATES = ("Failed", "Aborted")
-
-
-def _outcome_pairs(detail: str) -> list[tuple[str, str]]:
-    pairs = []
-    for token in detail.split():
-        if "=" in token:
-            # node names may contain "=", states never do
-            node, _, state = token.rpartition("=")
-            pairs.append((node, state))
-    return pairs
+# "node=State" pairs of a StepEnd or TeardownEnd detail. The state is the
+# word after the last "=" before a space or the end, so node names may
+# contain spaces and "="; a name containing "=<word> " stays ambiguous.
+_OUTCOME_PAIR = re.compile(r"(.+?)=(\w+)(?: |\Z)", re.S)
 
 
 def render_report(
@@ -194,34 +188,34 @@ def render_report(
     """Classify a closed event log and render the human summary.
 
     Overall status: Panicked when a Panic event exists; otherwise
-    CompletedWithErrors when any step or teardown reported a node as Failed
-    or Aborted; otherwise Completed.
+    CompletedWithErrors when any step or teardown reported a node in one of
+    the ERROR_NODE_STATES; otherwise Completed.
     """
     events = tuple(events)
     panicked = any(e.kind is EventKind.PANIC for e in events)
     outcomes: dict[str, str] = {}
     failed = False
-    teardown_ordinal = 0
     artifacts: list[str] = []
     step_lines: list[str] = []
     teardown_lines: list[str] = []
 
     for event in events:
-        if event.kind is EventKind.STEP_END:
-            for node, state in _outcome_pairs(event.detail):
-                outcomes[f"{node}|{event.tasklist}#s{event.step_index}"] = state
-                failed = failed or state in _FAILED_NODE_STATES
-            step_lines.append(f"  step {event.step_index} {event.tasklist}: {event.detail}")
-        elif event.kind is EventKind.TEARDOWN_END:
-            for node, state in _outcome_pairs(event.detail):
-                outcomes[f"{node}|{event.tasklist}#t{teardown_ordinal}"] = state
-                failed = failed or state in _FAILED_NODE_STATES
-            teardown_lines.append(f"  {event.tasklist}: {event.detail}")
-            teardown_ordinal += 1
-        elif event.kind is EventKind.TASK_END:
+        if event.kind is EventKind.TASK_END:
             for token in event.detail.split():
                 if token.startswith(("artifact=", "stdout=", "stderr=")):
                     artifacts.append(token.partition("=")[2])
+            continue
+        if event.kind is EventKind.STEP_END:
+            suffix = f"s{event.step_index}"
+            step_lines.append(f"  step {event.step_index} {event.tasklist}: {event.detail}")
+        elif event.kind is EventKind.TEARDOWN_END:
+            suffix = f"t{len(teardown_lines)}"
+            teardown_lines.append(f"  {event.tasklist}: {event.detail}")
+        else:
+            continue
+        for node, state in _OUTCOME_PAIR.findall(event.detail):
+            outcomes[f"{node}|{event.tasklist}#{suffix}"] = state
+            failed = failed or state in ERROR_NODE_STATES
 
     if panicked:
         overall = OverallStatus.PANICKED

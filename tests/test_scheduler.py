@@ -710,6 +710,70 @@ def test_teardown_failures_do_not_stop_later_teardowns(load_xml):
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
 
 
+@pytest.mark.parametrize("mode", ["panic", "abort-step"])
+def test_teardown_runs_as_abort_tasklist_whatever_its_mode(load_xml, mode):
+    experiment = load_xml(f"""
+<experiment>
+ <targets>
+   <target name="pair" type="group">
+     <target name="n1" type="local" />
+     <target name="n2" type="local" />
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="fragile" on-error="{mode}"><run>flaky</run><run>slow</run></tasklist>
+   <tasklist name="later"><run>echo later</run></tasklist>
+   <tasklist name="work"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <register-teardown ref="later" targets="pair" />
+   <register-teardown ref="fragile" targets="pair" />
+   <step tasklist="work" targets="pair" />
+ </steps>
+</experiment>
+""")
+    script = MockScript.from_json(
+        '{"nodes": {"n1": {"rules": [{"pattern": "flaky", "exit": 1}]},'
+        ' "*": {"rules": [{"pattern": "slow", "duration": 2}]}}}')
+    report, events = dry_events(experiment, script)
+    assert first_index(events, "Panic") == -1
+    ends = all_indices(events, "TeardownEnd")
+    # the failing node fails alone: its sibling is not cancelled
+    assert [(events[i]["tasklist"], events[i]["detail"]) for i in ends] == [
+        ("fragile", "n1=Failed n2=Succeeded"),
+        ("later", "n1=Succeeded n2=Succeeded"),
+    ]
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
+def test_teardown_resolving_to_zero_nodes_warns_and_ends_empty(load_xml):
+    experiment = load_xml("""
+<experiment>
+ <targets>
+   <target name="alpha" type="local" />
+   <target name="beta" type="local" />
+ </targets>
+ <tasklists>
+   <tasklist name="fin"><run>echo fin</run></tasklist>
+   <tasklist name="work"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <register-teardown ref="fin" targets="beta" />
+   <step tasklist="work" targets="alpha" />
+ </steps>
+</experiment>
+""")
+    report, events = dry_events(experiment.with_node_filter(frozenset({"alpha"})))
+    start = first_index(events, "TeardownStart")
+    assert events[start]["detail"] == "targets=beta nodes=0"
+    assert events[start + 1]["kind"] == "Warning"
+    assert events[start + 1]["detail"] == "teardown resolves to zero nodes (targets=beta)"
+    assert events[start + 2]["kind"] == "TeardownEnd"
+    assert events[start + 2]["detail"] == ""
+    assert report.per_node_outcomes == {"alpha|work#s0": "Succeeded"}
+    assert report.overall is OverallStatus.COMPLETED
+
+
 # --- environment, filters, reports ---
 
 
