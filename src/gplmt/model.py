@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 
 class UnknownTargetError(KeyError):
@@ -209,9 +209,11 @@ class TaskOutcome(enum.Enum):
     SKIPPED = "Skipped"
 
 
-@dataclass(frozen=True)
-class TaskResult:
-    """Outcome of one task on one node; timestamps are clock instants."""
+class TaskResult(NamedTuple):
+    """Outcome of one task on one node; timestamps are clock instants.
+
+    A named tuple, immutable and cheap to build: one per command run.
+    """
 
     node: str
     exit_code: int

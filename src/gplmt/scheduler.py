@@ -197,6 +197,8 @@ _SEVERITY = {
 
 
 def _worse(a: TaskOutcome, b: TaskOutcome) -> TaskOutcome:
+    if a is b:
+        return a
     return a if _SEVERITY[a] >= _SEVERITY[b] else b
 
 
@@ -216,12 +218,17 @@ class _StepContext:
 @dataclass(frozen=True)
 class _NodeRun:
     """What every task of one node's execution shares; a cleanup runs under
-    a copy with its own session and the artifact label prefix "c"."""
+    a copy with its own session and the artifact label prefix "c".
+
+    `contained` marks a teardown or cleanup: every tasklist it runs, callees
+    included, runs as abort-tasklist.
+    """
 
     session: Session
     leaf: TargetDef
     env: EnvPairs
     ctx: _StepContext
+    contained: bool
     label_prefix: str = ""
 
 
@@ -267,19 +274,11 @@ class ExperimentRunner:
         detail: str = "",
     ) -> None:
         self.log.record(
-            ExecutionEvent(
-                timestamp=self.clock.now(),
-                kind=kind,
-                node=node,
-                step_index=step_index,
-                tasklist=tasklist,
-                task_path=task_path,
-                detail=detail,
-            )
+            ExecutionEvent(self.clock.now(), kind, node, step_index, tasklist, task_path, detail)
         )
 
-    def _emit_connection(self, kind: str, node: str, detail: str) -> None:
-        self.emit(EventKind(kind), node=node, detail=detail)
+    def _emit_connection(self, kind: EventKind, node: str, detail: str) -> None:
+        self.emit(kind, node, detail=detail)
 
     # -- top level ------------------------------------------------------
 
@@ -464,9 +463,6 @@ class ExperimentRunner:
         A teardown always runs its tasklist as abort-tasklist.
         """
         node = leaf.name
-        governing = tasklist
-        if ctx.is_teardown:
-            governing = replace(tasklist, on_error=ErrorMode.ABORT_TASKLIST)
         try:
             session = await self._enter_node(leaf, ctx)
         except asyncio.TimeoutError:
@@ -488,10 +484,12 @@ class ExperimentRunner:
             # error mode; without a session no cleanup can run.
             ctx.outcomes[node] = NodeState.FAILED
             self._emit_node(EventKind.WARNING, ctx, node, tasklist.name, f"session: {exc}")
-            self._apply_escalation(governing.on_error, ctx, node, tasklist.name, str(exc))
+            mode = None if ctx.is_teardown else tasklist.on_error
+            self._apply_escalation(mode, ctx, node, tasklist.name, str(exc))
             return
         try:
-            await self._body_and_cleanup(_NodeRun(session, leaf, env, ctx), governing)
+            run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
+            await self._body_and_cleanup(run, tasklist)
         finally:
             session.lock.release()
 
@@ -579,8 +577,8 @@ class ExperimentRunner:
         deadline = self._deadline(cleanup.timeout, None)
         try:
             worst, _ = await self._run_tasks(
-                replace(run, session=session, label_prefix="c"),
-                replace(cleanup, on_error=ErrorMode.ABORT_TASKLIST),
+                replace(run, session=session, contained=True, label_prefix="c"),
+                cleanup,
                 cleanup.tasks,
                 deadline,
                 (),
@@ -605,7 +603,8 @@ class ExperimentRunner:
         """Run a task sequence under one governing tasklist.
 
         Returns (worst outcome, saw-uncontained-failure). Failures from
-        directly governed tasks trigger the governing error mode; failures
+        directly governed tasks trigger the governing error mode, which a
+        contained run (teardown or cleanup) takes as abort-tasklist; failures
         already absorbed by a callee's own mode only taint the outcome.
         """
         worst = TaskOutcome.SUCCESS
@@ -617,7 +616,7 @@ class ExperimentRunner:
             worst = _worse(worst, outcome)
             if outcome is not TaskOutcome.SUCCESS and not contained:
                 uncontained = True
-                if governing.on_error is not ErrorMode.ABORT_TASKLIST:
+                if governing.on_error is not ErrorMode.ABORT_TASKLIST and not run.contained:
                     raise _Escalation(governing.on_error)
                 break
         return worst, uncontained
@@ -654,7 +653,9 @@ class ExperimentRunner:
         path: tuple[int, ...],
     ) -> TaskOutcome:
         node = run.leaf.name
-        label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
+        label = None  # names the artifact files, so only a run directory needs one
+        if self.run_dir is not None:
+            label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
         self._emit_node(
             EventKind.TASK_START, run.ctx, node, governing.name, f"run {task.command}", path
         )
@@ -757,8 +758,8 @@ class ExperimentRunner:
 
         The callee's own timeout and abort-tasklist failures stay contained:
         the call reports Failed and the caller carries on. abort-step and
-        panic escalate through. The callee's cleanup runs only when the
-        callee's own body failed.
+        panic escalate through, except inside a teardown or cleanup. The
+        callee's cleanup runs only when the callee's own body failed.
         """
         callee = self.tasklists[task.ref]
         callee_deadline = self._deadline(callee.timeout, deadline)

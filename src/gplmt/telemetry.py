@@ -11,9 +11,9 @@ import enum
 import json
 import re
 import threading
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
+from typing import NamedTuple
 
 from .model import ERROR_NODE_STATES, ExperimentReport, OverallStatus
 
@@ -30,7 +30,9 @@ class ArtifactPathError(Exception):
     """A remote-supplied name would escape the run directory."""
 
 
-class EventKind(enum.Enum):
+class EventKind(str, enum.Enum):
+    """Event kinds; a str mix-in, so each member equals its log name."""
+
     EXPERIMENT_START = "ExperimentStart"
     STEP_START = "StepStart"
     STEP_END = "StepEnd"
@@ -47,9 +49,12 @@ class EventKind(enum.Enum):
     EXPERIMENT_END = "ExperimentEnd"
 
 
-@dataclass(frozen=True)
-class ExecutionEvent:
-    """One log record; optional fields stay None where they do not apply."""
+class ExecutionEvent(NamedTuple):
+    """One log record; optional fields stay None where they do not apply.
+
+    A named tuple, immutable and cheap to build: a run records one per
+    connection attempt and per task start and end.
+    """
 
     timestamp: float
     kind: EventKind
@@ -181,37 +186,57 @@ def node_artifact_dir(run_dir: str | Path, node: str) -> Path:
 # contain spaces and "="; a name containing "=<word> " stays ambiguous.
 _OUTCOME_PAIR = re.compile(r"(.+?)=(\w+)(?: |\Z)", re.S)
 
+# TaskEnd details that name artifacts: a fetched file runs to the end of
+# "Success artifact=<node>/<name>"; a command's logs follow its exit code as
+# " stdout=<node>/stdout-<label>.log stderr=<node>/stderr-<label>.log",
+# where the label holds no space. A failed transfer's detail quotes the
+# document's path, so it is never read for refs.
+_FETCHED = "Success artifact="
+_FAILED_TRANSFER = ("Failed get=", "Failed put=")
+
 
 def render_report(
     events: tuple[ExecutionEvent, ...] | list[ExecutionEvent],
 ) -> tuple[ExperimentReport, str]:
-    """Classify a closed event log and render the human summary.
+    """Classify a closed event log and render the human summary, in one
+    pass over the events.
 
     Overall status: Panicked when a Panic event exists; otherwise
     CompletedWithErrors when any step or teardown reported a node in one of
     the ERROR_NODE_STATES; otherwise Completed.
     """
     events = tuple(events)
-    panicked = any(e.kind is EventKind.PANIC for e in events)
+    panicked = failed = False
     outcomes: dict[str, str] = {}
-    failed = False
-    artifacts: list[str] = []
+    artifacts: dict[str, None] = {}  # insertion-ordered and free of repeats
     step_lines: list[str] = []
     teardown_lines: list[str] = []
+    warning_lines: list[str] = []
 
     for event in events:
-        if event.kind is EventKind.TASK_END:
-            for token in event.detail.split():
-                if token.startswith(("artifact=", "stdout=", "stderr=")):
-                    artifacts.append(token.partition("=")[2])
+        kind = event.kind
+        if kind is EventKind.TASK_END:
+            detail = event.detail
+            if detail.startswith(_FETCHED):
+                artifacts[detail[len(_FETCHED):]] = None
+            elif " stdout=" in detail and not detail.startswith(_FAILED_TRANSFER):
+                _, found, logs = detail.partition(f" stdout={event.node}/")
+                if found:
+                    stdout_name, _, stderr_ref = logs.partition(" stderr=")
+                    artifacts[f"{event.node}/{stdout_name}"] = None
+                    artifacts[stderr_ref] = None
             continue
-        if event.kind is EventKind.STEP_END:
+        if kind is EventKind.STEP_END:
             suffix = f"s{event.step_index}"
             step_lines.append(f"  step {event.step_index} {event.tasklist}: {event.detail}")
-        elif event.kind is EventKind.TEARDOWN_END:
+        elif kind is EventKind.TEARDOWN_END:
             suffix = f"t{len(teardown_lines)}"
             teardown_lines.append(f"  {event.tasklist}: {event.detail}")
         else:
+            if kind is EventKind.WARNING:
+                warning_lines.append(f"  t={event.timestamp:g} {event.detail}")
+            elif kind is EventKind.PANIC:
+                panicked = True
             continue
         for node, state in _OUTCOME_PAIR.findall(event.detail):
             outcomes[f"{node}|{event.tasklist}#{suffix}"] = state
@@ -228,23 +253,19 @@ def render_report(
         events=events,
         per_node_outcomes=outcomes,
         overall=overall,
-        artifacts=tuple(dict.fromkeys(artifacts)),
+        artifacts=tuple(artifacts),
     )
 
     lines = [f"overall: {overall.value}"]
-    if step_lines:
-        lines.append("steps:")
-        lines.extend(step_lines)
-    if teardown_lines:
-        lines.append("teardowns:")
-        lines.extend(teardown_lines)
-    if report.artifacts:
-        lines.append("artifacts:")
-        lines.extend(f"  {a}" for a in report.artifacts)
-    warnings = [e for e in events if e.kind is EventKind.WARNING]
-    if warnings:
-        lines.append("warnings:")
-        lines.extend(f"  t={w.timestamp:g} {w.detail}" for w in warnings)
+    for title, section in (
+        ("steps:", step_lines),
+        ("teardowns:", teardown_lines),
+        ("artifacts:", [f"  {a}" for a in report.artifacts]),
+        ("warnings:", warning_lines),
+    ):
+        if section:
+            lines.append(title)
+            lines.extend(section)
     return report, "\n".join(lines) + "\n"
 
 

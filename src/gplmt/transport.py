@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import TargetDef, TargetKind, TaskOutcome, TaskResult
-from .telemetry import ArtifactPathError, _safe_component, artifact_path, node_artifact_dir
+from .telemetry import (
+    ArtifactPathError,
+    EventKind,
+    _safe_component,
+    artifact_path,
+    node_artifact_dir,
+)
 
 DEFAULT_RECONNECT_BASE = 1.0
 DEFAULT_RECONNECT_FACTOR = 2.0
@@ -142,7 +148,7 @@ class Session:
     def mark_lost(self) -> None:
         if self.state is SessionState.CONNECTED:
             self.state = SessionState.LOST
-            self.pool.emit("ConnectLost", self.node, "")
+            self.pool.emit(EventKind.CONNECT_LOST, self.node, "")
 
     async def exec(
         self,
@@ -179,13 +185,7 @@ class Session:
         else:
             outcome = TaskOutcome.FAILED
         return TaskResult(
-            node=self.node,
-            exit_code=output.exit_code,
-            started=started,
-            finished=finished,
-            stdout_ref=stdout_ref,
-            stderr_ref=stderr_ref,
-            outcome=outcome,
+            self.node, output.exit_code, started, finished, stdout_ref, stderr_ref, outcome
         )
 
     async def fetch(self, remote_path: str) -> Path:
@@ -232,7 +232,7 @@ class SessionPool:
         self._sessions: dict[str, Session] = {}
         self._node_locks: dict[str, asyncio.Lock] = {}
 
-    def emit(self, kind: str, node: str, detail: str) -> None:
+    def emit(self, kind: EventKind, node: str, detail: str) -> None:
         if self._emit is not None:
             self._emit(kind, node, detail)
 
@@ -240,7 +240,10 @@ class SessionPool:
         return self._sessions.get(node)
 
     def _creation_lock(self, node: str) -> asyncio.Lock:
-        return self._node_locks.setdefault(node, asyncio.Lock())
+        lock = self._node_locks.get(node)
+        if lock is None:
+            lock = self._node_locks[node] = asyncio.Lock()
+        return lock
 
     async def acquire(self, target: TargetDef, limiter: RateLimiter, clock) -> Session:
         """Return the node's live session, establishing one if needed.
@@ -264,10 +267,10 @@ class SessionPool:
                 self._sessions[target.name] = session
             await limiter.wait()
             session.connect_count += 1
-            self.emit("ConnectAttempt", session.node, f"attempt={session.connect_count}")
+            self.emit(EventKind.CONNECT_ATTEMPT, session.node, f"attempt={session.connect_count}")
             await session.transport.connect()
             session.state = SessionState.CONNECTED
-            self.emit("ConnectSuccess", session.node, f"attempt={session.connect_count}")
+            self.emit(EventKind.CONNECT_SUCCESS, session.node, f"attempt={session.connect_count}")
             return session
 
     async def reconnect(self, session: Session, limiter: RateLimiter, clock) -> Session:
@@ -286,13 +289,13 @@ class SessionPool:
                 delay = min(delay * DEFAULT_RECONNECT_FACTOR, DEFAULT_RECONNECT_CAP)
             await limiter.wait()
             session.connect_count += 1
-            self.emit("ConnectAttempt", session.node, f"attempt={session.connect_count}")
+            self.emit(EventKind.CONNECT_ATTEMPT, session.node, f"attempt={session.connect_count}")
             try:
                 await session.transport.connect()
             except ConnectFailed:
                 continue
             session.state = SessionState.CONNECTED
-            self.emit("ConnectSuccess", session.node, f"attempt={session.connect_count}")
+            self.emit(EventKind.CONNECT_SUCCESS, session.node, f"attempt={session.connect_count}")
             return session
         raise RetriesExhausted(
             f"gave up reconnecting to {session.node} after {self.reconnect_budget} attempts"
@@ -527,6 +530,9 @@ class MockRule:
     stderr: str = ""
 
 
+_NO_RULE = MockRule(pattern="*")  # what an unmatched command does
+
+
 @dataclass
 class MockNodeScript:
     rules: tuple[MockRule, ...] = ()
@@ -535,6 +541,20 @@ class MockNodeScript:
     connect_failures: int = 0
     lose_connection_at: tuple[float, ...] = ()
     files: dict[str, bytes] = field(default_factory=dict)
+    # Each command's first matching rule. The script is shared by every
+    # node it scripts, so each distinct command is matched only once.
+    _matches: dict[str, MockRule] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def rule_for(self, command: str) -> MockRule:
+        rule = self._matches.get(command)
+        if rule is None:
+            rule = next(
+                (r for r in self.rules if fnmatch.fnmatchcase(command, r.pattern)), _NO_RULE
+            )
+            self._matches[command] = rule
+        return rule
 
 
 @dataclass
@@ -619,16 +639,10 @@ class MockTransport:
                 raise ConnectFailed(f"scripted reconnect failure on {self.target.name}")
         self._ever_connected = True
 
-    def _rule_for(self, command: str) -> MockRule:
-        for rule in self.script.rules:
-            if fnmatch.fnmatchcase(command, rule.pattern):
-                return rule
-        return MockRule(pattern="*")
-
     async def exec(
         self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None
     ) -> ExecOutput:
-        rule = self._rule_for(command)
+        rule = self.script.rule_for(command)
         start = self.clock.now()
         natural_end = start + rule.duration
 

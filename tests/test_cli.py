@@ -386,6 +386,47 @@ def test_failing_node_whose_name_contains_a_space_keeps_its_own_key(tmp_path):
     assert [e["detail"] for e in events if e["kind"] == "StepEnd"] == ["a b=Failed b=Succeeded"]
 
 
+def test_logs_of_a_node_whose_name_contains_a_space_are_listed_whole(tmp_path):
+    doc = """
+<experiment>
+ <targets>
+   <target name="pair" type="group">
+     <target name="a b" type="local" />
+     <target name="b" type="local" />
+   </target>
+ </targets>
+ <tasklists><tasklist name="t"><run>work</run></tasklist></tasklists>
+ <steps><step tasklist="t" targets="pair" /></steps>
+</experiment>
+"""
+    log_dir = tmp_path / "logs"
+    code = main([str(write_doc(tmp_path, doc)), "--dry-run", "--log-dir", str(log_dir)])
+    assert code == EXIT_COMPLETED
+    run_dir = run_dir_of(log_dir)
+    artifacts = json.loads((run_dir / "report.json").read_text())["artifacts"]
+    assert artifacts == [
+        "a b/stdout-0-0.log", "a b/stderr-0-0.log", "b/stdout-0-0.log", "b/stderr-0-0.log",
+    ]
+    assert all((run_dir / artifact).is_file() for artifact in artifacts)
+
+
+def test_fetched_file_whose_name_contains_a_space_is_listed_whole(tmp_path):
+    doc = """
+<experiment>
+ <targets><target name="n" type="local" /></targets>
+ <tasklists><tasklist name="t"><get>dir/my file.txt</get></tasklist></tasklists>
+ <steps><step tasklist="t" targets="n" /></steps>
+</experiment>
+"""
+    log_dir = tmp_path / "logs"
+    code = main([str(write_doc(tmp_path, doc)), "--dry-run", "--log-dir", str(log_dir)])
+    assert code == EXIT_COMPLETED
+    run_dir = run_dir_of(log_dir)
+    artifacts = json.loads((run_dir / "report.json").read_text())["artifacts"]
+    assert artifacts == ["n/my file.txt"]
+    assert all((run_dir / artifact).is_file() for artifact in artifacts)
+
+
 def test_slice_hostname_that_is_not_a_host_name_exits_one(tmp_path, capsys):
     script = tmp_path / "mock.json"
     script.write_text("{}")

@@ -5,6 +5,9 @@ This table pins the output across code changes: for each fixture, dry-run
 with its mock script into a fresh run directory and compare the sha256 of
 events.jsonl, report.json, report.txt and of the remaining artifact tree
 (sorted relative paths, directories included, plus file bytes).
+GOLDEN_RATE_LIMITED pins the rate-limited path the same way: the fan-out
+fixture under a 10 connects/1 s limiter, where many nodes are due at the
+same instant.
 
 A change that alters run output on purpose regenerates the table with
 
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from gplmt.scheduler import dry_run
+from gplmt.transport import RateLimiterConfig
 
 from .test_acceptance import FIXTURE_SCRIPTS, load_fixture, script_for
 
@@ -105,6 +109,17 @@ GOLDEN = {
     },
 }
 
+RATE_LIMIT = RateLimiterConfig(10, 1.0)
+
+GOLDEN_RATE_LIMITED = {
+    "fanout_rate_limit.xml": {
+        "events.jsonl": "781bb60180576aff2eed2fc22a61d5ce9bfe0ccef68cc40d133466664d84561c",
+        "report.json": "3945b7ce21eff2a557c32309ff4627bd378bc37558cfef22fb0deee24c823cb9",
+        "report.txt": "6b6b32fbcbd4abb8763f3e075a09913bea2a8fa68d4274e73748a2320a15948e",
+        "tree": "2ac4f047c309892f6f1e153f438262a89681ea4966b762b53620275ac417dfcd",
+    },
+}
+
 
 def tree_digest(run_dir: Path) -> str:
     """sha256 over every entry but the report files, in sorted path order."""
@@ -122,8 +137,10 @@ def tree_digest(run_dir: Path) -> str:
     return digest.hexdigest()
 
 
-def fixture_digests(name: str, run_dir: Path) -> dict[str, str]:
-    dry_run(load_fixture(name), script_for(name), run_dir=run_dir)
+def fixture_digests(
+    name: str, run_dir: Path, limiter_config: RateLimiterConfig | None = None
+) -> dict[str, str]:
+    dry_run(load_fixture(name), script_for(name), limiter_config=limiter_config, run_dir=run_dir)
     digests = {
         filename: hashlib.sha256((run_dir / filename).read_bytes()).hexdigest()
         for filename in REPORT_FILES
@@ -137,11 +154,20 @@ def test_fixture_output_matches_golden_digests(name, tmp_path):
     assert fixture_digests(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_RATE_LIMITED))
+def test_rate_limited_output_matches_golden_digests(name, tmp_path):
+    assert fixture_digests(name, tmp_path, RATE_LIMIT) == GOLDEN_RATE_LIMITED[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
-    table = {}
-    for fixture in sorted(FIXTURE_SCRIPTS):
-        with tempfile.TemporaryDirectory() as scratch:
-            table[fixture] = fixture_digests(fixture, Path(scratch))
-    print(json.dumps(table, indent=4))
+    def table(names, limiter_config=None):
+        digests = {}
+        for fixture in sorted(names):
+            with tempfile.TemporaryDirectory() as scratch:
+                digests[fixture] = fixture_digests(fixture, Path(scratch), limiter_config)
+        return digests
+
+    print("GOLDEN =", json.dumps(table(FIXTURE_SCRIPTS), indent=4))
+    print("GOLDEN_RATE_LIMITED =", json.dumps(table(GOLDEN_RATE_LIMITED, RATE_LIMIT), indent=4))

@@ -17,6 +17,8 @@ from gplmt.model import (
     TargetDef,
     TargetKind,
     Tasklist,
+    TaskOutcome,
+    TaskResult,
     UnknownTargetError,
     audit,
     call_graph,
@@ -226,3 +228,18 @@ def test_target_map_includes_nested_members():
 
 def test_default_error_mode_is_abort_tasklist():
     assert Tasklist("t").on_error is ErrorMode.ABORT_TASKLIST
+
+
+def test_task_results_are_immutable():
+    result = TaskResult("n", 0, 0.0, 1.0)
+    with pytest.raises(AttributeError):
+        result.outcome = TaskOutcome.FAILED
+
+
+def test_task_result_fields_and_defaults():
+    assert TaskResult._fields == (
+        "node", "exit_code", "started", "finished", "stdout_ref", "stderr_ref", "outcome"
+    )
+    assert TaskResult._field_defaults == {
+        "stdout_ref": "", "stderr_ref": "", "outcome": TaskOutcome.SUCCESS,
+    }

@@ -746,6 +746,96 @@ def test_teardown_runs_as_abort_tasklist_whatever_its_mode(load_xml, mode):
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
 
 
+@pytest.mark.parametrize("mode", ["panic", "abort-step"])
+def test_call_inside_a_teardown_never_escalates(load_xml, mode):
+    experiment = load_xml(f"""
+<experiment>
+ <targets>
+   <target name="pair" type="group">
+     <target name="n1" type="local" />
+     <target name="n2" type="local" />
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="helper" on-error="{mode}"><run>flaky</run></tasklist>
+   <tasklist name="fin"><call ref="helper" /><run>slow</run></tasklist>
+   <tasklist name="work"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <register-teardown ref="fin" targets="pair" />
+   <step tasklist="work" targets="pair" />
+ </steps>
+</experiment>
+""")
+    script = MockScript.from_json(
+        '{"nodes": {"n1": {"rules": [{"pattern": "flaky", "exit": 1}]},'
+        ' "*": {"rules": [{"pattern": "slow", "duration": 2}]}}}')
+    report, events = dry_events(experiment, script)
+    assert first_index(events, "Panic") == -1
+    end = events[first_index(events, "TeardownEnd")]
+    # the callee's failure stays on n1, and n2 is not cancelled
+    assert end["detail"] == "n1=Failed n2=Succeeded"
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
+@pytest.mark.parametrize("mode", ["panic", "abort-step"])
+def test_cleanup_runs_as_abort_tasklist_whatever_its_mode(load_xml, mode):
+    experiment = load_xml(f"""
+<experiment>
+ <targets>
+   <target name="pair" type="group">
+     <target name="n1" type="local" />
+     <target name="n2" type="local" />
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="mop" on-error="{mode}"><run>flaky</run><run>echo mopped</run></tasklist>
+   <tasklist name="work" cleanup="mop"><run>true</run></tasklist>
+ </tasklists>
+ <steps><step tasklist="work" targets="pair" /></steps>
+</experiment>
+""")
+    script = MockScript.from_json('{"nodes": {"n1": {"rules": [{"pattern": "flaky", "exit": 1}]}}}')
+    report, events = dry_events(experiment, script)
+    assert first_index(events, "Panic") == -1
+    # n1's cleanup stops at its failure; n2's is not cancelled
+    mopped = [e["node"] for e in events if e["kind"] == "TaskStart" and e["path"] == [1]]
+    assert mopped == ["n2"]
+    warnings = [(e["node"], e["detail"]) for e in events if e["kind"] == "Warning"]
+    assert warnings == [("n1", "cleanup finished Failed")]
+    assert report.overall is OverallStatus.COMPLETED
+
+
+@pytest.mark.parametrize("mode", ["panic", "abort-step"])
+def test_call_inside_a_cleanup_never_escalates(load_xml, mode):
+    experiment = load_xml(f"""
+<experiment>
+ <targets>
+   <target name="pair" type="group">
+     <target name="n1" type="local" />
+     <target name="n2" type="local" />
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="helper" on-error="{mode}"><run>flaky</run></tasklist>
+   <tasklist name="tidy"><call ref="helper" /><run>echo tidied</run></tasklist>
+   <tasklist name="work" cleanup="tidy"><run>true</run></tasklist>
+ </tasklists>
+ <steps><step tasklist="work" targets="pair" /></steps>
+</experiment>
+""")
+    script = MockScript.from_json('{"nodes": {"n1": {"rules": [{"pattern": "flaky", "exit": 1}]}}}')
+    report, events = dry_events(experiment, script)
+    assert first_index(events, "Panic") == -1
+    # the cleanup carries on after the failed call and reports it
+    tidied = [e["node"] for e in events if e["kind"] == "TaskEnd" and e["tasklist"] == "tidy"]
+    assert tidied == ["n1", "n2"]
+    warnings = [(e["node"], e["detail"]) for e in events if e["kind"] == "Warning"]
+    assert warnings == [("n1", "cleanup finished Failed")]
+    assert events[first_index(events, "StepEnd")]["detail"] == "n1=Succeeded n2=Succeeded"
+    assert report.overall is OverallStatus.COMPLETED
+
+
 def test_teardown_resolving_to_zero_nodes_warns_and_ends_empty(load_xml):
     experiment = load_xml("""
 <experiment>

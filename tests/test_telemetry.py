@@ -82,6 +82,25 @@ def test_round_trip_preserves_every_field(ts, kind, node, step, tasklist, path, 
     assert event_from_json_line(event.to_json_line()) == event
 
 
+def test_events_are_immutable():
+    event = ev(EventKind.WARNING, detail="slow")
+    with pytest.raises(AttributeError):
+        event.detail = "fast"
+    with pytest.raises(AttributeError):
+        event.timestamp = 1.0
+
+
+def test_event_fields_and_defaults():
+    assert ExecutionEvent._fields == (
+        "timestamp", "kind", "node", "step_index", "tasklist", "task_path", "detail"
+    )
+    assert ExecutionEvent._field_defaults == {
+        "node": None, "step_index": None, "tasklist": None, "task_path": None, "detail": "",
+    }
+    assert ExecutionEvent(0.0, EventKind.WARNING).detail == ""
+    assert ExecutionEvent(0.0, EventKind.WARNING).node is None
+
+
 def test_json_lines_contain_no_embedded_newlines():
     event = ev(EventKind.WARNING, detail="line one\nline two")
     line = event.to_json_line()
@@ -280,6 +299,28 @@ def test_report_collects_and_deduplicates_artifacts():
         "alpha/out.pcap",
     )
     assert "artifacts:" in summary
+
+
+@pytest.mark.parametrize("node", ["a b", "x stderr=y", "n stdout=n"])
+def test_report_reads_log_refs_whole_whatever_the_node_name(node):
+    detail = f"Failed exit=1 stdout={node}/stdout-0-0.log stderr={node}/stderr-0-0.log"
+    report, _ = render_report([ev(EventKind.TASK_END, node=node, detail=detail)])
+    assert report.artifacts == (f"{node}/stdout-0-0.log", f"{node}/stderr-0-0.log")
+
+
+def test_report_reads_a_fetched_name_to_the_end_of_the_detail():
+    report, _ = render_report(
+        [ev(EventKind.TASK_END, node="n", detail="Success artifact=n/my file.txt")]
+    )
+    assert report.artifacts == ("n/my file.txt",)
+
+
+def test_report_reads_no_refs_out_of_a_failed_transfer():
+    report, _ = render_report([
+        ev(EventKind.TASK_END, node="n", detail="Failed get=x stdout=n/y stderr=n/z"),
+        ev(EventKind.TASK_END, node="n", detail="Failed put=x artifact=n/y"),
+    ])
+    assert report.artifacts == ()
 
 
 def test_summary_lists_warnings_with_timestamps():
