@@ -152,6 +152,11 @@ def parse_document(path: str | Path) -> XmlNode:
                 (document, exc.lineno, exc.offset + 1),
             )
         ) from exc
+    finally:
+        # The handlers close over the parser, which holds them: break the
+        # cycle so that refcounting frees the tree, not the collector.
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = None
     if root is None:
         raise ParseFailure(
             Diagnostic(Severity.ERROR, "XmlSyntax", "document has no root element", (document, 0, 0))

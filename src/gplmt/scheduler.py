@@ -18,6 +18,7 @@ import itertools
 import math
 import selectors
 import time
+from collections.abc import Awaitable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -138,11 +139,11 @@ class Clock:
     def wall(self) -> float:
         raise NotImplementedError
 
-    async def sleep(self, seconds: float) -> None:
-        await asyncio.sleep(max(0.0, seconds))
+    def sleep(self, seconds: float) -> Awaitable[None]:
+        return asyncio.sleep(max(0.0, seconds))
 
-    async def sleep_until(self, instant: float) -> None:
-        await self.sleep(instant - self.now())
+    def sleep_until(self, instant: float) -> Awaitable[None]:
+        return self.sleep(instant - self.now())
 
 
 class VirtualClock(Clock):
@@ -493,21 +494,25 @@ class ExperimentRunner:
         finally:
             session.lock.release()
 
-    async def _enter_node(self, leaf: TargetDef, ctx: _StepContext):
+    def _enter_node(self, leaf: TargetDef, ctx: _StepContext) -> Awaitable[Session]:
         """Acquire the node session and its per-node execution lock,
-        bounded by the step's stop time."""
+        bounded by the step's stop time.
 
-        async def acquire():
-            session = await self.pool.acquire(leaf, self.limiter, self.clock)
-            await session.lock.acquire()
-            return session
-
+        A plain method returning the awaitable, so that a node parked on the
+        rate limiter holds one coroutine frame fewer; it raises TimeoutError
+        itself when the stop time has already passed.
+        """
         if ctx.stop_instant is None:
-            return await acquire()
+            return self._acquire_node(leaf)
         remaining = ctx.stop_instant - self.clock.now()
         if remaining <= 0:
             raise asyncio.TimeoutError()
-        return await asyncio.wait_for(acquire(), remaining)
+        return asyncio.wait_for(self._acquire_node(leaf), remaining)
+
+    async def _acquire_node(self, leaf: TargetDef) -> Session:
+        session = await self.pool.acquire(leaf, self.limiter, self.clock)
+        await session.lock.acquire()
+        return session
 
     async def _body_and_cleanup(self, run: _NodeRun, governing: Tasklist) -> None:
         ctx, node = run.ctx, run.leaf.name

@@ -101,7 +101,11 @@ class RateLimiter:
     async def wait(self) -> None:
         if self._config is None:
             return
-        async with self._lock:
+        # acquire/release rather than `async with`: no __aenter__ coroutine
+        # stays on the stack of every queued waiter. A waiter cancelled in
+        # acquire() never holds the lock.
+        await self._lock.acquire()
+        try:
             while True:
                 now = self._clock.now()
                 while self._grants and self._grants[0] <= now - self._config.interval:
@@ -110,6 +114,8 @@ class RateLimiter:
                     self._grants.append(now)
                     return
                 await self._clock.sleep(self._grants[0] + self._config.interval - now)
+        finally:
+            self._lock.release()
 
 
 @dataclass
@@ -571,6 +577,10 @@ class MockScript:
 
     nodes: dict[str, MockNodeScript] = field(default_factory=dict)
     strict_files: bool = False
+    # What every node without a script of its own shares.
+    _unscripted: MockNodeScript = field(
+        default_factory=MockNodeScript, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def empty(cls) -> MockScript:
@@ -610,7 +620,7 @@ class MockScript:
             return self.nodes[node]
         if "*" in self.nodes:
             return self.nodes["*"]
-        return MockNodeScript()
+        return self._unscripted
 
 
 class MockTransport:
@@ -623,7 +633,7 @@ class MockTransport:
         self.strict_files = script.strict_files
         self.files: dict[str, bytes] = dict(self.script.files)
         self._connect_failures_left = self.script.connect_failures
-        self._losses = deque(self.script.lose_connection_at)
+        self._next_loss = 0  # index of the first loss instant not yet passed
         self._ever_connected = False
 
     async def connect(self) -> None:
@@ -647,16 +657,17 @@ class MockTransport:
         natural_end = start + rule.duration
 
         loss_at = None
-        while self._losses and self._losses[0] <= start:
-            self._losses.popleft()  # loss instants only strike mid-exec
-        if self._losses and self._losses[0] <= natural_end:
-            loss_at = self._losses[0]
+        losses = self.script.lose_connection_at
+        while self._next_loss < len(losses) and losses[self._next_loss] <= start:
+            self._next_loss += 1  # loss instants only strike mid-exec
+        if self._next_loss < len(losses) and losses[self._next_loss] <= natural_end:
+            loss_at = losses[self._next_loss]
 
         if deadline is not None and deadline < natural_end and (loss_at is None or deadline < loss_at):
             await self.clock.sleep(deadline - start)
             return ExecOutput(-15, b"", b"", timed_out=True)
         if loss_at is not None:
-            self._losses.popleft()
+            self._next_loss += 1
             await self.clock.sleep(loss_at - start)
             return ExecOutput(-1, b"", b"", connection_lost=True)
         await self.clock.sleep(rule.duration)
@@ -684,10 +695,11 @@ def make_transport_factory(clock, mock_script: MockScript | None = None, force_m
     PlanetLab targets must be expanded to ssh leaves before execution, so
     the factory refuses them.
     """
+    script = mock_script or MockScript.empty()
 
     def factory(target: TargetDef):
         if force_mock:
-            return MockTransport(target, clock, mock_script or MockScript.empty())
+            return MockTransport(target, clock, script)
         if target.kind is TargetKind.LOCAL:
             return LocalTransport(target, clock)
         if target.kind is TargetKind.SSH:

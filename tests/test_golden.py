@@ -15,6 +15,7 @@ A change that alters run output on purpose regenerates the table with
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -157,6 +158,29 @@ def test_fixture_output_matches_golden_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN_RATE_LIMITED))
 def test_rate_limited_output_matches_golden_digests(name, tmp_path):
     assert fixture_digests(name, tmp_path, RATE_LIMIT) == GOLDEN_RATE_LIMITED[name]
+
+
+@pytest.mark.parametrize("collector", ["disabled", "after-every-allocation"])
+def test_digests_do_not_depend_on_collector_timing(collector, tmp_path):
+    # A collection can run finalizers and free loop handles; the log must
+    # not depend on whether, or between which handles, that happens.
+    threshold = gc.get_threshold()
+    try:
+        if collector == "disabled":
+            gc.disable()
+        else:
+            gc.collect()
+            gc.freeze()  # keeps a collection per allocation cheap
+            gc.set_threshold(1, 1, 1)
+        for name in sorted(GOLDEN):
+            assert fixture_digests(name, tmp_path / name) == GOLDEN[name], name
+        for name in sorted(GOLDEN_RATE_LIMITED):
+            digests = fixture_digests(name, tmp_path / f"limited-{name}", RATE_LIMIT)
+            assert digests == GOLDEN_RATE_LIMITED[name], name
+    finally:
+        gc.set_threshold(*threshold)
+        gc.unfreeze()
+        gc.enable()
 
 
 if __name__ == "__main__":

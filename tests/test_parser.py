@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +25,7 @@ from gplmt.model import (
 from gplmt.parser import (
     BadTimeSpecError,
     Severity,
+    XmlNode,
     load_experiment,
     parse_document,
     parse_duration,
@@ -529,6 +531,24 @@ def test_parser_output_always_passes_audit(tmp_path):
         exp, diags = load_experiment(fixture_path(fixture))
         assert exp is not None and diags == []
         assert audit(exp) == []
+
+
+@pytest.mark.parametrize("fixture", ["listing1.xml", "fanout_rate_limit.xml"])
+def test_parsing_leaves_no_cyclic_garbage(fixture):
+    # listing1.xml includes a second document. Refcounting alone must free
+    # every parse tree once loading returns; a cycle would keep it alive
+    # into the run until a full collection.
+    from gplmt import fixture_path
+
+    gc.collect()
+    gc.disable()
+    try:
+        exp, diags = load_experiment(fixture_path(fixture))
+        assert exp is not None and diags == []
+        alive = sum(isinstance(obj, XmlNode) for obj in gc.get_objects())
+        assert alive == 0
+    finally:
+        gc.enable()
 
 
 def test_corpus_documents_all_rejected():

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import os
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,7 +31,7 @@ from gplmt.scheduler import (
     run_experiment,
 )
 from gplmt.telemetry import EventLog
-from gplmt.transport import MockScript, make_transport_factory
+from gplmt.transport import MockScript, RateLimiterConfig, make_transport_factory
 
 from .conftest import run_virtual
 from .oracles import all_indices, first_index, repeat_executions
@@ -387,6 +391,53 @@ def test_stop_already_passed_at_step_entry(load_xml):
     assert events[warning]["detail"] == "stop time passed before execution began"
     assert first_index(events, "TaskStart") == -1
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
+def test_stop_expiring_while_parked_on_the_rate_limiter(load_xml):
+    nodes = "\n".join(
+        f'     <target name="n{i}" type="ssh"><user>u</user><host>n{i}.example</host></target>'
+        for i in range(7)
+    )
+    experiment = load_xml(f"""
+<experiment>
+ <targets>
+   <target name="fleet" type="group">
+{nodes}
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="first"><run>true</run></tasklist>
+   <tasklist name="second"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="first" targets="fleet" stop="PT1.5S" />
+   <synchronize />
+   <step tasklist="second" targets="fleet" />
+ </steps>
+</experiment>
+""")
+    # Two permits per second: n0 and n1 connect at 0 s, n2 and n3 at 1 s.
+    # At 1.5 s n4 is the head waiter, asleep inside the limiter, while n5
+    # and n6 are queued on the limiter's lock behind it.
+    _, events = dry_events(experiment, limiter_config=RateLimiterConfig(2, 1.0))
+    first_end = first_index(events, "StepEnd", tasklist="first")
+    assert at(events, first_end) == 1.5
+    assert events[first_end]["detail"] == (
+        "n0=Succeeded n1=Succeeded n2=Succeeded n3=Succeeded n4=Failed n5=Failed n6=Failed"
+    )
+    for node in ("n4", "n5", "n6"):
+        warning = first_index(events, "Warning", node=node, tasklist="first")
+        assert events[warning]["detail"] == "stop time passed before execution began"
+        assert at(events, warning) == 1.5
+        assert first_index(events, "TaskStart", node=node, tasklist="first") == -1
+    # The limiter lock was released whichever way its waiters were
+    # cancelled, so the parked nodes connect in the next step.
+    attempts = {
+        e["node"]: e["ts"] for e in events if e["kind"] == "ConnectAttempt" and e["ts"] > 1.5
+    }
+    assert attempts == {"n4": 2.0, "n5": 2.0, "n6": 3.0}
+    second_end = first_index(events, "StepEnd", tasklist="second")
+    assert events[second_end]["detail"] == " ".join(f"n{i}=Succeeded" for i in range(7))
 
 
 # --- error modes ---
@@ -1000,3 +1051,37 @@ def test_unsafe_node_name_fails_the_node_and_writes_nothing_outside(tmp_path):
     assert sorted(p.name for p in run.iterdir()) == [
         "alpha", "events.jsonl", "report.json", "report.txt",
     ]
+
+
+def _traced_peak_of_parked_fanout(nodes: int) -> int:
+    leaves = tuple(
+        TargetDef(f"n{i:04d}", TargetKind.SSH, ssh_user="u", ssh_host=f"n{i:04d}.example")
+        for i in range(nodes)
+    )
+    experiment = Experiment(
+        targets=(TargetDef("fleet", TargetKind.GROUP, members=leaves),),
+        tasklists=(Tasklist("t", (RunTask("true"),)),),
+        steps=StepsProgram((Step("t", "fleet"),)),
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = dry_run(experiment, limiter_config=RateLimiterConfig(1, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.overall is OverallStatus.COMPLETED
+    return peak
+
+
+@pytest.mark.skipif(
+    sys.flags.dev_mode or bool(os.environ.get("PYTHONASYNCIODEBUG")),
+    reason="asyncio debug mode keeps a creation traceback per task and handle",
+)
+def test_memory_per_node_parked_on_the_rate_limiter():
+    """While one node per second connects, nearly every other node of the
+    fan-out waits for a permit, so the traced peak grows with the number
+    of parked nodes. Measured on CPython 3.11: 2,815-2,947 B per parked
+    node, against 4,639-4,742 B before the waiting path was slimmed down."""
+    per_node = (_traced_peak_of_parked_fanout(1000) - _traced_peak_of_parked_fanout(500)) / 500
+    assert per_node < 3500
