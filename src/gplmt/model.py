@@ -206,30 +206,22 @@ class TaskOutcome(enum.Enum):
     FAILED = "Failed"
     TIMED_OUT = "TimedOut"
     CONNECTION_LOST = "ConnectionLost"
-    SKIPPED = "Skipped"
 
 
 class TaskResult(NamedTuple):
-    """Outcome of one task on one node; timestamps are clock instants.
+    """Outcome of one command on one node.
 
     A named tuple, immutable and cheap to build: one per command run.
     """
 
-    node: str
     exit_code: int
-    started: float
-    finished: float
     stdout_ref: str = ""
     stderr_ref: str = ""
     outcome: TaskOutcome = TaskOutcome.SUCCESS
 
 
-class NodeState(str, enum.Enum):
-    """How one node's execution of a step or teardown ended.
-
-    A str mix-in, because the report compares these against the states it
-    reads back out of event details.
-    """
+class NodeState(enum.Enum):
+    """How one node's execution of a step or teardown ended."""
 
     SUCCEEDED = "Succeeded"
     FAILED = "Failed"

@@ -190,10 +190,9 @@ class _DeadlineHit(Exception):
 
 _SEVERITY = {
     TaskOutcome.SUCCESS: 0,
-    TaskOutcome.SKIPPED: 1,
-    TaskOutcome.FAILED: 2,
-    TaskOutcome.CONNECTION_LOST: 3,
-    TaskOutcome.TIMED_OUT: 4,
+    TaskOutcome.FAILED: 1,
+    TaskOutcome.CONNECTION_LOST: 2,
+    TaskOutcome.TIMED_OUT: 3,
 }
 
 
@@ -273,9 +272,14 @@ class ExperimentRunner:
         tasklist: str | None = None,
         task_path: tuple[int, ...] | None = None,
         detail: str = "",
+        outcomes: tuple[tuple[str, NodeState], ...] = (),
+        artifacts: tuple[str, ...] = (),
     ) -> None:
         self.log.record(
-            ExecutionEvent(self.clock.now(), kind, node, step_index, tasklist, task_path, detail)
+            ExecutionEvent(
+                self.clock.now(), kind, node, step_index, tasklist, task_path, detail,
+                outcomes, artifacts,
+            )
         )
 
     def _emit_connection(self, kind: EventKind, node: str, detail: str) -> None:
@@ -441,16 +445,13 @@ class ExperimentRunner:
                 self.execute_tasklist(tasklist, leaf, env, ctx)
             )
         await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
-        detail = " ".join(f"{node}={state.value}" for node, state in sorted(ctx.outcomes.items()))
-        self.emit(end, step_index=ctx.step_index, tasklist=tasklist.name, detail=detail)
+        outcomes = tuple(sorted(ctx.outcomes.items()))
+        detail = " ".join(f"{node}={state.value}" for node, state in outcomes)
+        self.emit(
+            end, step_index=ctx.step_index, tasklist=tasklist.name, detail=detail, outcomes=outcomes
+        )
 
     # -- per-node tasklist execution ----------------------------------------
-
-    def _emit_node(
-        self, kind: EventKind, ctx: _StepContext, node: str, tasklist: str, detail: str, path=None
-    ) -> None:
-        """Record an event of one node inside a step or teardown execution."""
-        self.emit(kind, node, ctx.step_index, tasklist, path, detail)
 
     async def execute_tasklist(
         self,
@@ -468,13 +469,8 @@ class ExperimentRunner:
             session = await self._enter_node(leaf, ctx)
         except asyncio.TimeoutError:
             ctx.outcomes[node] = NodeState.FAILED
-            self._emit_node(
-                EventKind.WARNING,
-                ctx,
-                node,
-                tasklist.name,
-                "stop time passed before execution began",
-            )
+            detail = "stop time passed before execution began"
+            self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=detail)
             return
         except asyncio.CancelledError:
             ctx.outcomes[node] = NodeState.ABORTED
@@ -484,13 +480,20 @@ class ExperimentRunner:
             # artifact directory: the node's first failure, subject to the
             # error mode; without a session no cleanup can run.
             ctx.outcomes[node] = NodeState.FAILED
-            self._emit_node(EventKind.WARNING, ctx, node, tasklist.name, f"session: {exc}")
+            detail = f"session: {exc}"
+            self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=detail)
             mode = None if ctx.is_teardown else tasklist.on_error
             self._apply_escalation(mode, ctx, node, tasklist.name, str(exc))
             return
         try:
             run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
             await self._body_and_cleanup(run, tasklist)
+        except Exception as exc:
+            # A fault of the controller itself (a failed artifact write, an
+            # engine bug) fails the node and is logged; no error mode applies.
+            ctx.outcomes[node] = NodeState.FAILED
+            detail = f"controller: {type(exc).__name__}: {exc}"
+            self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=detail)
         finally:
             session.lock.release()
 
@@ -575,9 +578,8 @@ class ExperimentRunner:
         try:
             session = await self.pool.acquire(run.leaf, self.limiter, self.clock)
         except TransportError as exc:
-            self._emit_node(
-                EventKind.WARNING, run.ctx, node, cleanup.name, f"cleanup session: {exc}"
-            )
+            detail = f"cleanup session: {exc}"
+            self.emit(EventKind.WARNING, node, run.ctx.step_index, cleanup.name, detail=detail)
             return
         deadline = self._deadline(cleanup.timeout, None)
         try:
@@ -591,9 +593,8 @@ class ExperimentRunner:
         except _DeadlineHit:
             worst = TaskOutcome.TIMED_OUT
         if worst is not TaskOutcome.SUCCESS:
-            self._emit_node(
-                EventKind.WARNING, run.ctx, node, cleanup.name, f"cleanup finished {worst.value}"
-            )
+            detail = f"cleanup finished {worst.value}"
+            self.emit(EventKind.WARNING, node, run.ctx.step_index, cleanup.name, detail=detail)
 
     # -- task trees ------------------------------------------------------
 
@@ -661,9 +662,11 @@ class ExperimentRunner:
         label = None  # names the artifact files, so only a run directory needs one
         if self.run_dir is not None:
             label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
-        self._emit_node(
-            EventKind.TASK_START, run.ctx, node, governing.name, f"run {task.command}", path
+        step_index = run.ctx.step_index
+        self.emit(
+            EventKind.TASK_START, node, step_index, governing.name, path, f"run {task.command}"
         )
+        artifacts: tuple[str, ...] = ()
         try:
             result = await run.session.exec(task.command, run.env, deadline, artifact_label=label)
         except SessionClosed:
@@ -673,8 +676,11 @@ class ExperimentRunner:
             outcome = result.outcome
             detail = f"{outcome.value} exit={result.exit_code}"
             if result.stdout_ref:
+                artifacts = (result.stdout_ref, result.stderr_ref)
                 detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
-        self._emit_node(EventKind.TASK_END, run.ctx, node, governing.name, detail, path)
+        self.emit(
+            EventKind.TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts
+        )
         if outcome is TaskOutcome.TIMED_OUT:
             raise _DeadlineHit()
         return outcome
@@ -689,15 +695,18 @@ class ExperimentRunner:
         node = run.leaf.name
         verb = "get" if isinstance(task, GetTask) else "put"
         file_path = task.remote_path if isinstance(task, GetTask) else task.local_path
-        self._emit_node(
-            EventKind.TASK_START, run.ctx, node, governing.name, f"{verb} {file_path}", path
+        step_index = run.ctx.step_index
+        self.emit(
+            EventKind.TASK_START, node, step_index, governing.name, path, f"{verb} {file_path}"
         )
         outcome = TaskOutcome.SUCCESS
         detail = "Success"
+        artifacts: tuple[str, ...] = ()
         try:
             if isinstance(task, GetTask):
                 destination = await run.session.fetch(task.remote_path)
-                detail = f"Success artifact={node}/{destination.name}"
+                artifacts = (f"{node}/{destination.name}",)
+                detail = f"Success artifact={artifacts[0]}"
             else:
                 await run.session.push(task.local_path, task.local_path)
         except SessionClosed:
@@ -706,7 +715,9 @@ class ExperimentRunner:
         except TransportError:
             outcome = TaskOutcome.FAILED
             detail = f"Failed {verb}={file_path}"
-        self._emit_node(EventKind.TASK_END, run.ctx, node, governing.name, detail, path)
+        self.emit(
+            EventKind.TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts
+        )
         return outcome
 
     async def _run_par(

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 import threading
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
 from typing import NamedTuple
 
-from .model import ERROR_NODE_STATES, ExperimentReport, OverallStatus
+from .model import ERROR_NODE_STATES, ExperimentReport, NodeState, OverallStatus
 
 
 class SinkIoError(Exception):
@@ -54,6 +53,11 @@ class ExecutionEvent(NamedTuple):
 
     A named tuple, immutable and cheap to build: a run records one per
     connection attempt and per task start and end.
+
+    ``outcomes`` (the (node, NodeState) pairs of a StepEnd or TeardownEnd)
+    and ``artifacts`` (the run-directory refs a TaskEnd wrote) are what the
+    report reads. They live in memory only: the JSON line spells them out
+    in ``detail`` for people and is never parsed back into them.
     """
 
     timestamp: float
@@ -63,6 +67,8 @@ class ExecutionEvent(NamedTuple):
     tasklist: str | None = None
     task_path: tuple[int, ...] | None = None
     detail: str = ""
+    outcomes: tuple[tuple[str, NodeState], ...] = ()
+    artifacts: tuple[str, ...] = ()
 
     def to_json_line(self) -> str:
         record: dict[str, object] = {"ts": self.timestamp, "kind": self.kind.value}
@@ -79,6 +85,9 @@ class ExecutionEvent(NamedTuple):
 
 
 def event_from_json_line(line: str) -> ExecutionEvent:
+    """Read one events.jsonl line back. The line holds no typed outcomes or
+    artifacts, so the event carries neither; a report rendered from loaded
+    events lists no node outcomes and no artifacts."""
     record = json.loads(line)
     return ExecutionEvent(
         timestamp=record["ts"],
@@ -181,25 +190,14 @@ def node_artifact_dir(run_dir: str | Path, node: str) -> Path:
     return directory
 
 
-# "node=State" pairs of a StepEnd or TeardownEnd detail. The state is the
-# word after the last "=" before a space or the end, so node names may
-# contain spaces and "="; a name containing "=<word> " stays ambiguous.
-_OUTCOME_PAIR = re.compile(r"(.+?)=(\w+)(?: |\Z)", re.S)
-
-# TaskEnd details that name artifacts: a fetched file runs to the end of
-# "Success artifact=<node>/<name>"; a command's logs follow its exit code as
-# " stdout=<node>/stdout-<label>.log stderr=<node>/stderr-<label>.log",
-# where the label holds no space. A failed transfer's detail quotes the
-# document's path, so it is never read for refs.
-_FETCHED = "Success artifact="
-_FAILED_TRANSFER = ("Failed get=", "Failed put=")
-
-
 def render_report(
     events: tuple[ExecutionEvent, ...] | list[ExecutionEvent],
 ) -> tuple[ExperimentReport, str]:
     """Classify a closed event log and render the human summary, in one
     pass over the events.
+
+    Outcomes and artifacts come from the events' typed fields; a detail is
+    only copied into the summary, never read.
 
     Overall status: Panicked when a Panic event exists; otherwise
     CompletedWithErrors when any step or teardown reported a node in one of
@@ -216,15 +214,8 @@ def render_report(
     for event in events:
         kind = event.kind
         if kind is EventKind.TASK_END:
-            detail = event.detail
-            if detail.startswith(_FETCHED):
-                artifacts[detail[len(_FETCHED):]] = None
-            elif " stdout=" in detail and not detail.startswith(_FAILED_TRANSFER):
-                _, found, logs = detail.partition(f" stdout={event.node}/")
-                if found:
-                    stdout_name, _, stderr_ref = logs.partition(" stderr=")
-                    artifacts[f"{event.node}/{stdout_name}"] = None
-                    artifacts[stderr_ref] = None
+            for ref in event.artifacts:
+                artifacts[ref] = None
             continue
         if kind is EventKind.STEP_END:
             suffix = f"s{event.step_index}"
@@ -238,8 +229,8 @@ def render_report(
             elif kind is EventKind.PANIC:
                 panicked = True
             continue
-        for node, state in _OUTCOME_PAIR.findall(event.detail):
-            outcomes[f"{node}|{event.tasklist}#{suffix}"] = state
+        for node, state in event.outcomes:
+            outcomes[f"{node}|{event.tasklist}#{suffix}"] = state.value
             failed = failed or state in ERROR_NODE_STATES
 
     if panicked:

@@ -169,9 +169,7 @@ class Session:
         the process group is terminated and the outcome is TimedOut.
         """
         self._require_connected()
-        started = self.clock.now()
         output = await self.transport.exec(command, env, deadline)
-        finished = self.clock.now()
 
         stdout_ref = stderr_ref = ""
         if self.pool.artifact_root is not None and artifact_label is not None:
@@ -190,9 +188,7 @@ class Session:
             outcome = TaskOutcome.SUCCESS
         else:
             outcome = TaskOutcome.FAILED
-        return TaskResult(
-            self.node, output.exit_code, started, finished, stdout_ref, stderr_ref, outcome
-        )
+        return TaskResult(output.exit_code, stdout_ref, stderr_ref, outcome)
 
     async def fetch(self, remote_path: str) -> Path:
         """Copy a node-side file into `<artifact_root>/<node>/<basename>`."""

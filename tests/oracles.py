@@ -6,6 +6,7 @@ separate derivations of the same quantity.
 """
 from __future__ import annotations
 
+import json
 import re
 
 
@@ -121,3 +122,37 @@ def resolve_leaf_names(defs: dict[str, object], root: str) -> list[str]:
             seen.add(name)
             order.append(name)
     return order
+
+
+def report_from_log_lines(lines: list[str]) -> tuple[dict[str, str], str]:
+    """(per-node outcomes, overall status) folded from events.jsonl lines.
+
+    Reads the logged prose: a StepEnd or TeardownEnd detail is a
+    space-separated list of "node=State" pairs. That split holds only for
+    plain node names without spaces or "=", such as "n0".
+    """
+    outcomes: dict[str, str] = {}
+    teardowns = 0
+    panicked = False
+    for line in lines:
+        record = json.loads(line)
+        kind = record["kind"]
+        if kind == "Panic":
+            panicked = True
+        if kind == "StepEnd":
+            suffix = f"s{record['step']}"
+        elif kind == "TeardownEnd":
+            suffix = f"t{teardowns}"
+            teardowns += 1
+        else:
+            continue
+        for pair in record["detail"].split():
+            node, state = pair.split("=")
+            outcomes[f"{node}|{record['tasklist']}#{suffix}"] = state
+    if panicked:
+        overall = "Panicked"
+    elif any(state in ("Failed", "Aborted") for state in outcomes.values()):
+        overall = "CompletedWithErrors"
+    else:
+        overall = "Completed"
+    return outcomes, overall

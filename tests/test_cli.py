@@ -352,13 +352,7 @@ def test_failing_node_whose_name_contains_equals_is_an_error(tmp_path):
 
 def test_failing_node_whose_name_contains_a_space_keeps_its_own_key(tmp_path):
     """A failing node "a b" and a succeeding node "b" in one step both keep
-    their own report key, although the StepEnd detail reads
-    "a b=Failed b=Succeeded".
-
-    Known limit: the report reads the state as the word after the last "="
-    before a space or the end of the detail, so a name that itself contains
-    "=<word> " stays ambiguous while the log format stays fixed.
-    """
+    their own report key; the StepEnd detail reads "a b=Failed b=Succeeded"."""
     doc = """
 <experiment>
  <targets>
@@ -425,6 +419,51 @@ def test_fetched_file_whose_name_contains_a_space_is_listed_whole(tmp_path):
     artifacts = json.loads((run_dir / "report.json").read_text())["artifacts"]
     assert artifacts == ["n/my file.txt"]
     assert all((run_dir / artifact).is_file() for artifact in artifacts)
+
+
+def test_node_names_with_spaces_and_equals_keep_their_outcomes_and_artifacts(tmp_path):
+    """Names that look like the log's own "node=State" and "stdout=" prose
+    key their own outcomes and artifacts: the report reads typed values,
+    not the details."""
+    doc = """
+<experiment>
+ <targets>
+   <target name="odd" type="group">
+     <target name="a b" type="local" />
+     <target name="x stderr=y" type="local" />
+     <target name="n stdout=n" type="local" />
+     <target name="a=Failed b" type="local" />
+   </target>
+ </targets>
+ <tasklists><tasklist name="t"><run>work</run><get>out dir/my file.txt</get></tasklist></tasklists>
+ <steps><step tasklist="t" targets="odd" /></steps>
+</experiment>
+"""
+    nodes = ["a b", "a=Failed b", "n stdout=n", "x stderr=y"]  # name order
+    path = write_doc(tmp_path, doc)
+    for failing in (None, "n stdout=n"):
+        work = tmp_path / str(failing)
+        work.mkdir()
+        script = work / "mock.json"
+        rules = {failing: {"rules": [{"pattern": "work", "exit": 1}]}} if failing else {}
+        script.write_text(json.dumps({"nodes": rules}))
+        code = main([str(path), "--dry-run", "--mock-script", str(script),
+                     "--log-dir", str(work / "logs")])
+
+        assert code == (EXIT_ERRORS if failing else EXIT_COMPLETED)
+        run_dir = run_dir_of(work / "logs")
+        payload = json.loads((run_dir / "report.json").read_text())
+        assert payload["per_node_outcomes"] == {
+            f"{node}|t#s0": "Failed" if node == failing else "Succeeded" for node in nodes
+        }
+        # a failed run skips the node's get
+        expected = []
+        for node in nodes:
+            expected += [f"{node}/stdout-0-0.log", f"{node}/stderr-0-0.log"]
+            if node != failing:
+                expected.append(f"{node}/my file.txt")
+        assert payload["artifacts"] == expected
+        assert all((run_dir / artifact).is_file() for artifact in expected)
 
 
 def test_slice_hostname_that_is_not_a_host_name_exits_one(tmp_path, capsys):

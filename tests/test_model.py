@@ -231,15 +231,13 @@ def test_default_error_mode_is_abort_tasklist():
 
 
 def test_task_results_are_immutable():
-    result = TaskResult("n", 0, 0.0, 1.0)
+    result = TaskResult(0)
     with pytest.raises(AttributeError):
         result.outcome = TaskOutcome.FAILED
 
 
 def test_task_result_fields_and_defaults():
-    assert TaskResult._fields == (
-        "node", "exit_code", "started", "finished", "stdout_ref", "stderr_ref", "outcome"
-    )
+    assert TaskResult._fields == ("exit_code", "stdout_ref", "stderr_ref", "outcome")
     assert TaskResult._field_defaults == {
         "stdout_ref": "", "stderr_ref": "", "outcome": TaskOutcome.SUCCESS,
     }

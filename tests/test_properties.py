@@ -28,6 +28,8 @@ from gplmt.scheduler import dry_run
 from gplmt.telemetry import EventLog
 from gplmt.transport import MockScript
 
+from .oracles import report_from_log_lines
+
 
 @st.composite
 def experiments(draw):
@@ -108,3 +110,6 @@ def test_generated_experiments_keep_the_engine_invariants(case):
         assert len(keys) == expected, (event, keys)
 
     assert (report.overall is OverallStatus.PANICKED) == ("Panic" in kinds)
+
+    # the report, read from typed fields, equals a fold of the logged prose
+    assert (dict(report.per_node_outcomes), report.overall.value) == report_from_log_lines(lines)

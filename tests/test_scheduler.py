@@ -15,6 +15,7 @@ import gplmt
 from gplmt.model import (
     Experiment,
     OverallStatus,
+    RegisterTeardown,
     RunTask,
     Step,
     StepsProgram,
@@ -1051,6 +1052,35 @@ def test_unsafe_node_name_fails_the_node_and_writes_nothing_outside(tmp_path):
     assert sorted(p.name for p in run.iterdir()) == [
         "alpha", "events.jsonl", "report.json", "report.txt",
     ]
+
+
+def test_controller_fault_fails_the_node_and_is_logged(tmp_path):
+    """A file where n1's artifact directory belongs makes the controller's
+    own mkdir fail inside the exec. The node fails with a warning naming the
+    exception, its session lock is released (the teardown on n1 still
+    runs), and its sibling is untouched."""
+    n1, n2 = TargetDef("n1", TargetKind.LOCAL), TargetDef("n2", TargetKind.LOCAL)
+    experiment = Experiment(
+        targets=(TargetDef("pair", TargetKind.GROUP, members=(n1, n2)),),
+        tasklists=(Tasklist("t", (RunTask("true"),)), Tasklist("fin", (RunTask("true"),))),
+        steps=StepsProgram((RegisterTeardown("fin", "n1"), Step("t", "pair"))),
+    )
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "n1").write_text("in the way")
+    report = dry_run(experiment, run_dir=run)
+
+    assert report.per_node_outcomes == {
+        "n1|t#s0": "Failed",
+        "n2|t#s0": "Succeeded",
+        "n1|fin#t0": "Failed",
+    }
+    warnings = [(e.tasklist, e.detail) for e in report.events if e.kind.value == "Warning"]
+    assert [(tasklist, detail.split(":")[:2]) for tasklist, detail in warnings] == [
+        ("t", ["controller", " FileExistsError"]),
+        ("fin", ["controller", " FileExistsError"]),
+    ]
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
 
 
 def _traced_peak_of_parked_fanout(nodes: int) -> int:

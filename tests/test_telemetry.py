@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from gplmt.model import OverallStatus
+from gplmt.model import NodeState, OverallStatus
 from gplmt.telemetry import (
     ArtifactPathError,
     EventKind,
@@ -45,7 +45,8 @@ def test_json_line_includes_all_present_fields():
         task_path=(0, 1),
         detail="Success exit=0",
     )
-    record = json.loads(event.to_json_line())
+    line = event.to_json_line()
+    record = json.loads(line)
     assert record == {
         "ts": 1.5,
         "kind": "TaskEnd",
@@ -55,6 +56,11 @@ def test_json_line_includes_all_present_fields():
         "path": [0, 1],
         "detail": "Success exit=0",
     }
+    # the typed fields stay in memory: the line is the same with them
+    typed = event._replace(
+        outcomes=(("alpha", NodeState.FAILED),), artifacts=("alpha/stdout-2-0-1.log",)
+    )
+    assert typed.to_json_line() == line
 
 
 def test_round_trip_minimal_event():
@@ -92,10 +98,12 @@ def test_events_are_immutable():
 
 def test_event_fields_and_defaults():
     assert ExecutionEvent._fields == (
-        "timestamp", "kind", "node", "step_index", "tasklist", "task_path", "detail"
+        "timestamp", "kind", "node", "step_index", "tasklist", "task_path", "detail",
+        "outcomes", "artifacts",
     )
     assert ExecutionEvent._field_defaults == {
         "node": None, "step_index": None, "tasklist": None, "task_path": None, "detail": "",
+        "outcomes": (), "artifacts": (),
     }
     assert ExecutionEvent(0.0, EventKind.WARNING).detail == ""
     assert ExecutionEvent(0.0, EventKind.WARNING).node is None
@@ -214,13 +222,17 @@ def test_node_artifact_dir_creates_directory(tmp_path):
 # --- report rendering ---
 
 
+SUCCEEDED, FAILED = NodeState.SUCCEEDED, NodeState.FAILED
+
+
 def _clean_run():
     return [
         ev(EventKind.EXPERIMENT_START, detail="targets=2"),
         ev(EventKind.STEP_END, ts=2.0, step_index=0, tasklist="doPing",
-           detail="alpha=Success beta=Success"),
+           detail="alpha=Success beta=Success",
+           outcomes=(("alpha", SUCCEEDED), ("beta", SUCCEEDED))),
         ev(EventKind.TEARDOWN_END, ts=3.0, tasklist="stopMon",
-           detail="alpha=Success"),
+           detail="alpha=Success", outcomes=(("alpha", SUCCEEDED),)),
         ev(EventKind.EXPERIMENT_END, ts=3.0, detail="Completed"),
     ]
 
@@ -229,9 +241,9 @@ def test_render_report_completed():
     report, summary = render_report(_clean_run())
     assert report.overall is OverallStatus.COMPLETED
     assert report.per_node_outcomes == {
-        "alpha|doPing#s0": "Success",
-        "beta|doPing#s0": "Success",
-        "alpha|stopMon#t0": "Success",
+        "alpha|doPing#s0": "Succeeded",
+        "beta|doPing#s0": "Succeeded",
+        "alpha|stopMon#t0": "Succeeded",
     }
     assert summary.startswith("overall: Completed\n")
 
@@ -240,7 +252,8 @@ def test_render_report_completed():
 def test_render_report_flags_bad_step_outcomes(state):
     events = _clean_run()
     events[1] = ev(EventKind.STEP_END, ts=2.0, step_index=0, tasklist="doPing",
-                   detail=f"alpha={state} beta=Success")
+                   detail=f"alpha={state} beta=Success",
+                   outcomes=(("alpha", NodeState(state)), ("beta", SUCCEEDED)))
     report, _ = render_report(events)
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
     assert report.per_node_outcomes["alpha|doPing#s0"] == state
@@ -249,7 +262,7 @@ def test_render_report_flags_bad_step_outcomes(state):
 def test_render_report_flags_teardown_failures():
     events = _clean_run()
     events[2] = ev(EventKind.TEARDOWN_END, ts=3.0, tasklist="stopMon",
-                   detail="alpha=Failed")
+                   detail="alpha=Failed", outcomes=(("alpha", FAILED),))
     report, _ = render_report(events)
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
 
@@ -258,7 +271,7 @@ def test_render_report_panic_wins_over_errors():
     events = _clean_run()
     events.insert(2, ev(EventKind.PANIC, ts=2.5, node="alpha", detail="exit=1"))
     events[1] = ev(EventKind.STEP_END, ts=2.0, step_index=0, tasklist="doPing",
-                   detail="alpha=Failed")
+                   detail="alpha=Failed", outcomes=(("alpha", FAILED),))
     report, summary = render_report(events)
     assert report.overall is OverallStatus.PANICKED
     assert summary.startswith("overall: Panicked\n")
@@ -276,8 +289,10 @@ def test_render_report_ignores_non_outcome_detail():
 
 def test_teardown_ordinals_count_up():
     events = [
-        ev(EventKind.TEARDOWN_END, ts=1.0, tasklist="first", detail="a=Success"),
-        ev(EventKind.TEARDOWN_END, ts=2.0, tasklist="second", detail="a=Success"),
+        ev(EventKind.TEARDOWN_END, ts=1.0, tasklist="first", detail="a=Succeeded",
+           outcomes=(("a", SUCCEEDED),)),
+        ev(EventKind.TEARDOWN_END, ts=2.0, tasklist="second", detail="a=Succeeded",
+           outcomes=(("a", SUCCEEDED),)),
     ]
     report, _ = render_report(events)
     assert set(report.per_node_outcomes) == {"a|first#t0", "a|second#t1"}
@@ -286,11 +301,12 @@ def test_teardown_ordinals_count_up():
 def test_report_collects_and_deduplicates_artifacts():
     events = [
         ev(EventKind.TASK_END, ts=1.0, node="alpha", step_index=0, tasklist="t",
-           detail="Success exit=0 stdout=alpha/stdout-0.log stderr=alpha/stderr-0.log"),
+           detail="Success exit=0 stdout=alpha/stdout-0.log stderr=alpha/stderr-0.log",
+           artifacts=("alpha/stdout-0.log", "alpha/stderr-0.log")),
         ev(EventKind.TASK_END, ts=2.0, node="alpha", step_index=1, tasklist="t",
-           detail="Success artifact=alpha/out.pcap"),
+           detail="Success artifact=alpha/out.pcap", artifacts=("alpha/out.pcap",)),
         ev(EventKind.TASK_END, ts=3.0, node="alpha", step_index=2, tasklist="t",
-           detail="Success artifact=alpha/out.pcap"),
+           detail="Success artifact=alpha/out.pcap", artifacts=("alpha/out.pcap",)),
     ]
     report, summary = render_report(events)
     assert report.artifacts == (
@@ -301,26 +317,18 @@ def test_report_collects_and_deduplicates_artifacts():
     assert "artifacts:" in summary
 
 
-@pytest.mark.parametrize("node", ["a b", "x stderr=y", "n stdout=n"])
-def test_report_reads_log_refs_whole_whatever_the_node_name(node):
-    detail = f"Failed exit=1 stdout={node}/stdout-0-0.log stderr={node}/stderr-0-0.log"
-    report, _ = render_report([ev(EventKind.TASK_END, node=node, detail=detail)])
-    assert report.artifacts == (f"{node}/stdout-0-0.log", f"{node}/stderr-0-0.log")
-
-
-def test_report_reads_a_fetched_name_to_the_end_of_the_detail():
-    report, _ = render_report(
-        [ev(EventKind.TASK_END, node="n", detail="Success artifact=n/my file.txt")]
-    )
-    assert report.artifacts == ("n/my file.txt",)
-
-
-def test_report_reads_no_refs_out_of_a_failed_transfer():
-    report, _ = render_report([
-        ev(EventKind.TASK_END, node="n", detail="Failed get=x stdout=n/y stderr=n/z"),
-        ev(EventKind.TASK_END, node="n", detail="Failed put=x artifact=n/y"),
+def test_report_reads_nothing_out_of_details():
+    # a detail that spells a failure and a log ref is only summary text
+    report, summary = render_report([
+        ev(EventKind.TASK_END, node="a", step_index=0, tasklist="t",
+           detail="Success artifact=a/out.pcap stdout=a/x stderr=a/y"),
+        ev(EventKind.STEP_END, step_index=0, tasklist="t", detail="a=Failed",
+           outcomes=(("a", SUCCEEDED),)),
     ])
+    assert report.per_node_outcomes == {"a|t#s0": "Succeeded"}
+    assert report.overall is OverallStatus.COMPLETED
     assert report.artifacts == ()
+    assert "step 0 t: a=Failed" in summary
 
 
 def test_summary_lists_warnings_with_timestamps():
@@ -344,7 +352,7 @@ def test_write_report_emits_json_and_text(tmp_path):
     write_report(tmp_path, report, summary)
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["overall"] == "Completed"
-    assert payload["per_node_outcomes"]["alpha|doPing#s0"] == "Success"
+    assert payload["per_node_outcomes"]["alpha|doPing#s0"] == "Succeeded"
     assert payload["artifacts"] == []
     assert payload["events"] == 4
     assert (tmp_path / "report.txt").read_text() == summary
