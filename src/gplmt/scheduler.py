@@ -47,7 +47,6 @@ from .model import (
     resolve_group,
 )
 from .telemetry import (
-    ArtifactPathError,
     EventKind,
     EventLog,
     ExecutionEvent,
@@ -462,40 +461,56 @@ class ExperimentRunner:
     ) -> None:
         """Run one tasklist on one node; outcome lands in ctx.outcomes.
 
-        A teardown always runs its tasklist as abort-tasklist.
+        One try turns whatever the node's execution raised into its state,
+        an optional Warning and an optional escalation; only cancellation
+        propagates. A teardown always runs its tasklist as abort-tasklist.
         """
         node = leaf.name
+        run: _NodeRun | None = None
+        state = NodeState.FAILED
+        warning = reason = ""
+        escalation: ErrorMode | None = None
         try:
-            session = await self._enter_node(leaf, ctx)
-        except asyncio.TimeoutError:
-            ctx.outcomes[node] = NodeState.FAILED
-            detail = "stop time passed before execution began"
-            self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=detail)
-            return
-        except asyncio.CancelledError:
-            ctx.outcomes[node] = NodeState.ABORTED
-            raise
-        except (TransportError, ArtifactPathError) as exc:
-            # Session acquisition failed, or the node name cannot name its
-            # artifact directory: the node's first failure, subject to the
-            # error mode; without a session no cleanup can run.
-            ctx.outcomes[node] = NodeState.FAILED
-            detail = f"session: {exc}"
-            self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=detail)
-            mode = None if ctx.is_teardown else tasklist.on_error
-            self._apply_escalation(mode, ctx, node, tasklist.name, str(exc))
-            return
-        try:
-            run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
-            await self._body_and_cleanup(run, tasklist)
-        except Exception as exc:
-            # A fault of the controller itself (a failed artifact write, an
-            # engine bug) fails the node and is logged; no error mode applies.
-            ctx.outcomes[node] = NodeState.FAILED
-            detail = f"controller: {type(exc).__name__}: {exc}"
-            self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=detail)
+            try:
+                session = await self._enter_node(leaf, ctx)
+                run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
+                deadline = self._deadline(tasklist.timeout, ctx.stop_instant)
+                worst, _ = await self._run_tasks(run, tasklist, tasklist.tasks, deadline, ())
+                if worst is TaskOutcome.SUCCESS:
+                    state = NodeState.SUCCEEDED
+            except _DeadlineHit:
+                pass
+            except _Escalation as exc:
+                escalation, reason = exc.mode, f"on-error={exc.mode.value}"
+            except asyncio.CancelledError:
+                ctx.outcomes[node] = state = NodeState.ABORTED
+                if run is None or (self.panicked and not ctx.is_teardown):
+                    raise
+            except Exception as exc:
+                if run is not None:
+                    # a fault of the controller itself, outside any one task
+                    warning = f"controller: {type(exc).__name__}: {exc}"
+                elif isinstance(exc, asyncio.TimeoutError) and ctx.stop_instant is not None:
+                    warning = "stop time passed before execution began"
+                else:
+                    # No session (or the node name cannot name its artifact
+                    # directory): the node's first failure, subject to the
+                    # error mode; without a session no cleanup can run.
+                    warning, reason = f"session: {exc}", str(exc)
+                    escalation = None if ctx.is_teardown else tasklist.on_error
+            ctx.outcomes[node] = state
+            if warning:
+                self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=warning)
+            self._apply_escalation(escalation, ctx, node, tasklist.name, reason)
+            if (
+                run is not None
+                and tasklist.cleanup is not None
+                and (not self.panicked or ctx.is_teardown)
+            ):
+                await self._run_cleanup(run, tasklist.cleanup)
         finally:
-            session.lock.release()
+            if run is not None:
+                run.session.lock.release()
 
     def _enter_node(self, leaf: TargetDef, ctx: _StepContext) -> Awaitable[Session]:
         """Acquire the node session and its per-node execution lock,
@@ -517,33 +532,6 @@ class ExperimentRunner:
         await session.lock.acquire()
         return session
 
-    async def _body_and_cleanup(self, run: _NodeRun, governing: Tasklist) -> None:
-        ctx, node = run.ctx, run.leaf.name
-        deadline = self._deadline(governing.timeout, ctx.stop_instant)
-        escalation: ErrorMode | None = None
-        detail = ""
-        try:
-            worst, _ = await self._run_tasks(run, governing, governing.tasks, deadline, ())
-            state = NodeState.SUCCEEDED if worst is TaskOutcome.SUCCESS else NodeState.FAILED
-        except _DeadlineHit:
-            state = NodeState.FAILED
-        except _Escalation as exc:
-            state = NodeState.FAILED
-            escalation = exc.mode
-            detail = f"on-error={exc.mode.value}"
-        except asyncio.CancelledError:
-            ctx.outcomes[node] = NodeState.ABORTED
-            if self.panicked and not ctx.is_teardown:
-                raise
-            state = NodeState.ABORTED
-        ctx.outcomes[node] = state
-
-        self._apply_escalation(escalation, ctx, node, governing.name, detail)
-        if escalation is ErrorMode.PANIC:
-            return
-        if governing.cleanup is not None and (not self.panicked or ctx.is_teardown):
-            await self._run_cleanup(run, governing.cleanup)
-
     def _deadline(self, timeout: float | None, outer: float | None) -> float | None:
         """Now plus `timeout`, capped by the `outer` deadline; None bounds nothing."""
         if timeout is None:
@@ -552,8 +540,9 @@ class ExperimentRunner:
         return own if outer is None else min(outer, own)
 
     def _cancel_step_siblings(self, ctx: _StepContext, failing_node: str) -> None:
+        # A node whose tasklist has ended has its state; its cleanup runs on.
         for name, task in ctx.node_tasks.items():
-            if name != failing_node and not task.done():
+            if name != failing_node and ctx.outcomes[name] is NodeState.SKIPPED:
                 task.cancel()
 
     def _apply_escalation(
@@ -577,7 +566,7 @@ class ExperimentRunner:
         node = run.leaf.name
         try:
             session = await self.pool.acquire(run.leaf, self.limiter, self.clock)
-        except TransportError as exc:
+        except Exception as exc:
             detail = f"cleanup session: {exc}"
             self.emit(EventKind.WARNING, node, run.ctx.step_index, cleanup.name, detail=detail)
             return
@@ -637,10 +626,8 @@ class ExperimentRunner:
     ) -> tuple[TaskOutcome, bool]:
         if deadline is not None and self.clock.now() >= deadline:
             raise _DeadlineHit()
-        if isinstance(task, RunTask):
-            return await self._run_command(run, governing, task, deadline, path), False
-        if isinstance(task, (GetTask, PutTask)):
-            return await self._run_transfer(run, governing, task, path), False
+        if isinstance(task, (RunTask, GetTask, PutTask)):
+            return await self._run_leaf(run, governing, task, deadline, path), False
         if isinstance(task, SeqTask):
             worst, uncontained = await self._run_tasks(
                 run, governing, task.children, deadline, path
@@ -650,74 +637,63 @@ class ExperimentRunner:
             return await self._run_par(run, governing, task, deadline, path)
         return await self._run_call(run, task, deadline, path)
 
-    async def _run_command(
+    async def _run_leaf(
         self,
         run: _NodeRun,
         governing: Tasklist,
-        task: RunTask,
+        task: RunTask | GetTask | PutTask,
         deadline: float | None,
         path: tuple[int, ...],
     ) -> TaskOutcome:
+        """Run one command or transfer between its TaskStart and TaskEnd.
+
+        Whatever the session raises becomes the task's outcome here:
+        ConnectionLost for a closed session, Failed for any other transport
+        error, and Failed with a `controller:` detail for a fault of the
+        controller itself (a failed artifact write, say).
+        """
         node = run.leaf.name
-        label = None  # names the artifact files, so only a run directory needs one
-        if self.run_dir is not None:
-            label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
         step_index = run.ctx.step_index
-        self.emit(
-            EventKind.TASK_START, node, step_index, governing.name, path, f"run {task.command}"
-        )
+        if isinstance(task, RunTask):
+            verb, target = "run", task.command
+        elif isinstance(task, GetTask):
+            verb, target = "get", task.remote_path
+        else:
+            verb, target = "put", task.local_path
+        self.emit(EventKind.TASK_START, node, step_index, governing.name, path, f"{verb} {target}")
         artifacts: tuple[str, ...] = ()
         try:
-            result = await run.session.exec(task.command, run.env, deadline, artifact_label=label)
+            if isinstance(task, RunTask):
+                label = None  # names the artifact files, so only a run directory needs one
+                if self.run_dir is not None:
+                    label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
+                result = await run.session.exec(target, run.env, deadline, artifact_label=label)
+                outcome = result.outcome
+                detail = f"{outcome.value} exit={result.exit_code}"
+                if result.stdout_ref:
+                    artifacts = (result.stdout_ref, result.stderr_ref)
+                    detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
+            elif isinstance(task, GetTask):
+                destination = await run.session.fetch(target)
+                artifacts = (f"{node}/{destination.name}",)
+                outcome, detail = TaskOutcome.SUCCESS, f"Success artifact={artifacts[0]}"
+            else:
+                await run.session.push(target, target)
+                outcome, detail = TaskOutcome.SUCCESS, "Success"
         except SessionClosed:
             outcome = TaskOutcome.CONNECTION_LOST
             detail = outcome.value
-        else:
-            outcome = result.outcome
-            detail = f"{outcome.value} exit={result.exit_code}"
-            if result.stdout_ref:
-                artifacts = (result.stdout_ref, result.stderr_ref)
-                detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
+        except TransportError:
+            outcome = TaskOutcome.FAILED
+            detail = f"Failed {verb}={target}"
+        except Exception as exc:
+            outcome = TaskOutcome.FAILED
+            detail = f"Failed controller: {type(exc).__name__}: {exc}"
         self.emit(
             EventKind.TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts
         )
         if outcome is TaskOutcome.TIMED_OUT:
             raise _DeadlineHit()
-        return outcome
-
-    async def _run_transfer(
-        self,
-        run: _NodeRun,
-        governing: Tasklist,
-        task: GetTask | PutTask,
-        path: tuple[int, ...],
-    ) -> TaskOutcome:
-        node = run.leaf.name
-        verb = "get" if isinstance(task, GetTask) else "put"
-        file_path = task.remote_path if isinstance(task, GetTask) else task.local_path
-        step_index = run.ctx.step_index
-        self.emit(
-            EventKind.TASK_START, node, step_index, governing.name, path, f"{verb} {file_path}"
-        )
-        outcome = TaskOutcome.SUCCESS
-        detail = "Success"
-        artifacts: tuple[str, ...] = ()
-        try:
-            if isinstance(task, GetTask):
-                destination = await run.session.fetch(task.remote_path)
-                artifacts = (f"{node}/{destination.name}",)
-                detail = f"Success artifact={artifacts[0]}"
-            else:
-                await run.session.push(task.local_path, task.local_path)
-        except SessionClosed:
-            outcome = TaskOutcome.CONNECTION_LOST
-            detail = TaskOutcome.CONNECTION_LOST.value
-        except TransportError:
-            outcome = TaskOutcome.FAILED
-            detail = f"Failed {verb}={file_path}"
-        self.emit(
-            EventKind.TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts
-        )
         return outcome
 
     async def _run_par(

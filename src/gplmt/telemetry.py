@@ -109,13 +109,16 @@ class EventLog:
     """In-memory event list, optionally mirrored to an events.jsonl file.
 
     record() is safe under concurrent callers; each event is written as one
-    whole line and flushed before the call returns.
+    whole line and flushed before the call returns. close() raises the
+    first SinkIoError again, so a log with a hole stays fatal even when
+    every later write succeeded.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._events: list[ExecutionEvent] = []
         self._lock = threading.Lock()
         self._handle = None
+        self._error: SinkIoError | None = None
         if path is not None:
             try:
                 self._handle = open(path, "w", encoding="utf-8")
@@ -130,7 +133,9 @@ class EventLog:
                     self._handle.write(event.to_json_line() + "\n")
                     self._handle.flush()
                 except OSError as exc:
-                    raise SinkIoError(str(exc)) from exc
+                    error = SinkIoError(str(exc))
+                    self._error = self._error or error
+                    raise error from exc
 
     def close(self) -> None:
         with self._lock:
@@ -139,7 +144,9 @@ class EventLog:
                 try:
                     handle.close()  # flushes again what a failed write left buffered
                 except OSError as exc:
-                    raise SinkIoError(str(exc)) from exc
+                    self._error = self._error or SinkIoError(str(exc))
+            if self._error is not None:
+                raise self._error
 
     @property
     def events(self) -> tuple[ExecutionEvent, ...]:

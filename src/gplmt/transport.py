@@ -13,6 +13,7 @@ import fnmatch
 import json
 import os
 import shlex
+import shutil
 import signal
 import tempfile
 from collections import deque
@@ -447,15 +448,19 @@ class SshTransport:
             "-n", "-N", "-f",
             self._destination,
         ]
-        proc = await asyncio.create_subprocess_exec(
-            *argv, stdout=asyncio.subprocess.PIPE, stderr=asyncio.subprocess.PIPE
-        )
-        _, stderr = await proc.communicate()
-        if proc.returncode != 0:
-            raise ConnectFailed(
-                f"ssh master for {self._destination} exited {proc.returncode}: "
-                + stderr.decode(errors="replace").strip()
+        try:
+            proc = await asyncio.create_subprocess_exec(
+                *argv, stdout=asyncio.subprocess.PIPE, stderr=asyncio.subprocess.PIPE
             )
+            _, stderr = await proc.communicate()
+            if proc.returncode != 0:
+                raise ConnectFailed(
+                    f"ssh master for {self._destination} exited {proc.returncode}: "
+                    + stderr.decode(errors="replace").strip()
+                )
+        except BaseException:
+            self._remove_control_dir()  # a failed session is never closed
+            raise
 
     async def exec(
         self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None
@@ -511,10 +516,17 @@ class SshTransport:
         if self._control_dir is None:
             return
         argv = self._base_argv() + ["-O", "exit", self._destination]
-        proc = await asyncio.create_subprocess_exec(
-            *argv, stdout=asyncio.subprocess.DEVNULL, stderr=asyncio.subprocess.DEVNULL
-        )
-        await proc.communicate()
+        try:
+            proc = await asyncio.create_subprocess_exec(
+                *argv, stdout=asyncio.subprocess.DEVNULL, stderr=asyncio.subprocess.DEVNULL
+            )
+            await proc.communicate()
+        finally:
+            self._remove_control_dir()
+
+    def _remove_control_dir(self) -> None:
+        shutil.rmtree(self._control_dir, ignore_errors=True)
+        self._control_dir = None
 
 
 # --------------------------------------------------------------------------

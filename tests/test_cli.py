@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 from pathlib import Path
@@ -513,6 +514,84 @@ def test_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, monkeypatch
         err = capsys.readouterr().err
         assert "gplmt: error: No space left on device" in err, healthy
         assert "Traceback" not in err, healthy
+
+
+class _OneShotFullHandle:
+    """A file handle whose `fail_at`-th write (counting from 0) raises ENOSPC
+    once; every other write goes through."""
+
+    def __init__(self, handle, fail_at):
+        self._handle = handle
+        self._writes = itertools.count()
+        self._fail_at = fail_at
+
+    def write(self, text):
+        if next(self._writes) == self._fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._handle.write(text)
+
+    def flush(self):
+        self._handle.flush()
+
+    def close(self):
+        self._handle.close()
+
+
+def test_one_shot_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, monkeypatch):
+    """A write that fails once leaves a hole in events.jsonl even when the
+    engine absorbs the error and every later write succeeds."""
+    fixture = str(FIXTURES / "listing1.xml")
+    assert main([fixture, "--dry-run", "--log-dir", str(tmp_path / "clean")]) == EXIT_COMPLETED
+    total = len((run_dir_of(tmp_path / "clean") / "events.jsonl").read_text().splitlines())
+    for position in range(total):
+
+        def event_log(path, position=position):
+            log = EventLog(path)
+            log._handle = _OneShotFullHandle(log._handle, position)
+            return log
+
+        monkeypatch.setattr(cli, "EventLog", event_log)
+        capsys.readouterr()
+        code = main([fixture, "--dry-run", "--log-dir", str(tmp_path / f"logs{position}")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, position
+        assert "gplmt: error: [Errno 28] No space left on device" in err, position
+        assert "Traceback" not in err, position
+
+
+def test_ssh_client_that_cannot_start_fails_the_node(tmp_path, capsys, monkeypatch):
+    """On the real clock a missing ssh client makes the connect raise an
+    OSError: a session failure of that node, not an error of the run."""
+    monkeypatch.setenv("GPLMT_SSH_CLIENT", str(tmp_path / "no-such-ssh"))
+    doc = """
+<experiment>
+ <targets>
+   <target name="both" type="group">
+     <target name="remote" type="ssh"><user>u</user><host>remote.example</host></target>
+     <target name="here" type="local" />
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="work"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="work" targets="both" />
+ </steps>
+</experiment>
+"""
+    path = write_doc(tmp_path, doc)
+    code = main([str(path), "--log-dir", str(tmp_path / "logs")])
+    assert code == EXIT_ERRORS
+    err = capsys.readouterr().err
+    assert "gplmt: overall: CompletedWithErrors" in err
+    assert "Traceback" not in err
+    report = json.loads((run_dir_of(tmp_path / "logs") / "report.json").read_text())
+    assert report["per_node_outcomes"] == {"here|work#s0": "Succeeded", "remote|work#s0": "Failed"}
+    events = [json.loads(line) for line in
+              (run_dir_of(tmp_path / "logs") / "events.jsonl").read_text().splitlines()]
+    warnings = [(e["node"], e["detail"]) for e in events if e["kind"] == "Warning"]
+    assert len(warnings) == 1 and warnings[0][0] == "remote"
+    assert warnings[0][1].startswith("session: ")
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")

@@ -13,6 +13,7 @@ import pytest
 
 import gplmt
 from gplmt.model import (
+    ErrorMode,
     Experiment,
     OverallStatus,
     RegisterTeardown,
@@ -486,6 +487,28 @@ def test_abort_step_cancels_sibling_nodes():
     assert len(all_indices(events, "TaskEnd", node="n2", tasklist="mayFail")) == 0
     assert len(all_indices(events, "TeardownEnd")) == 1
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
+def test_abort_step_leaves_a_finished_siblings_cleanup_running():
+    """n0's tasklist has ended and its one-second cleanup is running when n1
+    fails under abort-step: the cleanup runs to its TaskEnd."""
+    n0, n1 = TargetDef("n0", TargetKind.LOCAL), TargetDef("n1", TargetKind.LOCAL)
+    experiment = Experiment(
+        targets=(TargetDef("pair", TargetKind.GROUP, members=(n0, n1)),),
+        tasklists=(
+            Tasklist("t", (RunTask("a"), RunTask("b")), on_error=ErrorMode.ABORT_STEP, cleanup="c"),
+            Tasklist("c", (RunTask("c"),)),
+        ),
+        steps=StepsProgram((Step("t", "pair"),)),
+    )
+    script = MockScript.from_json(json.dumps({"nodes": {
+        "n0": {"rules": [{"pattern": "c", "duration": 1}]},
+        "n1": {"rules": [{"pattern": "b", "exit": 1}]},
+    }}))
+    report, events = dry_events(experiment, script)
+    cleanup = [(e["kind"], e["ts"]) for e in events if e.get("node") == "n0" and e.get("tasklist") == "c"]
+    assert cleanup == [("TaskStart", 0.0), ("TaskEnd", 1.0)]
+    assert report.per_node_outcomes == {"n0|t#s0": "Succeeded", "n1|t#s0": "Failed"}
 
 
 def test_panic_cancels_other_steps_but_teardowns_still_run():
@@ -1056,9 +1079,9 @@ def test_unsafe_node_name_fails_the_node_and_writes_nothing_outside(tmp_path):
 
 def test_controller_fault_fails_the_node_and_is_logged(tmp_path):
     """A file where n1's artifact directory belongs makes the controller's
-    own mkdir fail inside the exec. The node fails with a warning naming the
-    exception, its session lock is released (the teardown on n1 still
-    runs), and its sibling is untouched."""
+    own mkdir fail inside the exec. The task ends Failed with a TaskEnd
+    naming the exception, the node fails, its session lock is released (the
+    teardown on n1 still runs), and its sibling is untouched."""
     n1, n2 = TargetDef("n1", TargetKind.LOCAL), TargetDef("n2", TargetKind.LOCAL)
     experiment = Experiment(
         targets=(TargetDef("pair", TargetKind.GROUP, members=(n1, n2)),),
@@ -1075,12 +1098,67 @@ def test_controller_fault_fails_the_node_and_is_logged(tmp_path):
         "n2|t#s0": "Succeeded",
         "n1|fin#t0": "Failed",
     }
-    warnings = [(e.tasklist, e.detail) for e in report.events if e.kind.value == "Warning"]
-    assert [(tasklist, detail.split(":")[:2]) for tasklist, detail in warnings] == [
-        ("t", ["controller", " FileExistsError"]),
-        ("fin", ["controller", " FileExistsError"]),
+    assert [e for e in report.events if e.kind.value == "Warning"] == []
+    ends = [(e.tasklist, e.detail) for e in report.events if e.kind.value == "TaskEnd" and e.node == "n1"]
+    assert [(tasklist, detail.split(":")[:2]) for tasklist, detail in ends] == [
+        ("t", ["Failed controller", " FileExistsError"]),
+        ("fin", ["Failed controller", " FileExistsError"]),
     ]
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
+def _faulting_tasklist_run(tmp_path, on_error):
+    """Tasklist a, b with cleanup c on n1 and n2, and a file where n1's
+    artifact directory belongs, so every exec on n1 faults in the controller."""
+    n1, n2 = TargetDef("n1", TargetKind.LOCAL), TargetDef("n2", TargetKind.LOCAL)
+    experiment = Experiment(
+        targets=(TargetDef("pair", TargetKind.GROUP, members=(n1, n2)),),
+        tasklists=(
+            Tasklist("t", (RunTask("a"), RunTask("b")), on_error=on_error, cleanup="c"),
+            Tasklist("c", (RunTask("c"),)),
+        ),
+        steps=StepsProgram((Step("t", "pair"),)),
+    )
+    script = MockScript.from_json(json.dumps({"nodes": {"*": {"rules": [{"pattern": "*", "duration": 1}]}}}))
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "n1").write_text("in the way")
+    return dry_run(experiment, script, run_dir=run)
+
+
+def _node_timeline(events, node):
+    return [
+        (e.kind.value, e.tasklist, e.detail.split(":")[0])
+        for e in events
+        if e.node == node and e.kind.value in ("TaskStart", "TaskEnd", "Warning", "Panic")
+    ]
+
+
+def test_controller_fault_fails_the_task_under_abort_tasklist_and_the_cleanup_runs(tmp_path):
+    report = _faulting_tasklist_run(tmp_path, ErrorMode.ABORT_TASKLIST)
+    assert _node_timeline(report.events, "n1") == [
+        ("TaskStart", "t", "run a"),
+        ("TaskEnd", "t", "Failed controller"),
+        ("TaskStart", "c", "run c"),
+        ("TaskEnd", "c", "Failed controller"),
+        ("Warning", "c", "cleanup finished Failed"),
+    ]
+    assert [d for k, _, d in _node_timeline(report.events, "n2") if k == "TaskStart"] == [
+        "run a", "run b", "run c",
+    ]
+    assert report.per_node_outcomes == {"n1|t#s0": "Failed", "n2|t#s0": "Succeeded"}
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
+def test_controller_fault_under_panic_panics(tmp_path):
+    report = _faulting_tasklist_run(tmp_path, ErrorMode.PANIC)
+    assert _node_timeline(report.events, "n1") == [
+        ("TaskStart", "t", "run a"),
+        ("TaskEnd", "t", "Failed controller"),
+        ("Panic", "t", "on-error=panic"),
+    ]
+    assert report.per_node_outcomes == {"n1|t#s0": "Failed", "n2|t#s0": "Aborted"}
+    assert report.overall is OverallStatus.PANICKED
 
 
 def _traced_peak_of_parked_fanout(nodes: int) -> int:

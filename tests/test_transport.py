@@ -3,6 +3,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import tempfile
 import time
 
 import pytest
@@ -729,6 +730,28 @@ def test_ssh_fetch_and_push_use_the_channel(fake_ssh, tmp_path):
     asyncio.run(scenario())
     assert (tmp_path / "fetched.bin").read_bytes() == payload
     assert (tmp_path / "pushed.bin").read_bytes() == payload[::-1]
+
+
+@pytest.mark.parametrize("connect_exit", ["0", "1"])
+def test_ssh_leaves_no_control_directory_behind(fake_ssh, tmp_path, monkeypatch, connect_exit):
+    """The master's control directory goes with the session: on close after
+    a connect, and at once when the connect fails (such a session is never
+    closed)."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setenv("FAKE_SSH_CONNECT_EXIT", connect_exit)
+    transport = SshTransport(ssh_target(), RealClock())
+
+    async def scenario():
+        if connect_exit != "0":
+            with pytest.raises(ConnectFailed):
+                await transport.connect()
+            return
+        await transport.connect()
+        assert list(tmp_path.glob("gplmt-cm-*"))
+        await transport.close()
+
+    asyncio.run(scenario())
+    assert list(tmp_path.glob("gplmt-cm-*")) == []
 
 
 # --- factory selection ---
