@@ -146,7 +146,12 @@ class Clock:
 
 
 class VirtualClock(Clock):
-    """Reads the running virtual loop; wall time starts at the Unix epoch."""
+    """Reads the running virtual loop; wall time starts at the Unix epoch.
+
+    While run_experiment drives a loop of its own, the clock is bound to it:
+    now() is then that loop's time(), without asking asyncio for the
+    running loop on every read. Hence one clock serves one run at a time.
+    """
 
     def now(self) -> float:
         return asyncio.get_running_loop().time()
@@ -169,6 +174,17 @@ class RealClock(Clock):
 
 # --------------------------------------------------------------------------
 # engine
+
+
+# Bound once: on CPython 3.11 every `EnumClass.MEMBER` read goes through the
+# enum metaclass's attribute hook, several times the cost of a plain read,
+# and these are read on every node, task or event.
+_SUCCESS = TaskOutcome.SUCCESS
+_TIMED_OUT = TaskOutcome.TIMED_OUT
+_NODE_SUCCEEDED, _NODE_FAILED = NodeState.SUCCEEDED, NodeState.FAILED
+_NODE_SKIPPED = NodeState.SKIPPED
+_TASK_START, _TASK_END = EventKind.TASK_START, EventKind.TASK_END
+_new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
 
 
 class _PanicSignal(Exception):
@@ -214,13 +230,15 @@ class _StepContext:
     node_tasks: dict[str, asyncio.Task] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _NodeRun:
     """What every task of one node's execution shares; a cleanup runs under
     a copy with its own session and the artifact label prefix "c".
 
     `contained` marks a teardown or cleanup: every tasklist it runs, callees
-    included, runs as abort-tasklist.
+    included, runs as abort-tasklist. `faulted` is set when the controller
+    itself faulted in one of its tasks, a callee's cleanup included. Not
+    frozen: a frozen dataclass sets each field through object.__setattr__.
     """
 
     session: Session
@@ -229,6 +247,7 @@ class _NodeRun:
     ctx: _StepContext
     contained: bool
     label_prefix: str = ""
+    faulted: bool = field(default=False, init=False)
 
 
 class ExperimentRunner:
@@ -275,10 +294,10 @@ class ExperimentRunner:
         artifacts: tuple[str, ...] = (),
     ) -> None:
         self.log.record(
-            ExecutionEvent(
+            _new_tuple(ExecutionEvent, (
                 self.clock.now(), kind, node, step_index, tasklist, task_path, detail,
                 outcomes, artifacts,
-            )
+            ))
         )
 
     def _emit_connection(self, kind: EventKind, node: str, detail: str) -> None:
@@ -294,14 +313,16 @@ class ExperimentRunner:
             artifact_root=self.run_dir,
             reconnect_budget=self.reconnect_budget,
         )
-        self.emit(EventKind.EXPERIMENT_START)
         try:
-            await self.execute_steps_block(self.experiment.steps.items)
-        except (_PanicSignal, asyncio.CancelledError):
-            pass
-        await self._drain_step_tasks()
-        await self.drain_teardowns()
-        await self.pool.close_all()
+            self.emit(EventKind.EXPERIMENT_START)
+            try:
+                await self.execute_steps_block(self.experiment.steps.items)
+            except (_PanicSignal, asyncio.CancelledError):
+                pass
+            await self._drain_step_tasks()
+            await self.drain_teardowns()
+        finally:
+            await self.pool.close_all()  # also when a failing sink ends the run
 
         # ExperimentEnd changes neither the status nor the summary, so the
         # report is rendered once and only its event tuple is replaced.
@@ -438,14 +459,14 @@ class ExperimentRunner:
             )
             self.emit(end, step_index=ctx.step_index, tasklist=tasklist.name)
             return
-        ctx.outcomes = {leaf.name: NodeState.SKIPPED for leaf, _ in leaves}
+        ctx.outcomes = {leaf.name: _NODE_SKIPPED for leaf, _ in leaves}
         for leaf, env in leaves:
             ctx.node_tasks[leaf.name] = asyncio.create_task(
                 self.execute_tasklist(tasklist, leaf, env, ctx)
             )
         await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
         outcomes = tuple(sorted(ctx.outcomes.items()))
-        detail = " ".join(f"{node}={state.value}" for node, state in outcomes)
+        detail = " ".join(f"{node}={state._value_}" for node, state in outcomes)
         self.emit(
             end, step_index=ctx.step_index, tasklist=tasklist.name, detail=detail, outcomes=outcomes
         )
@@ -467,7 +488,7 @@ class ExperimentRunner:
         """
         node = leaf.name
         run: _NodeRun | None = None
-        state = NodeState.FAILED
+        state = _NODE_FAILED
         warning = reason = ""
         escalation: ErrorMode | None = None
         try:
@@ -476,8 +497,8 @@ class ExperimentRunner:
                 run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
                 deadline = self._deadline(tasklist.timeout, ctx.stop_instant)
                 worst, _ = await self._run_tasks(run, tasklist, tasklist.tasks, deadline, ())
-                if worst is TaskOutcome.SUCCESS:
-                    state = NodeState.SUCCEEDED
+                if worst is _SUCCESS:
+                    state = _NODE_SUCCEEDED
             except _DeadlineHit:
                 pass
             except _Escalation as exc:
@@ -501,13 +522,17 @@ class ExperimentRunner:
             ctx.outcomes[node] = state
             if warning:
                 self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=warning)
-            self._apply_escalation(escalation, ctx, node, tasklist.name, reason)
+            if escalation is not None:
+                self._apply_escalation(escalation, ctx, node, tasklist.name, reason)
             if (
                 run is not None
                 and tasklist.cleanup is not None
                 and (not self.panicked or ctx.is_teardown)
+                and await self._run_cleanup(run, tasklist.cleanup)
+                and state is _NODE_SUCCEEDED
             ):
-                await self._run_cleanup(run, tasklist.cleanup)
+                # the controller faulted in the cleanup; an aborted node stays Aborted
+                ctx.outcomes[node] = _NODE_FAILED
         finally:
             if run is not None:
                 run.session.lock.release()
@@ -542,11 +567,11 @@ class ExperimentRunner:
     def _cancel_step_siblings(self, ctx: _StepContext, failing_node: str) -> None:
         # A node whose tasklist has ended has its state; its cleanup runs on.
         for name, task in ctx.node_tasks.items():
-            if name != failing_node and ctx.outcomes[name] is NodeState.SKIPPED:
+            if name != failing_node and ctx.outcomes[name] is _NODE_SKIPPED:
                 task.cancel()
 
     def _apply_escalation(
-        self, mode: ErrorMode | None, ctx: _StepContext, node: str, tasklist: str, detail: str
+        self, mode: ErrorMode, ctx: _StepContext, node: str, tasklist: str, detail: str
     ) -> None:
         if mode is ErrorMode.PANIC:
             self.trigger_panic(node, tasklist, detail, ctx.step_task)
@@ -554,13 +579,14 @@ class ExperimentRunner:
         elif mode is ErrorMode.ABORT_STEP:
             self._cancel_step_siblings(ctx, node)
 
-    async def _run_cleanup(self, run: _NodeRun, cleanup_ref: str) -> None:
+    async def _run_cleanup(self, run: _NodeRun, cleanup_ref: str) -> bool:
         """Run a cleanup tasklist to completion on the same node.
 
         Cleanups are contained: effective mode abort-tasklist, bounded by
         their own timeout only, and their own cleanup attribute does not
         chain further. A lost session is re-acquired first; failures are
-        logged and never escalate.
+        logged and never escalate. Returns whether the controller itself
+        faulted in one of its tasks, a callee's cleanup included.
         """
         cleanup = self.tasklists[cleanup_ref]
         node = run.leaf.name
@@ -569,21 +595,17 @@ class ExperimentRunner:
         except Exception as exc:
             detail = f"cleanup session: {exc}"
             self.emit(EventKind.WARNING, node, run.ctx.step_index, cleanup.name, detail=detail)
-            return
+            return False
+        cleanup_run = _NodeRun(session, run.leaf, run.env, run.ctx, True, "c")
         deadline = self._deadline(cleanup.timeout, None)
         try:
-            worst, _ = await self._run_tasks(
-                replace(run, session=session, contained=True, label_prefix="c"),
-                cleanup,
-                cleanup.tasks,
-                deadline,
-                (),
-            )
+            worst, _ = await self._run_tasks(cleanup_run, cleanup, cleanup.tasks, deadline, ())
         except _DeadlineHit:
-            worst = TaskOutcome.TIMED_OUT
-        if worst is not TaskOutcome.SUCCESS:
+            worst = _TIMED_OUT
+        if worst is not _SUCCESS:
             detail = f"cleanup finished {worst.value}"
             self.emit(EventKind.WARNING, node, run.ctx.step_index, cleanup.name, detail=detail)
+        return cleanup_run.faulted
 
     # -- task trees ------------------------------------------------------
 
@@ -602,14 +624,14 @@ class ExperimentRunner:
         contained run (teardown or cleanup) takes as abort-tasklist; failures
         already absorbed by a callee's own mode only taint the outcome.
         """
-        worst = TaskOutcome.SUCCESS
+        worst = _SUCCESS
         uncontained = False
         for index, task in enumerate(tasks):
             outcome, contained = await self._run_one(
                 run, governing, task, deadline, path + (index,)
             )
             worst = _worse(worst, outcome)
-            if outcome is not TaskOutcome.SUCCESS and not contained:
+            if outcome is not _SUCCESS and not contained:
                 uncontained = True
                 if governing.on_error is not ErrorMode.ABORT_TASKLIST and not run.contained:
                     raise _Escalation(governing.on_error)
@@ -632,7 +654,7 @@ class ExperimentRunner:
             worst, uncontained = await self._run_tasks(
                 run, governing, task.children, deadline, path
             )
-            return worst, not uncontained and worst is not TaskOutcome.SUCCESS
+            return worst, not uncontained and worst is not _SUCCESS
         if isinstance(task, ParTask):
             return await self._run_par(run, governing, task, deadline, path)
         return await self._run_call(run, task, deadline, path)
@@ -660,7 +682,7 @@ class ExperimentRunner:
             verb, target = "get", task.remote_path
         else:
             verb, target = "put", task.local_path
-        self.emit(EventKind.TASK_START, node, step_index, governing.name, path, f"{verb} {target}")
+        self.emit(_TASK_START, node, step_index, governing.name, path, f"{verb} {target}")
         artifacts: tuple[str, ...] = ()
         try:
             if isinstance(task, RunTask):
@@ -669,17 +691,17 @@ class ExperimentRunner:
                     label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
                 result = await run.session.exec(target, run.env, deadline, artifact_label=label)
                 outcome = result.outcome
-                detail = f"{outcome.value} exit={result.exit_code}"
+                detail = f"{outcome._value_} exit={result.exit_code}"
                 if result.stdout_ref:
                     artifacts = (result.stdout_ref, result.stderr_ref)
                     detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
             elif isinstance(task, GetTask):
                 destination = await run.session.fetch(target)
                 artifacts = (f"{node}/{destination.name}",)
-                outcome, detail = TaskOutcome.SUCCESS, f"Success artifact={artifacts[0]}"
+                outcome, detail = _SUCCESS, f"Success artifact={artifacts[0]}"
             else:
                 await run.session.push(target, target)
-                outcome, detail = TaskOutcome.SUCCESS, "Success"
+                outcome, detail = _SUCCESS, "Success"
         except SessionClosed:
             outcome = TaskOutcome.CONNECTION_LOST
             detail = outcome.value
@@ -689,10 +711,9 @@ class ExperimentRunner:
         except Exception as exc:
             outcome = TaskOutcome.FAILED
             detail = f"Failed controller: {type(exc).__name__}: {exc}"
-        self.emit(
-            EventKind.TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts
-        )
-        if outcome is TaskOutcome.TIMED_OUT:
+            run.faulted = True
+        self.emit(_TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts)
+        if outcome is _TIMED_OUT:
             raise _DeadlineHit()
         return outcome
 
@@ -768,8 +789,12 @@ class ExperimentRunner:
             if exc.mode is ErrorMode.PANIC:
                 raise
             reraise = exc
-        if worst is not TaskOutcome.SUCCESS and callee.cleanup is not None:
-            await self._run_cleanup(run, callee.cleanup)
+        if (
+            worst is not _SUCCESS
+            and callee.cleanup is not None
+            and await self._run_cleanup(run, callee.cleanup)
+        ):
+            run.faulted = True
         if reraise is not None:
             raise reraise
         if worst is not TaskOutcome.SUCCESS:
@@ -820,7 +845,6 @@ def run_experiment(
     own_log = event_log is None
     if event_log is None:
         event_log = EventLog(run_dir / "events.jsonl" if run_dir is not None else None)
-    loop = VirtualTimeEventLoop() if isinstance(clock, VirtualClock) else asyncio.new_event_loop()
     runner = ExperimentRunner(
         experiment,
         transport_factory,
@@ -830,10 +854,16 @@ def run_experiment(
         run_dir=run_dir,
         reconnect_budget=reconnect_budget,
     )
+    virtual = isinstance(clock, VirtualClock)
+    loop = VirtualTimeEventLoop() if virtual else asyncio.new_event_loop()
+    if virtual:
+        clock.now = loop.time  # bound while this loop runs; see VirtualClock
     try:
         return loop.run_until_complete(runner.run())
     finally:
         loop.close()
+        if virtual:
+            del clock.now
         if own_log:
             event_log.close()
 

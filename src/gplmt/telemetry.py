@@ -126,6 +126,11 @@ class EventLog:
                 raise SinkIoError(str(exc)) from exc
 
     def record(self, event: ExecutionEvent) -> None:
+        if self._handle is None:
+            # No lock: a log without a file never gains one, and a single
+            # list append is atomic.
+            self._events.append(event)
+            return
         with self._lock:
             self._events.append(event)
             if self._handle is not None:
@@ -197,6 +202,12 @@ def node_artifact_dir(run_dir: str | Path, node: str) -> Path:
     return directory
 
 
+# Bound once, not per event: on CPython 3.11 every `EventKind.MEMBER` read
+# goes through the enum metaclass's attribute hook.
+_TASK_END, _STEP_END, _TEARDOWN_END = EventKind.TASK_END, EventKind.STEP_END, EventKind.TEARDOWN_END
+_WARNING, _PANIC = EventKind.WARNING, EventKind.PANIC
+
+
 def render_report(
     events: tuple[ExecutionEvent, ...] | list[ExecutionEvent],
 ) -> tuple[ExperimentReport, str]:
@@ -220,24 +231,24 @@ def render_report(
 
     for event in events:
         kind = event.kind
-        if kind is EventKind.TASK_END:
+        if kind is _TASK_END:
             for ref in event.artifacts:
                 artifacts[ref] = None
             continue
-        if kind is EventKind.STEP_END:
+        if kind is _STEP_END:
             suffix = f"s{event.step_index}"
             step_lines.append(f"  step {event.step_index} {event.tasklist}: {event.detail}")
-        elif kind is EventKind.TEARDOWN_END:
+        elif kind is _TEARDOWN_END:
             suffix = f"t{len(teardown_lines)}"
             teardown_lines.append(f"  {event.tasklist}: {event.detail}")
         else:
-            if kind is EventKind.WARNING:
+            if kind is _WARNING:
                 warning_lines.append(f"  t={event.timestamp:g} {event.detail}")
-            elif kind is EventKind.PANIC:
+            elif kind is _PANIC:
                 panicked = True
             continue
         for node, state in event.outcomes:
-            outcomes[f"{node}|{event.tasklist}#{suffix}"] = state.value
+            outcomes[f"{node}|{event.tasklist}#{suffix}"] = state._value_
             failed = failed or state in ERROR_NODE_STATES
 
     if panicked:

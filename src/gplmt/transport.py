@@ -74,6 +74,15 @@ class SessionState(enum.Enum):
     CLOSED = "Closed"
 
 
+# Bound once: on CPython 3.11 every `EnumClass.MEMBER` read goes through the
+# enum metaclass's attribute hook, and these are read on every acquire or
+# command.
+_CONNECTED, _LOST = SessionState.CONNECTED, SessionState.LOST
+_SUCCESS, _FAILED = TaskOutcome.SUCCESS, TaskOutcome.FAILED
+_CONNECT_ATTEMPT, _CONNECT_SUCCESS = EventKind.CONNECT_ATTEMPT, EventKind.CONNECT_SUCCESS
+_new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
+
+
 @dataclass(frozen=True)
 class RateLimiterConfig:
     """At most max_attempts connection attempts per sliding interval."""
@@ -149,7 +158,7 @@ class Session:
         return self._artifact_dir
 
     def _require_connected(self) -> None:
-        if self.state is not SessionState.CONNECTED:
+        if self.state is not _CONNECTED:
             raise SessionClosed(f"session to {self.node} is {self.state.value}")
 
     def mark_lost(self) -> None:
@@ -186,10 +195,10 @@ class Session:
         elif output.timed_out:
             outcome = TaskOutcome.TIMED_OUT
         elif output.exit_code == 0:
-            outcome = TaskOutcome.SUCCESS
+            outcome = _SUCCESS
         else:
-            outcome = TaskOutcome.FAILED
-        return TaskResult(output.exit_code, stdout_ref, stderr_ref, outcome)
+            outcome = _FAILED
+        return _new_tuple(TaskResult, (output.exit_code, stdout_ref, stderr_ref, outcome))
 
     async def fetch(self, remote_path: str) -> Path:
         """Copy a node-side file into `<artifact_root>/<node>/<basename>`."""
@@ -256,11 +265,15 @@ class SessionPool:
         """
         if target.kind is TargetKind.GROUP:
             raise ValueError(f"cannot open a session to group {target.name!r}")
-        async with self._creation_lock(target.name):
+        # acquire/release rather than `async with`, as in RateLimiter.wait:
+        # two coroutine objects fewer per node
+        lock = self._creation_lock(target.name)
+        await lock.acquire()
+        try:
             session = self._sessions.get(target.name)
-            if session is not None and session.state is SessionState.CONNECTED:
+            if session is not None and session.state is _CONNECTED:
                 return session
-            if session is not None and session.state is SessionState.LOST:
+            if session is not None and session.state is _LOST:
                 return await self._reconnect_locked(session, limiter, clock)
             if session is None:
                 if self.artifact_root is not None:
@@ -270,11 +283,13 @@ class SessionPool:
                 self._sessions[target.name] = session
             await limiter.wait()
             session.connect_count += 1
-            self.emit(EventKind.CONNECT_ATTEMPT, session.node, f"attempt={session.connect_count}")
+            self.emit(_CONNECT_ATTEMPT, session.node, f"attempt={session.connect_count}")
             await session.transport.connect()
-            session.state = SessionState.CONNECTED
-            self.emit(EventKind.CONNECT_SUCCESS, session.node, f"attempt={session.connect_count}")
+            session.state = _CONNECTED
+            self.emit(_CONNECT_SUCCESS, session.node, f"attempt={session.connect_count}")
             return session
+        finally:
+            lock.release()
 
     async def reconnect(self, session: Session, limiter: RateLimiter, clock) -> Session:
         async with self._creation_lock(session.node):

@@ -4,6 +4,7 @@ import argparse
 import errno
 import itertools
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -557,6 +558,54 @@ def test_one_shot_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, mo
         assert code == EXIT_USAGE, position
         assert "gplmt: error: [Errno 28] No space left on device" in err, position
         assert "Traceback" not in err, position
+
+
+class _FullFromHandle(_OneShotFullHandle):
+    """A file handle whose every write from the `fail_at`-th on raises ENOSPC."""
+
+    def write(self, text):
+        if next(self._writes) >= self._fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._handle.write(text)
+
+
+def test_a_sink_that_keeps_failing_still_closes_the_ssh_sessions(
+    tmp_path, capsys, monkeypatch, fake_ssh
+):
+    """Every event write from the ninth on fails, after both ssh sessions
+    are up. The run exits 1 and leaves no ssh control directory behind."""
+    control_root = tmp_path / "tmp"
+    control_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(control_root))
+    doc = """
+<experiment>
+ <targets>
+   <target name="both" type="group">
+     <target name="a" type="ssh"><user>u</user><host>a.example</host></target>
+     <target name="b" type="ssh"><user>u</user><host>b.example</host></target>
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="work"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="work" targets="both" />
+ </steps>
+</experiment>
+"""
+
+    def event_log(path):
+        log = EventLog(path)
+        log._handle = _FullFromHandle(log._handle, 8)
+        return log
+
+    monkeypatch.setattr(cli, "EventLog", event_log)
+    code = main([str(write_doc(tmp_path, doc)), "--log-dir", str(tmp_path / "logs")])
+    assert code == EXIT_USAGE
+    assert "gplmt: error: [Errno 28] No space left on device" in capsys.readouterr().err
+    logged = (run_dir_of(tmp_path / "logs") / "events.jsonl").read_text().splitlines()
+    assert [json.loads(line)["kind"] for line in logged].count("ConnectSuccess") == 2
+    assert list(control_root.iterdir()) == []
 
 
 def test_ssh_client_that_cannot_start_fails_the_node(tmp_path, capsys, monkeypatch):

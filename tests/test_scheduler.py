@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import asyncio
+import errno
 import gc
+import itertools
 import json
 import os
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -1159,6 +1162,76 @@ def test_controller_fault_under_panic_panics(tmp_path):
     ]
     assert report.per_node_outcomes == {"n1|t#s0": "Failed", "n2|t#s0": "Aborted"}
     assert report.overall is OverallStatus.PANICKED
+
+
+@pytest.mark.parametrize("fault", ["controller", "exit"])
+def test_only_a_controller_fault_in_a_cleanup_fails_the_node(tmp_path, fault):
+    """n1 runs t = <run>a</run> with cleanup c, and a succeeds. When c's
+    first artifact write (the run's third) raises ENOSPC, the controller
+    faulted: the node fails and the run ends with errors. When c merely
+    exits non-zero, that stays a Warning and the node keeps its state."""
+    experiment = Experiment(
+        targets=(TargetDef("n1", TargetKind.LOCAL),),
+        tasklists=(Tasklist("t", (RunTask("a"),), cleanup="c"), Tasklist("c", (RunTask("c"),))),
+        steps=StepsProgram((Step("t", "n1"),)),
+    )
+    rule = {"pattern": "c", "exit": 1 if fault == "exit" else 0}
+    script = MockScript.from_json(json.dumps({"nodes": {"*": {"rules": [rule]}}}))
+    real_write_bytes = Path.write_bytes
+    writes = itertools.count()
+
+    def write_bytes(path, data):
+        if next(writes) == 2 and fault == "controller":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_bytes(path, data)
+
+    with mock.patch.object(Path, "write_bytes", write_bytes):
+        report = dry_run(experiment, script, run_dir=tmp_path / "run")
+
+    cleanup_end = next(e for e in report.events if e.kind.value == "TaskEnd" and e.tasklist == "c")
+    warnings = [e.detail for e in report.events if e.kind.value == "Warning"]
+    assert warnings == ["cleanup finished Failed"]
+    if fault == "controller":
+        assert cleanup_end.detail == "Failed controller: OSError: [Errno 28] No space left on device"
+        assert report.per_node_outcomes == {"n1|t#s0": "Failed"}
+        assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+    else:
+        assert cleanup_end.detail.startswith("Failed exit=1 ")
+        assert report.per_node_outcomes == {"n1|t#s0": "Succeeded"}
+        assert report.overall is OverallStatus.COMPLETED
+
+
+def test_a_controller_fault_in_a_cleanup_leaves_an_aborted_node_aborted(tmp_path):
+    """n1's failure under abort-step cancels n2 in the middle of its command;
+    n2's cleanup then faults in the controller. n2 stays Aborted, the state
+    that accounts for its unfinished command, and the run ends with errors."""
+    n1, n2 = TargetDef("n1", TargetKind.LOCAL), TargetDef("n2", TargetKind.LOCAL)
+    experiment = Experiment(
+        targets=(TargetDef("pair", TargetKind.GROUP, members=(n1, n2)),),
+        tasklists=(
+            Tasklist("t", (RunTask("a"),), on_error=ErrorMode.ABORT_STEP, cleanup="c"),
+            Tasklist("c", (RunTask("c"),)),
+        ),
+        steps=StepsProgram((Step("t", "pair"),)),
+    )
+    script = MockScript.from_json(json.dumps({"nodes": {
+        "n1": {"rules": [{"pattern": "a", "exit": 1, "duration": 1}]},
+        "n2": {"rules": [{"pattern": "a", "duration": 5}]},
+    }}))
+    real_write_bytes = Path.write_bytes
+
+    def write_bytes(path, data):
+        if path.parent.name == "n2" and path.name.startswith("stdout-c"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_bytes(path, data)
+
+    with mock.patch.object(Path, "write_bytes", write_bytes):
+        report = dry_run(experiment, script, run_dir=tmp_path / "run")
+
+    faulted = [e for e in report.events if e.kind.value == "TaskEnd" and "controller:" in e.detail]
+    assert [(e.node, e.tasklist) for e in faulted] == [("n2", "c")]
+    assert report.per_node_outcomes == {"n1|t#s0": "Failed", "n2|t#s0": "Aborted"}
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
 
 
 def _traced_peak_of_parked_fanout(nodes: int) -> int:
