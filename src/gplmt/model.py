@@ -263,6 +263,8 @@ def iter_target_defs(target: TargetDef) -> Iterator[TargetDef]:
 
 
 def _merge_env(outer: EnvPairs, inner: EnvPairs) -> EnvPairs:
+    if not inner:
+        return outer  # shared by every leaf below, not copied per leaf
     merged = dict(outer)
     merged.update(inner)  # inner wins; first-seen key order is kept
     return tuple(merged.items())

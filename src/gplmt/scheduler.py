@@ -101,16 +101,7 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
     def __init__(self):
         self._vtime = 0.0
         super().__init__(selector=_VirtualSelector(self))
-
-    @property
-    def _clock_resolution(self):
-        # Must scale with the magnitude of the clock: at large virtual times
-        # one float ulp exceeds a fixed resolution and timers would starve.
-        return max(1e-9, 4.0 * math.ulp(self._vtime))
-
-    @_clock_resolution.setter
-    def _clock_resolution(self, value):
-        pass  # the base constructor assigns it; the property stays in charge
+        self._clock_resolution = 1e-9  # replaces the base's; _advance keeps it current
 
     def time(self):
         return self._vtime
@@ -123,6 +114,10 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
             self._vtime = max(self._vtime, heap[0]._when)
         else:
             self._vtime += timeout
+        # Must scale with the magnitude of the clock: at large virtual times
+        # one float ulp exceeds a fixed resolution and timers would starve.
+        # Time moves only here, so the resolution is set only here.
+        self._clock_resolution = max(1e-9, 4.0 * math.ulp(self._vtime))
 
 
 class Clock:
@@ -184,6 +179,7 @@ _TIMED_OUT = TaskOutcome.TIMED_OUT
 _NODE_SUCCEEDED, _NODE_FAILED = NodeState.SUCCEEDED, NodeState.FAILED
 _NODE_SKIPPED = NodeState.SKIPPED
 _TASK_START, _TASK_END = EventKind.TASK_START, EventKind.TASK_END
+_LEAF_TASKS = (RunTask, GetTask, PutTask)
 _new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
 
 
@@ -279,6 +275,7 @@ class ExperimentRunner:
         self.limiter: RateLimiter | None = None
         self._step_counter = itertools.count()
         self._all_step_tasks: list[asyncio.Task] = []
+        self._shared: dict = {}  # see _share
 
     # -- event helpers ------------------------------------------------------
 
@@ -300,8 +297,11 @@ class ExperimentRunner:
             ))
         )
 
-    def _emit_connection(self, kind: EventKind, node: str, detail: str) -> None:
-        self.emit(kind, node, detail=detail)
+    def _share(self, value):
+        """The run's first object equal to `value`: an event field that
+        repeats across nodes (a task path, a TaskStart or TaskEnd detail)
+        is then held once per run, not once per node."""
+        return self._shared.setdefault(value, value)
 
     # -- top level ------------------------------------------------------
 
@@ -309,7 +309,7 @@ class ExperimentRunner:
         self.limiter = RateLimiter(self.limiter_config, self.clock)
         self.pool = SessionPool(
             self.transport_factory,
-            emit=self._emit_connection,
+            emit=self.emit,
             artifact_root=self.run_dir,
             reconnect_budget=self.reconnect_budget,
         )
@@ -493,7 +493,14 @@ class ExperimentRunner:
         escalation: ErrorMode | None = None
         try:
             try:
-                session = await self._enter_node(leaf, ctx)
+                if ctx.stop_instant is None:
+                    session = await self.pool.acquire(leaf, self.limiter, self.clock)
+                    await session.lock.acquire()
+                else:
+                    remaining = ctx.stop_instant - self.clock.now()
+                    if remaining <= 0:
+                        raise asyncio.TimeoutError()
+                    session = await asyncio.wait_for(self._acquire_node(leaf), remaining)
                 run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
                 deadline = self._deadline(tasklist.timeout, ctx.stop_instant)
                 worst, _ = await self._run_tasks(run, tasklist, tasklist.tasks, deadline, ())
@@ -537,22 +544,10 @@ class ExperimentRunner:
             if run is not None:
                 run.session.lock.release()
 
-    def _enter_node(self, leaf: TargetDef, ctx: _StepContext) -> Awaitable[Session]:
-        """Acquire the node session and its per-node execution lock,
-        bounded by the step's stop time.
-
-        A plain method returning the awaitable, so that a node parked on the
-        rate limiter holds one coroutine frame fewer; it raises TimeoutError
-        itself when the stop time has already passed.
-        """
-        if ctx.stop_instant is None:
-            return self._acquire_node(leaf)
-        remaining = ctx.stop_instant - self.clock.now()
-        if remaining <= 0:
-            raise asyncio.TimeoutError()
-        return asyncio.wait_for(self._acquire_node(leaf), remaining)
-
     async def _acquire_node(self, leaf: TargetDef) -> Session:
+        """Acquire the node session, then its per-node execution lock, as
+        one awaitable for a stop time's wait_for. Without a stop time
+        execute_tasklist awaits both itself: one frame fewer per parked node."""
         session = await self.pool.acquire(leaf, self.limiter, self.clock)
         await session.lock.acquire()
         return session
@@ -627,8 +622,9 @@ class ExperimentRunner:
         worst = _SUCCESS
         uncontained = False
         for index, task in enumerate(tasks):
-            outcome, contained = await self._run_one(
-                run, governing, task, deadline, path + (index,)
+            child = self._run_leaf if isinstance(task, _LEAF_TASKS) else self._run_one
+            outcome, contained = await child(
+                run, governing, task, deadline, self._share(path + (index,))
             )
             worst = _worse(worst, outcome)
             if outcome is not _SUCCESS and not contained:
@@ -642,14 +638,13 @@ class ExperimentRunner:
         self,
         run: _NodeRun,
         governing: Tasklist,
-        task: Task,
+        task: SeqTask | ParTask | CallTask,
         deadline: float | None,
         path: tuple[int, ...],
     ) -> tuple[TaskOutcome, bool]:
+        """Run a seq, par or call construct; leaves go to _run_leaf."""
         if deadline is not None and self.clock.now() >= deadline:
             raise _DeadlineHit()
-        if isinstance(task, (RunTask, GetTask, PutTask)):
-            return await self._run_leaf(run, governing, task, deadline, path), False
         if isinstance(task, SeqTask):
             worst, uncontained = await self._run_tasks(
                 run, governing, task.children, deadline, path
@@ -666,14 +661,17 @@ class ExperimentRunner:
         task: RunTask | GetTask | PutTask,
         deadline: float | None,
         path: tuple[int, ...],
-    ) -> TaskOutcome:
-        """Run one command or transfer between its TaskStart and TaskEnd.
+    ) -> tuple[TaskOutcome, bool]:
+        """Run one command or transfer between its TaskStart and TaskEnd;
+        returns (outcome, False), as _run_one does for an uncontained task.
 
         Whatever the session raises becomes the task's outcome here:
         ConnectionLost for a closed session, Failed for any other transport
         error, and Failed with a `controller:` detail for a fault of the
         controller itself (a failed artifact write, say).
         """
+        if deadline is not None and self.clock.now() >= deadline:
+            raise _DeadlineHit()
         node = run.leaf.name
         step_index = run.ctx.step_index
         if isinstance(task, RunTask):
@@ -682,7 +680,8 @@ class ExperimentRunner:
             verb, target = "get", task.remote_path
         else:
             verb, target = "put", task.local_path
-        self.emit(_TASK_START, node, step_index, governing.name, path, f"{verb} {target}")
+        detail = self._share(f"{verb} {target}")
+        self.emit(_TASK_START, node, step_index, governing.name, path, detail)
         artifacts: tuple[str, ...] = ()
         try:
             if isinstance(task, RunTask):
@@ -691,7 +690,7 @@ class ExperimentRunner:
                     label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
                 result = await run.session.exec(target, run.env, deadline, artifact_label=label)
                 outcome = result.outcome
-                detail = f"{outcome._value_} exit={result.exit_code}"
+                detail = self._share(f"{outcome._value_} exit={result.exit_code}")
                 if result.stdout_ref:
                     artifacts = (result.stdout_ref, result.stderr_ref)
                     detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
@@ -715,7 +714,7 @@ class ExperimentRunner:
         self.emit(_TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts)
         if outcome is _TIMED_OUT:
             raise _DeadlineHit()
-        return outcome
+        return outcome, False
 
     async def _run_par(
         self,
@@ -732,7 +731,11 @@ class ExperimentRunner:
         winning, so parallel work is never torn down halfway by a sibling.
         """
         children = [
-            asyncio.create_task(self._run_one(run, governing, child, deadline, path + (index,)))
+            asyncio.create_task(
+                (self._run_leaf if isinstance(child, _LEAF_TASKS) else self._run_one)(
+                    run, governing, child, deadline, self._share(path + (index,))
+                )
+            )
             for index, child in enumerate(task.children)
         ]
         results = await asyncio.gather(*children, return_exceptions=True)

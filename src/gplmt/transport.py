@@ -19,6 +19,7 @@ import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import TargetDef, TargetKind, TaskOutcome, TaskResult
 from .telemetry import (
@@ -128,9 +129,11 @@ class RateLimiter:
             self._lock.release()
 
 
-@dataclass
-class ExecOutput:
-    """Raw transport result, before artifact capture and classification."""
+class ExecOutput(NamedTuple):
+    """Raw transport result, before artifact capture and classification.
+
+    Immutable, so one output can be shared: the mock builds one per rule.
+    """
 
     exit_code: int
     stdout: bytes = b""
@@ -141,6 +144,9 @@ class ExecOutput:
 
 class Session:
     """One control connection to a node; all commands tunnel through it."""
+
+    __slots__ = ("node", "state", "connect_count", "transport", "clock", "pool", "lock",
+                 "_artifact_dir")
 
     def __init__(self, node: str, transport, clock, pool: SessionPool):
         self.node = node
@@ -243,10 +249,17 @@ class SessionPool:
         self._emit = emit
         self._sessions: dict[str, Session] = {}
         self._node_locks: dict[str, asyncio.Lock] = {}
+        self._attempt_details: dict[str, str] = {}  # one "attempt=N" per N and run
 
     def emit(self, kind: EventKind, node: str, detail: str) -> None:
         if self._emit is not None:
-            self._emit(kind, node, detail)
+            self._emit(kind, node, detail=detail)
+
+    def _next_attempt(self, session: Session) -> str:
+        """Count one more connection attempt; returns its event detail."""
+        session.connect_count += 1
+        detail = f"attempt={session.connect_count}"
+        return self._attempt_details.setdefault(detail, detail)
 
     def session_for(self, node: str) -> Session | None:
         return self._sessions.get(node)
@@ -278,15 +291,18 @@ class SessionPool:
             if session is None:
                 if self.artifact_root is not None:
                     _safe_component(target.name)
+                # A factory error costs no permit; the session is built only
+                # once the permit is granted, so a parked node holds none.
                 transport = self.transport_factory(target)
-                session = Session(target.name, transport, clock, self)
-                self._sessions[target.name] = session
-            await limiter.wait()
-            session.connect_count += 1
-            self.emit(_CONNECT_ATTEMPT, session.node, f"attempt={session.connect_count}")
+                await limiter.wait()
+                session = self._sessions[target.name] = Session(target.name, transport, clock, self)
+            else:
+                await limiter.wait()  # a session whose first connect failed
+            detail = self._next_attempt(session)
+            self.emit(_CONNECT_ATTEMPT, session.node, detail)
             await session.transport.connect()
             session.state = _CONNECTED
-            self.emit(_CONNECT_SUCCESS, session.node, f"attempt={session.connect_count}")
+            self.emit(_CONNECT_SUCCESS, session.node, detail)
             return session
         finally:
             lock.release()
@@ -306,14 +322,14 @@ class SessionPool:
                 await clock.sleep(delay)
                 delay = min(delay * DEFAULT_RECONNECT_FACTOR, DEFAULT_RECONNECT_CAP)
             await limiter.wait()
-            session.connect_count += 1
-            self.emit(EventKind.CONNECT_ATTEMPT, session.node, f"attempt={session.connect_count}")
+            detail = self._next_attempt(session)
+            self.emit(_CONNECT_ATTEMPT, session.node, detail)
             try:
                 await session.transport.connect()
             except ConnectFailed:
                 continue
-            session.state = SessionState.CONNECTED
-            self.emit(EventKind.CONNECT_SUCCESS, session.node, f"attempt={session.connect_count}")
+            session.state = _CONNECTED
+            self.emit(_CONNECT_SUCCESS, session.node, detail)
             return session
         raise RetriesExhausted(
             f"gave up reconnecting to {session.node} after {self.reconnect_budget} attempts"
@@ -492,7 +508,7 @@ class SshTransport:
         )
         output = await _collect(proc, deadline, self.clock)
         if output.exit_code == 255 and not output.timed_out:
-            output.connection_lost = True  # the client's own "connection failed" code
+            return output._replace(connection_lost=True)  # the client's "connection failed" code
         return output
 
     async def fetch(self, remote_path: str, destination: Path) -> None:
@@ -560,6 +576,8 @@ class MockRule:
 
 
 _NO_RULE = MockRule(pattern="*")  # what an unmatched command does
+_TIMED_OUT_OUTPUT = ExecOutput(-15, b"", b"", timed_out=True)
+_LOST_OUTPUT = ExecOutput(-1, b"", b"", connection_lost=True)
 
 
 @dataclass
@@ -570,20 +588,22 @@ class MockNodeScript:
     connect_failures: int = 0
     lose_connection_at: tuple[float, ...] = ()
     files: dict[str, bytes] = field(default_factory=dict)
-    # Each command's first matching rule. The script is shared by every
-    # node it scripts, so each distinct command is matched only once.
-    _matches: dict[str, MockRule] = field(
+    # Each command's first matching rule and the output it yields. The
+    # script is shared by every node it scripts, so each distinct command
+    # is matched, and its output encoded, only once.
+    _matches: dict[str, tuple[MockRule, ExecOutput]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def rule_for(self, command: str) -> MockRule:
-        rule = self._matches.get(command)
-        if rule is None:
+    def rule_for(self, command: str) -> tuple[MockRule, ExecOutput]:
+        match = self._matches.get(command)
+        if match is None:
             rule = next(
                 (r for r in self.rules if fnmatch.fnmatchcase(command, r.pattern)), _NO_RULE
             )
-            self._matches[command] = rule
-        return rule
+            output = ExecOutput(rule.exit_code, rule.stdout.encode(), rule.stderr.encode())
+            match = self._matches[command] = (rule, output)
+        return match
 
 
 @dataclass
@@ -604,10 +624,6 @@ class MockScript:
     _unscripted: MockNodeScript = field(
         default_factory=MockNodeScript, init=False, repr=False, compare=False
     )
-
-    @classmethod
-    def empty(cls) -> MockScript:
-        return cls()
 
     @classmethod
     def from_json(cls, text: str) -> MockScript:
@@ -647,14 +663,21 @@ class MockScript:
 
 
 class MockTransport:
-    """In-memory node driven by a MockScript; all I/O is virtual."""
+    """In-memory node driven by a MockScript; all I/O is virtual.
+
+    `files` is the node script's own dict, shared with every node it
+    scripts, until the first push gives this node a copy.
+    """
+
+    __slots__ = ("target", "clock", "script", "strict_files", "files",
+                 "_connect_failures_left", "_next_loss", "_ever_connected")
 
     def __init__(self, target: TargetDef, clock, script: MockScript):
         self.target = target
         self.clock = clock
         self.script = script.node_script(target.name)
         self.strict_files = script.strict_files
-        self.files: dict[str, bytes] = dict(self.script.files)
+        self.files: dict[str, bytes] = self.script.files
         self._connect_failures_left = self.script.connect_failures
         self._next_loss = 0  # index of the first loss instant not yet passed
         self._ever_connected = False
@@ -675,7 +698,7 @@ class MockTransport:
     async def exec(
         self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None
     ) -> ExecOutput:
-        rule = self.script.rule_for(command)
+        rule, output = self.script.rule_for(command)
         start = self.clock.now()
         natural_end = start + rule.duration
 
@@ -688,13 +711,13 @@ class MockTransport:
 
         if deadline is not None and deadline < natural_end and (loss_at is None or deadline < loss_at):
             await self.clock.sleep(deadline - start)
-            return ExecOutput(-15, b"", b"", timed_out=True)
+            return _TIMED_OUT_OUTPUT
         if loss_at is not None:
             self._next_loss += 1
             await self.clock.sleep(loss_at - start)
-            return ExecOutput(-1, b"", b"", connection_lost=True)
+            return _LOST_OUTPUT
         await self.clock.sleep(rule.duration)
-        return ExecOutput(rule.exit_code, rule.stdout.encode(), rule.stderr.encode())
+        return output
 
     async def fetch(self, remote_path: str, destination: Path) -> None:
         if remote_path in self.files:
@@ -706,6 +729,8 @@ class MockTransport:
         _write_atomic(destination, data)
 
     async def push(self, local_path: Path, remote_path: str) -> None:
+        if self.files is self.script.files:
+            self.files = dict(self.files)  # this node's first push
         self.files[remote_path] = local_path.read_bytes()
 
     async def close(self) -> None:
@@ -718,7 +743,7 @@ def make_transport_factory(clock, mock_script: MockScript | None = None, force_m
     PlanetLab targets must be expanded to ssh leaves before execution, so
     the factory refuses them.
     """
-    script = mock_script or MockScript.empty()
+    script = mock_script or MockScript()
 
     def factory(target: TargetDef):
         if force_mock:

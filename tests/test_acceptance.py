@@ -225,7 +225,8 @@ def test_file_round_trip(tmp_path):
 
     # mock transport: push up, fetch back, plus a two-node filename clash
     clash = {"n1": b"from n1", "n2": b"from n2"}
-    script = MockScript(nodes={})
+    files = {node: {"files": {"data.bin": content.decode()}} for node, content in clash.items()}
+    script = MockScript.from_json(json.dumps({"nodes": files}))
     clock = VirtualClock()
     factory = make_transport_factory(clock, script, force_mock=True)
     pool = SessionPool(factory, artifact_root=tmp_path / "mock-artifacts")
@@ -233,10 +234,9 @@ def test_file_round_trip(tmp_path):
 
     async def mock_side():
         fetched = {}
-        for node, content in clash.items():
+        for node in clash:
             target = TargetDef(name=node, kind=TargetKind.SSH, ssh_user="u", ssh_host=node)
             session = await pool.acquire(target, limiter, clock)
-            session.transport.files["data.bin"] = content
             fetched[node] = await session.fetch("data.bin")
         n1 = pool.session_for("n1")
         await n1.push(local, "/remote/payload.bin")
@@ -287,7 +287,7 @@ def test_scale_smoke(load_xml):
 </experiment>
 """)
     clock = RealClock()
-    factory = make_transport_factory(clock, MockScript.empty(), force_mock=True)
+    factory = make_transport_factory(clock, MockScript(), force_mock=True)
     log = EventLog()
     started = time.monotonic()
     report = run_experiment(experiment, factory, clock, event_log=log)

@@ -43,7 +43,7 @@ def mock_node(name="alpha"):
 
 def mock_pool(script=None, emit=None, artifact_root=None, reconnect_budget=8):
     clock = VirtualClock()
-    factory = make_transport_factory(clock, script or MockScript.empty(), force_mock=True)
+    factory = make_transport_factory(clock, script or MockScript(), force_mock=True)
     pool = SessionPool(factory, emit=emit, artifact_root=artifact_root,
                        reconnect_budget=reconnect_budget)
     return pool, clock
@@ -317,7 +317,7 @@ def test_mock_push_then_fetch_round_trip(tmp_path):
     source = tmp_path / "in.bin"
     payload = bytes(range(256)) * 8
     source.write_bytes(payload)
-    transport = MockTransport(mock_node(), VirtualClock(), MockScript.empty())
+    transport = MockTransport(mock_node(), VirtualClock(), MockScript())
 
     async def scenario():
         await transport.connect()
@@ -326,6 +326,50 @@ def test_mock_push_then_fetch_round_trip(tmp_path):
 
     run_virtual(scenario())
     assert (tmp_path / "back.bin").read_bytes() == payload
+
+
+def test_mock_push_stays_on_its_node(tmp_path):
+    # n1 and n2 both match "*" and so share one node script and its files
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"from n1")
+    script = MockScript.from_json(
+        '{"nodes": {"*": {"files": {"/seed": "seed"}}}, "strict_files": true}')
+    clock = VirtualClock()
+    n1, n2 = (MockTransport(mock_node(name), clock, script) for name in ("n1", "n2"))
+
+    async def scenario():
+        await n1.push(source, "/remote/data.bin")
+        await n1.fetch("/remote/data.bin", tmp_path / "n1.bin")
+        await n2.fetch("/seed", tmp_path / "n2-seed.bin")
+        with pytest.raises(RemoteFileMissing):
+            await n2.fetch("/remote/data.bin", tmp_path / "n2.bin")
+
+    run_virtual(scenario())
+    assert (tmp_path / "n1.bin").read_bytes() == b"from n1"
+    assert (tmp_path / "n2-seed.bin").read_bytes() == b"seed"
+    assert script.node_script("n3").files == {"/seed": b"seed"}
+
+
+def test_mock_nodes_sharing_a_rule_keep_equal_outputs():
+    # n1 times out and n2 loses its connection on the rule both match;
+    # the outputs that rule yields afterwards are still equal and intact
+    script = MockScript.from_json(
+        '{"nodes": {"*": {"rules": [{"pattern": "*", "exit": 3, "duration": 2,'
+        ' "stdout": "out", "stderr": "err"}], "lose_connection_at": [1.0]}}}')
+    clock = VirtualClock()
+    n1, n2 = (MockTransport(mock_node(name), clock, script) for name in ("n1", "n2"))
+
+    async def scenario():
+        cut = await n1.exec("job", (), 0.5)
+        lost = await n2.exec("job", (), None)
+        return cut, lost, await n1.exec("job", (), None), await n2.exec("job", (), None)
+
+    cut, lost, after_cut, after_loss = run_virtual(scenario())
+    assert (cut.timed_out, cut.connection_lost) == (True, False)
+    assert (lost.timed_out, lost.connection_lost) == (False, True)
+    assert after_cut == after_loss
+    assert (after_cut.exit_code, after_cut.stdout, after_cut.stderr) == (3, b"out", b"err")
+    assert (after_cut.timed_out, after_cut.connection_lost) == (False, False)
 
 
 # --- sessions ---
@@ -471,7 +515,7 @@ def test_session_close_is_terminal():
 
 def test_pool_reuses_connection_per_node():
     events = []
-    pool, clock = mock_pool(emit=lambda k, n, d: events.append((k, n, d)))
+    pool, clock = mock_pool(emit=lambda k, n, detail: events.append((k, n, detail)))
 
     async def scenario():
         first = await pool.acquire(mock_node(), unlimited(), clock)
@@ -509,7 +553,7 @@ def test_pool_refuses_group_targets():
 
 def test_pool_acquire_reconnects_lost_sessions():
     events = []
-    pool, clock = mock_pool(emit=lambda k, n, d: events.append(k))
+    pool, clock = mock_pool(emit=lambda k, n, detail: events.append(k))
 
     async def scenario():
         session = await pool.acquire(mock_node(), unlimited(), clock)
