@@ -80,7 +80,7 @@ class BadTimeSpecError(ValueError):
     """Text is neither an ISO-8601 duration nor an RFC-3339 timestamp."""
 
 
-@dataclass
+@dataclass(slots=True)
 class XmlNode:
     """One element of a parsed document, carrying its source location."""
 
@@ -97,11 +97,17 @@ class XmlNode:
         return (self.document, self.line, self.column)
 
 
+# The deepest element nesting a document may have, the root counting as
+# level 1. Lowering and the engine recurse once per level, so a limit here
+# keeps hostile input from exhausting the interpreter's stack.
+MAX_NESTING_DEPTH = 100
+
+
 def parse_document(path: str | Path) -> XmlNode:
     """Parse one XML file into an XmlNode tree.
 
-    Raises ParseFailure carrying an IoError or XmlSyntax diagnostic; never
-    returns a partial tree.
+    Raises ParseFailure carrying an IoError, XmlSyntax or NestingTooDeep
+    diagnostic; never returns a partial tree.
     """
     path = Path(path)
     document = str(path)
@@ -113,18 +119,25 @@ def parse_document(path: str | Path) -> XmlNode:
         ) from exc
 
     parser = expat.ParserCreate()
+    # One callback per run of text: expat flushes the buffer before every
+    # element event, so each run still lands in the element it belongs to.
+    parser.buffer_text = True
     root: XmlNode | None = None
     stack: list[XmlNode] = []
 
     def start_element(tag: str, attrs: dict[str, str]) -> None:
         nonlocal root
-        node = XmlNode(
-            tag,
-            attrs,
-            document=document,
-            line=parser.CurrentLineNumber,
-            column=parser.CurrentColumnNumber + 1,
-        )
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+        if len(stack) >= MAX_NESTING_DEPTH:
+            raise ParseFailure(
+                Diagnostic(
+                    Severity.ERROR,
+                    "NestingTooDeep",
+                    f"element {tag!r} nests deeper than {MAX_NESTING_DEPTH} levels",
+                    (document, line, column),
+                )
+            )
+        node = XmlNode(tag, attrs, "", [], document, line, column)
         if stack:
             stack[-1].children.append(node)
         else:
@@ -309,7 +322,16 @@ def parse_timespec(text: str) -> TimeSpec:
     )
 
 
-_TARGET_KINDS = {kind.value: kind for kind in TargetKind}
+_LOCAL, _SSH = TargetKind.LOCAL, TargetKind.SSH
+_PLANETLAB, _GROUP = TargetKind.PLANETLAB, TargetKind.GROUP
+# Each target type's kind and the child elements it takes.
+_TARGET_TYPES = {
+    "local": (_LOCAL, frozenset({"export-env"})),
+    "ssh": (_SSH, frozenset({"user", "username", "password", "host", "export-env"})),
+    "planetlab": (_PLANETLAB, frozenset({"password", "export-env"})),
+    "group": (_GROUP, frozenset({"target", "export-env"})),
+}
+_CONNECTION_TAGS = frozenset({"user", "username", "password", "host"})
 _ERROR_MODES = {mode.value: mode for mode in ErrorMode}
 
 
@@ -401,15 +423,11 @@ class _Validator:
             self._check_no_text(node)
             items = self._lower_steps_items(node.children)
 
-        documents: dict[str, None] = {}
-
-        def visit(node: XmlNode) -> None:
-            if node.document:
-                documents.setdefault(node.document)
-            for child in node.children:
-                visit(child)
-
-        visit(root)
+        # Includes splice whole top-level subtrees, and every element of a
+        # subtree comes from its top element's document.
+        documents = dict.fromkeys(
+            node.document for node in (root, *root.children) if node.document
+        )
         return Experiment(
             targets=tuple(self.top_targets),
             tasklists=tuple(self.tasklist_order),
@@ -425,14 +443,20 @@ class _Validator:
         allowed: tuple[str, ...],
         required: tuple[str, ...] = (),
     ) -> dict[str, str]:
-        ok = set(allowed) | set(required)
-        for attr in node.attrs:
-            if attr not in ok:
+        """Report unknown and missing attributes; return the known ones:
+        ``node.attrs`` itself unless one had to be dropped, so read-only."""
+        attrs = node.attrs
+        known = attrs
+        for attr in attrs:
+            if attr not in allowed and attr not in required:
                 self.err(node, "UnknownAttribute", f"{node.tag} does not take attribute {attr!r}")
+                known = None
         for attr in required:
-            if attr not in node.attrs:
+            if attr not in attrs:
                 self.err(node, "MissingAttribute", f"{node.tag} requires attribute {attr!r}")
-        return {k: v for k, v in node.attrs.items() if k in ok}
+        if known is None:
+            return {k: v for k, v in attrs.items() if k in allowed or k in required}
+        return known
 
     def _check_no_text(self, node: XmlNode) -> None:
         if node.text.strip():
@@ -464,15 +488,16 @@ class _Validator:
         if "type" not in node.attrs:
             return self._lower_member_reference(node, inside_group, name)
 
-        kind = _TARGET_KINDS.get(node.attrs["type"])
-        if kind is None:
+        target_type = _TARGET_TYPES.get(node.attrs["type"])
+        if target_type is None:
             self.err(
                 node,
                 "BadAttributeValue",
                 f"target type must be one of local, ssh, planetlab, group; found {node.attrs['type']!r}",
             )
             return None
-        if kind is TargetKind.PLANETLAB:
+        kind, allowed_children = target_type
+        if kind is _PLANETLAB:
             attrs = self._check_attrs(
                 node, allowed=("name", "type"), required=("api-url", "slice", "user")
             )
@@ -485,7 +510,7 @@ class _Validator:
         except ArtifactPathError:
             self.err(node, "BadAttributeValue", f"target name {name!r} is not a safe directory name")
 
-        fields = self._lower_target_children(node, kind)
+        fields = self._lower_target_children(node, kind, allowed_children)
         target = self._build_target(node, kind, name, attrs, fields)
         if target is None:
             return None
@@ -514,19 +539,12 @@ class _Validator:
         return referenced
 
     def _lower_target_children(
-        self, node: XmlNode, kind: TargetKind
+        self, node: XmlNode, kind: TargetKind, allowed_children: frozenset[str]
     ) -> dict[str, object]:
-        allowed_children = {
-            TargetKind.LOCAL: ("export-env",),
-            TargetKind.SSH: ("user", "username", "password", "host", "export-env"),
-            TargetKind.PLANETLAB: ("password", "export-env"),
-            TargetKind.GROUP: ("target", "export-env"),
-        }[kind]
-        connection_tags = {"user", "username", "password", "host"}
         fields: dict[str, object] = {"env": [], "members": []}
         for child in node.children:
             if child.tag not in allowed_children:
-                if child.tag in connection_tags or child.tag == "target":
+                if child.tag in _CONNECTION_TAGS or child.tag == "target":
                     self.err(
                         child,
                         "BadTargetDef",
@@ -564,9 +582,9 @@ class _Validator:
         fields: dict[str, object],
     ) -> TargetDef | None:
         env = tuple(fields["env"])
-        if kind is TargetKind.LOCAL:
+        if kind is _LOCAL:
             return TargetDef(name, kind, env_exports=env)
-        if kind is TargetKind.SSH:
+        if kind is _SSH:
             user = fields.get("user") or None
             host = fields.get("host") or None
             if not user or not host:
@@ -580,7 +598,7 @@ class _Validator:
                 ssh_host=host,
                 env_exports=env,
             )
-        if kind is TargetKind.PLANETLAB:
+        if kind is _PLANETLAB:
             if not ("api-url" in attrs and "slice" in attrs and "user" in attrs):
                 return None
             return TargetDef(

@@ -8,16 +8,18 @@ for tests and demos without a real federation.
 """
 from __future__ import annotations
 
-import http.client
+import operator
 import re
 import socket
 import threading
-import xmlrpc.client
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
-from xmlrpc.server import SimpleXMLRPCServer
 
 from .model import Experiment, TargetDef, TargetKind
+
+# The XML-RPC and HTTP modules (the server pulls in http.server, socketserver
+# and pydoc) are imported where they are used: a run that never contacts a
+# slice API does not load them. asyncio loads socket and threading anyway.
 
 BOOT_STATE_LIVE = "boot"
 
@@ -66,6 +68,9 @@ def list_slice_nodes(
     Returns an empty list when the slice exists but has no nodes, or when
     the API does not know the slice at all.
     """
+    import http.client
+    import xmlrpc.client
+
     auth = _auth_struct(user, credential)
     proxy = xmlrpc.client.ServerProxy(api_url, allow_none=True)
     try:
@@ -134,21 +139,18 @@ def expand_planetlab_target(
     """
     members = []
     seen: set[str] = set()
+    prefix, ssh, slice_user = f"{target.name}:", TargetKind.SSH, target.planetlab_slice
     for record in records:
         if record.boot_state != BOOT_STATE_LIVE and not include_non_boot:
             continue
-        if len(record.hostname) > 253 or not _HOSTNAME_RE.fullmatch(record.hostname):
-            raise MalformedResponse(f"slice node hostname {record.hostname!r} is not a host name")
-        if record.hostname in seen:
+        hostname = record.hostname
+        if len(hostname) > 253 or not _HOSTNAME_RE.fullmatch(hostname):
+            raise MalformedResponse(f"slice node hostname {hostname!r} is not a host name")
+        if hostname in seen:
             continue
-        seen.add(record.hostname)
+        seen.add(hostname)
         members.append(
-            TargetDef(
-                name=f"{target.name}:{record.hostname}",
-                kind=TargetKind.SSH,
-                ssh_user=target.planetlab_slice,
-                ssh_host=record.hostname,
-            )
+            TargetDef(name=prefix + hostname, kind=ssh, ssh_user=slice_user, ssh_host=hostname)
         )
     return TargetDef(
         name=target.name,
@@ -170,7 +172,8 @@ def expand_experiment(
 
     `fetch` is called as fetch(api_url, user, credential, slice_name); pass
     None to expand offline into empty groups (dry runs never touch the
-    network). Nested planetlab members inside groups are expanded too.
+    network). Nested planetlab members inside groups are expanded too; a
+    group none of whose members changed is kept as it is.
     """
 
     def rebuild(t: TargetDef) -> TargetDef:
@@ -186,7 +189,9 @@ def expand_experiment(
                 )
             return expand_planetlab_target(t, records, include_non_boot)
         if t.members:
-            return replace(t, members=tuple(rebuild(m) for m in t.members))
+            members = tuple(map(rebuild, t.members))
+            if any(map(operator.is_not, members, t.members)):
+                return replace(t, members=members)
         return t
 
     return replace(experiment, targets=tuple(rebuild(t) for t in experiment.targets))
@@ -222,6 +227,8 @@ class FakePlanetLabApi:
         nodes: Iterable[tuple[str, str]],
         user: str = "user@example.org",
     ):
+        from xmlrpc.server import SimpleXMLRPCServer
+
         self.slice_name = slice_name
         self.password = password
         self.user = user
@@ -260,6 +267,8 @@ class FakePlanetLabApi:
         self.stop()
 
     def _check_auth(self, auth) -> None:
+        import xmlrpc.client
+
         ok = (
             isinstance(auth, dict)
             and auth.get("AuthMethod") == "password"

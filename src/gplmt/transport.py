@@ -336,8 +336,13 @@ class SessionPool:
         )
 
     async def close_all(self) -> None:
+        """Close every session, then forget them and their locks: sessions
+        point back at the pool, which the runner holds in a cycle, so only
+        this lets refcounting free them when the run ends."""
         for session in self._sessions.values():
             await session.close()
+        self._sessions = {}
+        self._node_locks = {}
 
     def live_sessions(self) -> list[Session]:
         return [s for s in self._sessions.values() if s.state is SessionState.CONNECTED]

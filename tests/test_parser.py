@@ -23,6 +23,7 @@ from gplmt.model import (
     audit,
 )
 from gplmt.parser import (
+    MAX_NESTING_DEPTH,
     BadTimeSpecError,
     Severity,
     XmlNode,
@@ -531,6 +532,82 @@ def test_parser_output_always_passes_audit(tmp_path):
         exp, diags = load_experiment(fixture_path(fixture))
         assert exp is not None and diags == []
         assert audit(exp) == []
+
+
+def nested_groups_doc(depth: int) -> str:
+    """One line; its deepest element, a local leaf, sits at `depth`."""
+    groups = depth - 3
+    opens = "".join(f'<target name="g{i}" type="group">' for i in range(groups))
+    return (
+        f'<experiment><targets>{opens}<target name="leaf" type="local"/>'
+        f'{"</target>" * groups}</targets>'
+        '<tasklists><tasklist name="t"><run>true</run></tasklist></tasklists>'
+        '<steps><step tasklist="t" targets="g0"/></steps></experiment>'
+    )
+
+
+def nested_seqs_doc(depth: int) -> str:
+    """One line; its deepest element, a run task, sits at `depth`."""
+    seqs = depth - 4
+    return (
+        '<experiment><targets><target name="n" type="local"/></targets>'
+        f'<tasklists><tasklist name="t">{"<seq>" * seqs}<run>true</run>{"</seq>" * seqs}'
+        '</tasklist></tasklists>'
+        '<steps><step tasklist="t" targets="n"/></steps></experiment>'
+    )
+
+
+GROUPS_1200 = nested_groups_doc(1203)
+SEQS_1200 = nested_seqs_doc(1204)
+
+
+@pytest.mark.parametrize(
+    "doc,offset",  # offset: where the first element below the limit starts
+    [
+        (GROUPS_1200, GROUPS_1200.index(f'<target name="g{MAX_NESTING_DEPTH - 2}"')),
+        (SEQS_1200, SEQS_1200.index("<seq>") + len("<seq>") * (MAX_NESTING_DEPTH - 3)),
+    ],
+    ids=["groups", "seqs"],
+)
+def test_nesting_beyond_the_limit_is_one_diagnostic(tmp_path, capsys, doc, offset):
+    # Without the limit, 1,200 levels overflow the stack while lowering.
+    path = tmp_path / "deep.xml"
+    path.write_text(doc, encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is None
+    assert [(d.severity, d.code, d.location) for d in diags] == [
+        (Severity.ERROR, "NestingTooDeep", (str(path), 1, offset + 1))
+    ]
+
+    from gplmt.cli import EXIT_USAGE, main
+
+    assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "NestingTooDeep" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [nested_groups_doc, nested_seqs_doc], ids=["groups", "seqs"])
+def test_nesting_at_the_limit_loads_and_dry_runs(tmp_path, doc):
+    from gplmt.cli import EXIT_COMPLETED, main
+
+    path = tmp_path / "deep.xml"
+    path.write_text(doc(MAX_NESTING_DEPTH), encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is not None and diags == []
+    assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_COMPLETED
+
+
+def test_buffered_text_keeps_every_run_of_character_data(tmp_path):
+    # Entities, CDATA and a run longer than expat's text buffer each reach
+    # the handler in pieces; the task text must be their exact join.
+    long_arg = "x" * 20000
+    xml = VALID.replace(
+        "<run>true</run>",
+        f"<run> echo a &amp; b<![CDATA[ <c> ]]>&#65; {long_arg}\n</run>",
+    )
+    exp, diags = check(tmp_path, xml)
+    assert diags == []
+    assert exp.tasklists[0].tasks == (RunTask(f"echo a & b <c> A {long_arg}"),)
 
 
 @pytest.mark.parametrize("fixture", ["listing1.xml", "fanout_rate_limit.xml"])

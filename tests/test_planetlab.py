@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import xmlrpc.client
 from xmlrpc.server import SimpleXMLRPCServer
 
 import pytest
 
+import gplmt
 from gplmt.model import TargetDef, TargetKind, audit
 from gplmt.planetlab import (
     ApiUnreachable,
@@ -146,6 +150,19 @@ def test_expand_experiment_rewrites_nested_planetlab_targets(load_xml):
     assert [m.name for m in inner.members] == [
         "inner:a.example.org", "inner:c.example.org"]
     assert planetlab_target_names(expanded) == []
+
+
+def test_expand_experiment_keeps_groups_without_slices(load_xml):
+    experiment = load_xml(PL_DOC.replace(
+        '<export-env var="REGION" value="eu" />',
+        '<export-env var="REGION" value="eu" />'
+        '<target name="static" type="group"><target name="ctl" /></target>',
+    ))
+    expanded = expand_experiment(experiment, lambda *request: THREE_HOSTS)
+    before, after = experiment.target_map(), expanded.target_map()
+    assert after["ctl"] is before["ctl"]
+    assert after["mixed"] is not before["mixed"]  # its slice member was expanded
+    assert after["mixed"].members[0] is before["static"]
 
 
 def test_expand_experiment_offline_yields_empty_groups(load_xml):
@@ -305,3 +322,17 @@ def test_expanded_slice_runs_on_its_leaves(load_xml):
     dry_run(expanded, event_log=log)
     ran_on = {e.node for e in log.events if e.kind.value == "TaskStart"}
     assert ran_on == {"testbed:a.example.org", "testbed:c.example.org"}
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # A run that never contacts a slice API should not pay for importing
+    # the XML-RPC server, which pulls in http.server, socketserver and pydoc.
+    src = os.path.dirname(os.path.dirname(gplmt.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, gplmt.cli; "
+        "print(sorted(m for m in ('xmlrpc.server', 'http.client', 'pydoc') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

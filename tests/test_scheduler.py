@@ -1352,3 +1352,41 @@ def test_a_failing_transport_factory_costs_no_connect_permit():
     assert warnings == [("n1", "session: no transport for n1")]
     attempts = [(e.node, e.timestamp) for e in log.events if e.kind.value == "ConnectAttempt"]
     assert attempts == [("n2", 0.0)]
+
+
+def test_a_finished_run_frees_its_transports_without_the_collector(monkeypatch):
+    """Sessions point back at the pool, which the runner holds in a cycle;
+    closing the pool must let refcounting free them as the run returns."""
+    import weakref
+
+    from gplmt import transport
+
+    class WeakMockTransport(transport.MockTransport):
+        __slots__ = ("__weakref__",)
+
+    built = []
+
+    def record(*args):
+        node = WeakMockTransport(*args)
+        built.append(weakref.ref(node))
+        return node
+
+    monkeypatch.setattr(transport, "MockTransport", record)
+    leaves = tuple(
+        TargetDef(name, TargetKind.SSH, ssh_user="u", ssh_host=f"{name}.example")
+        for name in ("n1", "n2")
+    )
+    experiment = Experiment(
+        targets=(TargetDef("fleet", TargetKind.GROUP, members=leaves),),
+        tasklists=(Tasklist("t", (RunTask("true"),)),),
+        steps=StepsProgram((Step("t", "fleet"),)),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        report = dry_run(experiment)
+        assert report.overall.value == "Completed"
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+    finally:
+        gc.enable()

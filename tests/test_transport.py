@@ -637,6 +637,24 @@ def test_close_all_closes_every_session():
     assert run_virtual(scenario()) == []
 
 
+def test_close_all_closes_every_session_before_forgetting_it():
+    # live_sessions() is empty once the pool forgets its sessions, so the
+    # sessions acquired are checked themselves.
+    pool, clock = mock_pool()
+
+    async def scenario():
+        sessions = [await pool.acquire(mock_node(name), unlimited(), clock)
+                    for name in ("alpha", "beta")]
+        await pool.close_all()
+        again = await pool.acquire(mock_node("alpha"), unlimited(), clock)
+        return sessions, again
+
+    sessions, again = run_virtual(scenario())
+    assert [s.state for s in sessions] == [SessionState.CLOSED, SessionState.CLOSED]
+    assert pool.session_for("beta") is None
+    assert again is not sessions[0] and again.state is SessionState.CONNECTED
+
+
 # --- local transport ---
 
 
