@@ -36,14 +36,16 @@ DEFAULT_ERROR_MODE = ErrorMode.ABORT_TASKLIST
 EnvPairs = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class TargetDef:
+class TargetDef(NamedTuple):
     """A named node, node group, or PlanetLab slice reference.
 
     For kind=GROUP, ``members`` holds the nested definitions (a member may in
     turn be a group). For kind=PLANETLAB, ``ssh_password`` doubles as the API
     credential. ``env_exports`` are exported into the shell environment of
     every command run on the target.
+
+    A named tuple, immutable and cheap to build: a load builds one per
+    target and per slice node. Derive a changed copy with ``_replace``.
     """
 
     name: str
@@ -319,35 +321,44 @@ def call_graph(experiment: Experiment) -> dict[str, list[str]]:
     return {tl.name: list(refs(tl.tasks)) for tl in experiment.tasklists}
 
 
+def depth_first(
+    graph: Mapping[str, list[str]], roots: Iterable[str] | None = None
+) -> tuple[list[str] | None, list[str]]:
+    """Depth-first walk from ``roots`` (default: every node, in order),
+    without recursion. Returns the first cycle met, as a closed path
+    [a, ..., a], or None; and the names finished so far, each after every
+    name it reaches, so callees come before callers when there is no cycle.
+    Edges to names that are not keys of ``graph`` are ignored."""
+    state: dict[str, int] = {}  # 1 = on the stack, 2 = finished
+    finished: list[str] = []
+    for root in graph if roots is None else roots:
+        if root in state:
+            continue
+        state[root] = 1
+        stack, edges = [root], [iter(graph[root])]
+        while edges:
+            for ref in edges[-1]:
+                seen = state.get(ref)
+                if seen == 1:
+                    return stack[stack.index(ref):] + [ref], finished
+                if seen is None and ref in graph:
+                    state[ref] = 1
+                    stack.append(ref)
+                    edges.append(iter(graph[ref]))
+                    break
+            else:
+                edges.pop()
+                name = stack.pop()
+                state[name] = 2
+                finished.append(name)
+    return None, finished
+
+
 def find_cycle(
     graph: Mapping[str, list[str]], roots: Iterable[str] | None = None
 ) -> list[str] | None:
-    """First cycle met by a depth-first walk from ``roots`` (default: every
-    node, in order), as a closed path [a, ..., a]. Edges to names that are
-    not keys of ``graph`` are ignored."""
-    state: dict[str, int] = {}  # 1 = on the stack, 2 = finished
-    stack: list[str] = []
-
-    def visit(name: str) -> list[str] | None:
-        state[name] = 1
-        stack.append(name)
-        for ref in graph[name]:
-            if state.get(ref) == 1:
-                return stack[stack.index(ref):] + [ref]
-            if state.get(ref) is None and ref in graph:
-                cycle = visit(ref)
-                if cycle is not None:
-                    return cycle
-        stack.pop()
-        state[name] = 2
-        return None
-
-    for name in graph if roots is None else roots:
-        if state.get(name) is None:
-            cycle = visit(name)
-            if cycle is not None:
-                return cycle
-    return None
+    """First cycle met by a depth-first walk from ``roots``; see depth_first."""
+    return depth_first(graph, roots)[0]
 
 
 def cleanup_cycles(experiment: Experiment) -> Iterator[tuple[str, str]]:

@@ -38,7 +38,7 @@ from .model import (
     TimeSpec,
     call_graph,
     cleanup_cycles,
-    find_cycle,
+    depth_first,
 )
 from .telemetry import ArtifactPathError, _safe_component
 
@@ -98,8 +98,10 @@ class XmlNode:
 
 
 # The deepest element nesting a document may have, the root counting as
-# level 1. Lowering and the engine recurse once per level, so a limit here
-# keeps hostile input from exhausting the interpreter's stack.
+# level 1, and the deepest task nesting a tasklist may have, counting seq,
+# par and call levels with each call entering its callee. Lowering and the
+# engine recurse once per level, so a limit here keeps hostile input from
+# exhausting the interpreter's stack.
 MAX_NESTING_DEPTH = 100
 
 
@@ -333,6 +335,7 @@ _TARGET_TYPES = {
 }
 _CONNECTION_TAGS = frozenset({"user", "username", "password", "host"})
 _ERROR_MODES = {mode.value: mode for mode in ErrorMode}
+_new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
 
 
 def validate_and_lower(
@@ -383,6 +386,11 @@ class _Validator:
         self.tasklist_nodes: dict[str, XmlNode] = {}
         self.tasklist_order: list[Tasklist] = []
         self.call_refs: list[tuple[str, XmlNode]] = []
+        # per defined tasklist: its deepest seq/par level and its calls as
+        # (level, ref, node), the call itself counting as one level
+        self.task_shapes: dict[str, tuple[int, list[tuple[int, str, XmlNode]]]] = {}
+        self._depth = 0
+        self._calls: list[tuple[int, str, XmlNode]] = []
 
     def err(self, node: XmlNode, code: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, node.location))
@@ -582,22 +590,18 @@ class _Validator:
         fields: dict[str, object],
     ) -> TargetDef | None:
         env = tuple(fields["env"])
+        # Leaves are built positionally: name, kind, ssh_user, ssh_password,
+        # ssh_host, the three planetlab fields, members, env_exports.
         if kind is _LOCAL:
-            return TargetDef(name, kind, env_exports=env)
+            return _new_tuple(TargetDef, (name, kind, None, None, None, None, None, None, (), env))
         if kind is _SSH:
             user = fields.get("user") or None
             host = fields.get("host") or None
             if not user or not host:
                 self.err(node, "BadTargetDef", f"ssh target {name!r} requires user and host")
                 return None
-            return TargetDef(
-                name,
-                kind,
-                ssh_user=user,
-                ssh_password=fields.get("password") or None,
-                ssh_host=host,
-                env_exports=env,
-            )
+            password = fields.get("password") or None
+            return _new_tuple(TargetDef, (name, kind, user, password, host, None, None, None, (), env))
         if kind is _PLANETLAB:
             if not ("api-url" in attrs and "slice" in attrs and "user" in attrs):
                 return None
@@ -665,9 +669,10 @@ class _Validator:
                     timeout = None
 
         name = attrs.get("name")
+        self._depth, self._calls = 0, []
         tasks = tuple(
             task
-            for task in (self._lower_task(child) for child in node.children)
+            for task in (self._lower_task(child, 0) for child in node.children)
             if task is not None
         )
         if name is None:
@@ -685,8 +690,11 @@ class _Validator:
         self.tasklists[name] = tasklist
         self.tasklist_nodes[name] = node
         self.tasklist_order.append(tasklist)
+        self.task_shapes[name] = (self._depth, self._calls)
 
-    def _lower_task(self, node: XmlNode) -> Task | None:
+    def _lower_task(self, node: XmlNode, outer: int) -> Task | None:
+        """Lower one task element; ``outer`` counts the seq and par levels
+        around it within its tasklist."""
         if node.tag == "run":
             self._check_attrs(node, allowed=())
             self._check_no_children(node)
@@ -702,9 +710,11 @@ class _Validator:
         if node.tag in ("seq", "par"):
             self._check_attrs(node, allowed=())
             self._check_no_text(node)
+            level = outer + 1
+            self._depth = max(self._depth, level)
             children = tuple(
                 task
-                for task in (self._lower_task(child) for child in node.children)
+                for task in (self._lower_task(child, level) for child in node.children)
                 if task is not None
             )
             return SeqTask(children) if node.tag == "seq" else ParTask(children)
@@ -715,6 +725,7 @@ class _Validator:
             if "ref" not in attrs:
                 return None
             self.call_refs.append((attrs["ref"], node))
+            self._calls.append((outer + 1, attrs["ref"], node))
             return CallTask(attrs["ref"])
         self.err(node, "UnknownElement", f"element {node.tag!r} is not a task")
         return None
@@ -723,10 +734,28 @@ class _Validator:
         for ref, node in self.call_refs:
             if ref not in self.tasklists:
                 self.err(node, "UnknownReference", f"call references undefined tasklist {ref!r}")
-        cycle = find_cycle(call_graph(self._defined_tasklists()))
+        cycle, callees_first = depth_first(call_graph(self._defined_tasklists()))
         if cycle is not None:
             node = self.tasklist_nodes[cycle[0]]
             self.err(node, "CallCycle", "call cycle: " + " -> ".join(cycle))
+            return
+        # Each tasklist's task depth, callees first, so each is computed
+        # once. A call is reported where it takes a callee that is itself
+        # within the limit past it: a chain gets one error, not one per link.
+        depths: dict[str, int] = {}
+        for name in callees_first:
+            depth, calls = self.task_shapes[name]
+            for level, ref, node in calls:
+                inner = depths.get(ref, 0)
+                if level + inner > MAX_NESTING_DEPTH >= inner:
+                    self.err(
+                        node,
+                        "NestingTooDeep",
+                        f"call to {ref!r} nests tasks {level + inner} levels deep,"
+                        f" more than {MAX_NESTING_DEPTH}",
+                    )
+                depth = max(depth, level + inner)
+            depths[name] = depth
 
     def _check_cleanups(self) -> None:
         for tasklist in self.tasklist_order:

@@ -23,6 +23,8 @@ from .model import Experiment, TargetDef, TargetKind
 
 BOOT_STATE_LIVE = "boot"
 
+_new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
+
 _LABEL = r"(?!-)[A-Za-z0-9-]{1,63}(?<!-)"
 _HOSTNAME_RE = re.compile(rf"{_LABEL}(?:\.{_LABEL})*")
 
@@ -149,9 +151,10 @@ def expand_planetlab_target(
         if hostname in seen:
             continue
         seen.add(hostname)
-        members.append(
-            TargetDef(name=prefix + hostname, kind=ssh, ssh_user=slice_user, ssh_host=hostname)
-        )
+        # name, kind, ssh_user, ssh_password, ssh_host, then the defaults
+        members.append(_new_tuple(TargetDef, (
+            prefix + hostname, ssh, slice_user, None, hostname, None, None, None, (), ()
+        )))
     return TargetDef(
         name=target.name,
         kind=TargetKind.GROUP,
@@ -191,7 +194,7 @@ def expand_experiment(
         if t.members:
             members = tuple(map(rebuild, t.members))
             if any(map(operator.is_not, members, t.members)):
-                return replace(t, members=members)
+                return t._replace(members=members)
         return t
 
     return replace(experiment, targets=tuple(rebuild(t) for t in experiment.targets))

@@ -50,6 +50,7 @@ from .telemetry import (
     EventKind,
     EventLog,
     ExecutionEvent,
+    artifact_label,
     render_report,
     write_report,
 )
@@ -687,7 +688,7 @@ class ExperimentRunner:
             if isinstance(task, RunTask):
                 label = None  # names the artifact files, so only a run directory needs one
                 if self.run_dir is not None:
-                    label = f"{run.label_prefix}{run.ctx.exec_label}-" + "-".join(map(str, path))
+                    label = artifact_label(f"{run.label_prefix}{run.ctx.exec_label}", path)
                 result = await run.session.exec(target, run.env, deadline, artifact_label=label)
                 outcome = result.outcome
                 detail = self._share(f"{outcome._value_} exit={result.exit_code}")

@@ -176,10 +176,36 @@ def create_run_dir(base: str | Path, experiment_name: str, wall_time: float) -> 
     return run_dir
 
 
+# The longest file name, in bytes, that common file systems accept.
+_NAME_MAX = 255
+
+
 def _safe_component(name: str) -> str:
     if not name or name in (".", "..") or "/" in name or "\\" in name or "\0" in name:
         raise ArtifactPathError(f"unsafe path component: {name!r}")
+    # at most 4 UTF-8 bytes a character: a short name needs no encoding
+    if len(name) > _NAME_MAX // 4 and len(name.encode("utf-8", "surrogatepass")) > _NAME_MAX:
+        raise ArtifactPathError(f"path component longer than {_NAME_MAX} bytes: {name!r}")
     return name
+
+
+# Room for the label in stdout-<label>.log and stderr-<label>.log.
+_MAX_LABEL = _NAME_MAX - len("stdout-.log")
+
+
+def artifact_label(stem: str, path: tuple[int, ...]) -> str:
+    """Label of one command's output files: `<stem>-<path, dash-joined>`.
+
+    A label too long for a file name becomes `<stem>-h<first 16 hex digits
+    of its sha256>`: deterministic, and never equal to a path label, since
+    no stem holds an "h" and a path holds only digits and dashes.
+    """
+    label = f"{stem}-" + "-".join(map(str, path))
+    if len(label) > _MAX_LABEL:
+        import hashlib  # only paths some 80 levels deep get here
+
+        label = f"{stem}-h" + hashlib.sha256(label.encode()).hexdigest()[:16]
+    return label
 
 
 def artifact_path(run_dir: str | Path, node: str, filename: str) -> Path:

@@ -156,3 +156,32 @@ def report_from_log_lines(lines: list[str]) -> tuple[dict[str, str], str]:
     else:
         overall = "Completed"
     return outcomes, overall
+
+
+def first_cycle(graph: dict[str, list[str]], roots: list[str] | None = None) -> list[str] | None:
+    """First cycle met by a recursive depth-first walk from `roots` (default:
+    every node, in order), as a closed path [a, ..., a]; edges to names that
+    are not keys of `graph` are ignored."""
+    state: dict[str, int] = {}  # 1 = on the stack, 2 = finished
+    stack: list[str] = []
+
+    def visit(name: str) -> list[str] | None:
+        state[name] = 1
+        stack.append(name)
+        for ref in graph[name]:
+            if state.get(ref) == 1:
+                return stack[stack.index(ref):] + [ref]
+            if state.get(ref) is None and ref in graph:
+                cycle = visit(ref)
+                if cycle is not None:
+                    return cycle
+        stack.pop()
+        state[name] = 2
+        return None
+
+    for name in graph if roots is None else roots:
+        if state.get(name) is None:
+            cycle = visit(name)
+            if cycle is not None:
+                return cycle
+    return None

@@ -651,3 +651,90 @@ def test_full_disk_under_the_event_log_exits_one(tmp_path, capsys, monkeypatch):
                  "--log-dir", str(tmp_path / "logs")])
     assert code == EXIT_USAGE
     assert "gplmt: error:" in capsys.readouterr().err
+
+
+# --- names under the run directory ---
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["n" * 255, "é" * 127 + "n", "n" * 256, "é" * 128, "n" * 300],
+    ids=["255-ascii", "255-bytes", "256-ascii", "256-bytes", "300"],
+)
+def test_node_names_must_fit_in_255_bytes(tmp_path, capsys, name):
+    doc = SMALL_DOC.replace('"alpha"', f'"{name}"')
+    path = write_doc(tmp_path, doc)
+    experiment, diagnostics = load_experiment(path)
+    code = main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")])
+    if len(name.encode()) > 255:
+        assert experiment is None
+        assert [d.code for d in diagnostics] == ["BadAttributeValue"]
+        assert code == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        return
+    assert experiment is not None and diagnostics == []
+    assert code == EXIT_COMPLETED
+    run_dir = run_dir_of(tmp_path / "logs")
+    payload = json.loads((run_dir / "report.json").read_text())
+    assert payload["overall"] == "Completed"
+    assert payload["artifacts"] == [f"{name}/stdout-0-0.log", f"{name}/stderr-0-0.log"]
+    assert all((run_dir / ref).is_file() for ref in payload["artifacts"])
+
+
+def deep_seqs_doc(levels: int, children: int) -> str:
+    """One tasklist of `levels` nested seqs, each holding `children`
+    children: empty seqs, then the next level; a run task opens the outermost
+    level and closes the innermost."""
+    inner = "<run>deepest</run>"
+    for level in range(levels, 0, -1):
+        head = "<run>top</run>" if level == 1 else "<seq/>"
+        inner = f"<seq>{head}{'<seq/>' * (children - 2)}{inner}</seq>"
+    return f"""
+<experiment>
+ <targets><target name="alpha" type="local" /></targets>
+ <tasklists><tasklist name="work">{inner}</tasklist></tasklists>
+ <steps><step tasklist="work" targets="alpha" /></steps>
+</experiment>
+"""
+
+
+def test_artifact_labels_too_long_for_a_file_name_are_shortened(tmp_path):
+    """90 nested seqs of 12 children put the deepest run at a path whose
+    label would make a file name longer than 255 bytes."""
+    import hashlib
+
+    path = write_doc(tmp_path, deep_seqs_doc(90, 12))
+    log_dir = tmp_path / "logs"
+    assert main([str(path), "--dry-run", "--log-dir", str(log_dir)]) == EXIT_COMPLETED
+    run_dir = run_dir_of(log_dir)
+    payload = json.loads((run_dir / "report.json").read_text())
+    assert payload["overall"] == "Completed"
+
+    long_label = "0-" + "-".join(["0"] + ["11"] * 90)
+    assert len(f"stdout-{long_label}.log") > 255
+    short = "0-h" + hashlib.sha256(long_label.encode()).hexdigest()[:16]
+    assert payload["artifacts"] == [
+        "alpha/stdout-0-0-0.log", "alpha/stderr-0-0-0.log",
+        f"alpha/stdout-{short}.log", f"alpha/stderr-{short}.log",
+    ]
+    assert all((run_dir / ref).is_file() for ref in payload["artifacts"])
+    ends = [
+        json.loads(line) for line in (run_dir / "events.jsonl").read_text().splitlines()
+        if '"TaskEnd"' in line
+    ]
+    assert ends[-1]["detail"] == (
+        f"Success exit=0 stdout=alpha/stdout-{short}.log stderr=alpha/stderr-{short}.log"
+    )
+    assert len(ends[-1]["path"]) == 91
+
+
+def test_artifact_labels_that_fit_keep_their_path(tmp_path):
+    """The longest label that still fits is written as it is."""
+    from gplmt.telemetry import artifact_label
+
+    path = (1,) * 121  # "c0-" and 121 digits with 120 dashes: 244 characters
+    assert artifact_label("c0", path) == "c0-" + "-".join(["1"] * 121)
+    assert len(f"stdout-{artifact_label('c0', path)}.log") == 255
+    assert len(artifact_label("c0", path + (1,))) == len("c0-h") + 16
+    assert artifact_label("ct3", (10,) * 90) == artifact_label("ct3", (10,) * 90)
+    assert artifact_label("ct3", (10,) * 90) != artifact_label("ct3", (10,) * 91)

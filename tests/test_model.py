@@ -22,13 +22,15 @@ from gplmt.model import (
     UnknownTargetError,
     audit,
     call_graph,
+    depth_first,
+    find_cycle,
     iter_steps_items,
     iter_target_defs,
     resolve_group,
     static_step_execution_bound,
 )
 
-from .oracles import resolve_leaf_names
+from .oracles import first_cycle, resolve_leaf_names
 
 
 def ssh(name: str, host: str | None = None, env: tuple = ()) -> TargetDef:
@@ -241,3 +243,90 @@ def test_task_result_fields_and_defaults():
     assert TaskResult._field_defaults == {
         "stdout_ref": "", "stderr_ref": "", "outcome": TaskOutcome.SUCCESS,
     }
+
+
+TARGET_FIELDS = (
+    "name", "kind", "ssh_user", "ssh_password", "ssh_host", "planetlab_api_url",
+    "planetlab_slice", "planetlab_user", "members", "env_exports",
+)
+
+
+def _field_values(target: TargetDef) -> tuple:
+    return tuple(getattr(target, name) for name in TARGET_FIELDS)
+
+
+def test_target_defaults_are_empty():
+    t = TargetDef("l", TargetKind.LOCAL)
+    assert _field_values(t) == ("l", TargetKind.LOCAL, None, None, None, None, None, None, (), ())
+
+
+def test_targets_with_equal_fields_are_equal_and_hash_as_their_field_tuple():
+    def build():
+        return group("g", ssh("a", env=(("K", "v"),)), TargetDef("l", TargetKind.LOCAL), env=(("X", "1"),))
+
+    first, second = build(), build()
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    for t in (first, *first.members):
+        assert hash(t) == hash(_field_values(t))
+    assert ssh("a") != ssh("b")
+    assert ssh("a") != ssh("a", host="elsewhere")
+    assert {ssh("a"), ssh("a"), ssh("b")} == {ssh("a"), ssh("b")}
+
+
+@pytest.mark.parametrize("field_name", TARGET_FIELDS)
+def test_target_fields_cannot_be_assigned(field_name):
+    t = ssh("a")
+    with pytest.raises(AttributeError):
+        setattr(t, field_name, "x")
+    assert t == ssh("a")
+
+
+def test_resolve_group_leaves_and_environments_are_pinned():
+    a = ssh("a", env=(("ROLE", "a"),))
+    b = ssh("b")
+    local = TargetDef("l", TargetKind.LOCAL, env_exports=(("ROLE", "local"), ("X", "1")))
+    inner = group("inner", b, a, env=(("SITE", "in"), ("ROLE", "inner")))
+    top = group("top", a, inner, local, group("empty"), env=(("SITE", "out"),))
+    assert resolve_group(top, {}) == [
+        (a, (("SITE", "out"), ("ROLE", "a"))),
+        (b, (("SITE", "in"), ("ROLE", "inner"))),
+        (local, (("SITE", "out"), ("ROLE", "local"), ("X", "1"))),
+    ]
+    assert resolve_group("inner", {"inner": inner}) == [
+        (b, (("SITE", "in"), ("ROLE", "inner"))),
+        (a, (("SITE", "in"), ("ROLE", "a"))),
+    ]
+
+
+call_graphs = st.dictionaries(
+    st.sampled_from("abcdefg"),
+    st.lists(st.sampled_from("abcdefgh"), max_size=4),  # "h" is never a key
+    max_size=7,
+)
+
+
+@given(call_graphs, st.none() | st.lists(st.sampled_from("abcdefg"), max_size=4))
+def test_find_cycle_matches_the_recursive_walk(graph, roots):
+    if roots is not None:
+        roots = [r for r in roots if r in graph]
+    assert find_cycle(graph, roots) == first_cycle(graph, roots)
+
+
+@given(call_graphs)
+def test_depth_first_finishes_callees_before_callers(graph):
+    cycle, finished = depth_first(graph)
+    if cycle is None:
+        assert sorted(finished) == sorted(graph)
+        position = {name: i for i, name in enumerate(finished)}
+        for name, refs in graph.items():
+            assert all(position[ref] < position[name] for ref in refs if ref in graph)
+
+
+def test_a_long_call_chain_walks_without_recursion():
+    chain = {f"t{i}": [f"t{i + 1}"] for i in range(5000)}
+    chain["t5000"] = []
+    assert find_cycle(chain) is None
+    chain["t5000"] = ["t4000"]
+    assert find_cycle(chain) == [f"t{i}" for i in range(4000, 5001)] + ["t4000"]

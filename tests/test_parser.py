@@ -597,6 +597,75 @@ def test_nesting_at_the_limit_loads_and_dry_runs(tmp_path, doc):
     assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_COMPLETED
 
 
+def call_chain_doc(links: int, seqs: tuple[int, int] = (0, 0)) -> str:
+    """One line: tasklist t0 calls t1, and so on up to t<links>, which runs
+    true; ``seqs`` wraps t0's call and t<links>'s run in that many seqs."""
+    first, last = seqs
+    tasklists = [f'<tasklist name="t{i}"><call ref="t{i + 1}"/></tasklist>' for i in range(links)]
+    tasklists[0] = f'<tasklist name="t0">{"<seq>" * first}<call ref="t1"/>{"</seq>" * first}</tasklist>'
+    tasklists.append(
+        f'<tasklist name="t{links}">{"<seq>" * last}<run>true</run>{"</seq>" * last}</tasklist>'
+    )
+    return (
+        '<experiment><targets><target name="n" type="local"/></targets>'
+        f'<tasklists>{"".join(tasklists)}</tasklists>'
+        '<steps><step tasklist="t0" targets="n"/></steps></experiment>'
+    )
+
+
+@pytest.mark.parametrize(
+    "links,seqs,crossing",  # crossing: the tasklist whose call crosses the limit
+    [
+        (1000, (0, 0), 1000 - MAX_NESTING_DEPTH - 1),
+        (MAX_NESTING_DEPTH + 1, (0, 0), 0),
+        (1, (60, 40), 0),  # 60 seqs and the call, then the callee's 40 seqs
+    ],
+    ids=["chain-1000", "chain-over", "seqs-and-call"],
+)
+def test_call_nesting_beyond_the_limit_is_one_diagnostic(tmp_path, capsys, links, seqs, crossing):
+    # Without the limit, 1,000 links overflow the stack in the cycle check.
+    doc = call_chain_doc(links, seqs)
+    path = tmp_path / "chain.xml"
+    path.write_text(doc, encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is None
+    offset = doc.index(f'<call ref="t{crossing + 1}"/>')
+    assert [(d.severity, d.code, d.location) for d in diags] == [
+        (Severity.ERROR, "NestingTooDeep", (str(path), 1, offset + 1))
+    ]
+    assert f"more than {MAX_NESTING_DEPTH}" in diags[0].message
+
+    from gplmt.cli import EXIT_USAGE, main
+
+    assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "NestingTooDeep" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "links,seqs",
+    [(MAX_NESTING_DEPTH, (0, 0)), (1, (60, 39)), (MAX_NESTING_DEPTH - 4, (2, 2))],
+    ids=["chain", "seqs-and-call", "both"],
+)
+def test_call_nesting_at_the_limit_loads_and_dry_runs(tmp_path, links, seqs):
+    from gplmt.cli import EXIT_COMPLETED, main
+
+    path = tmp_path / "chain.xml"
+    path.write_text(call_chain_doc(links, seqs), encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is not None and diags == []
+    assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_COMPLETED
+
+
+def test_a_call_cycle_gets_no_depth_diagnostic(tmp_path):
+    doc = call_chain_doc(MAX_NESTING_DEPTH + 5).replace(
+        '<run>true</run></tasklist>', '<call ref="t0"/></tasklist>'
+    )
+    exp, diags = check(tmp_path, doc)
+    assert exp is None
+    assert [d.code for d in diags] == ["CallCycle"]
+
+
 def test_buffered_text_keeps_every_run_of_character_data(tmp_path):
     # Entities, CDATA and a run longer than expat's text buffer each reach
     # the handler in pieces; the task text must be their exact join.

@@ -1095,6 +1095,40 @@ def test_unsafe_node_name_fails_the_node_and_writes_nothing_outside(tmp_path):
     ]
 
 
+def test_slice_leaf_name_too_long_for_a_directory_fails_the_node(tmp_path):
+    """A slice leaf is named `<target>:<hostname>`; each part may be valid
+    while the whole is longer than 255 bytes. With a run directory the pool
+    refuses it on the session failure path; without one it runs."""
+    from gplmt.planetlab import SliceNodeRecord, expand_planetlab_target
+
+    slice_target = TargetDef(
+        "p" * 200, TargetKind.PLANETLAB,
+        planetlab_api_url="https://api.example/", planetlab_slice="s", planetlab_user="u",
+    )
+    hostname = "h" * 60 + ".example.org"
+    fleet = expand_planetlab_target(slice_target, [SliceNodeRecord(hostname, "boot", 1)])
+    (leaf,) = fleet.members
+    assert len(leaf.name.encode()) == 273
+    alpha = TargetDef("alpha", TargetKind.LOCAL)
+    experiment = Experiment(
+        targets=(TargetDef("all", TargetKind.GROUP, members=(fleet, alpha)),),
+        tasklists=(Tasklist("t", (RunTask("true"),)),),
+        steps=StepsProgram((Step("t", "all"),)),
+    )
+    assert dry_run(experiment).overall is OverallStatus.COMPLETED
+
+    run = tmp_path / "run"
+    report = dry_run(experiment, run_dir=run)
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+    assert report.per_node_outcomes == {f"{leaf.name}|t#s0": "Failed", "alpha|t#s0": "Succeeded"}
+    warnings = [e for e in report.events if e.kind.value == "Warning"]
+    assert [(w.node, w.detail.split(":")[0]) for w in warnings] == [(leaf.name, "session")]
+    assert not any(e.kind.value == "ConnectAttempt" and e.node == leaf.name for e in report.events)
+    assert sorted(p.name for p in run.iterdir()) == [
+        "alpha", "events.jsonl", "report.json", "report.txt",
+    ]
+
+
 def test_controller_fault_fails_the_node_and_is_logged(tmp_path):
     """A file where n1's artifact directory belongs makes the controller's
     own mkdir fail inside the exec. The task ends Failed with a TaskEnd
