@@ -6,11 +6,9 @@ with errors, 3 panicked, 1 usage or validation failure.
 from __future__ import annotations
 
 import argparse
-import enum
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -24,6 +22,7 @@ from .planetlab import (
 )
 from .scheduler import RealClock, VirtualClock, run_experiment
 from .telemetry import (
+    ArtifactPathError,
     EventKind,
     EventLog,
     ExecutionEvent,
@@ -45,24 +44,6 @@ _EXIT_BY_STATUS = {
 }
 
 
-class CliMode(enum.Enum):
-    VALIDATE = "validate"
-    DRY_RUN = "dry-run"
-    RUN = "run"
-
-
-@dataclass
-class CliConfig:
-    experiment_path: Path
-    mode: CliMode = CliMode.RUN
-    log_dir: Path = Path("gplmt-logs")
-    rate_limit: RateLimiterConfig | None = None
-    target_filter: list[str] = field(default_factory=list)
-    env_overrides: list[tuple[str, str]] = field(default_factory=list)
-    mock_script: Path | None = None
-    include_non_boot: bool = False
-
-
 _MAX_CONNECTS_RE = re.compile(r"^(\d+)/(\d+(?:\.\d+)?)(ms|s|m|h)$")
 _UNIT_SECONDS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0}
 
@@ -79,6 +60,10 @@ def parse_max_connects(text: str) -> RateLimiterConfig:
     if count < 1 or interval <= 0:
         raise argparse.ArgumentTypeError(f"rate must be positive, got {text!r}")
     return RateLimiterConfig(max_attempts=count, interval=interval)
+
+
+def _target_names(text: str) -> list[str]:
+    return [name for name in text.split(",") if name]
 
 
 def parse_env_override(text: str) -> tuple[str, str]:
@@ -100,7 +85,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="gplmt",
         description="Run declarative testbed experiments.",
     )
-    parser.add_argument("experiment", help="path to the experiment XML document")
+    parser.add_argument("experiment", type=Path, help="path to the experiment XML document")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--validate",
@@ -128,8 +113,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--only",
-        action="append",
+        action="extend",
         default=[],
+        type=_target_names,
         metavar="TARGET[,TARGET...]",
         help="restrict execution to these targets (groups allowed, repeatable)",
     )
@@ -157,28 +143,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    if args.validate:
-        mode = CliMode.VALIDATE
-    elif args.dry_run:
-        mode = CliMode.DRY_RUN
-    else:
-        mode = CliMode.RUN
-    target_filter = []
-    for chunk in args.only:
-        target_filter.extend(name for name in chunk.split(",") if name)
-    return CliConfig(
-        experiment_path=Path(args.experiment),
-        mode=mode,
-        log_dir=args.log_dir,
-        rate_limit=args.max_connects,
-        target_filter=target_filter,
-        env_overrides=list(args.env_overrides),
-        mock_script=args.mock_script,
-        include_non_boot=args.include_non_boot_nodes,
-    )
 
 
 def filter_targets(experiment: Experiment, names: list[str]) -> Experiment:
@@ -218,25 +182,24 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = config_from_args(args)
 
-    experiment, diagnostics = load_experiment(config.experiment_path)
+    experiment, diagnostics = load_experiment(args.experiment)
     for diagnostic in diagnostics:
         print(diagnostic, file=sys.stderr)
     if experiment is None:
         return EXIT_USAGE
-    if config.mode is CliMode.VALIDATE:
+    if args.validate:
         return EXIT_COMPLETED
 
     mock_script = None
-    if config.mock_script is not None:
+    if args.mock_script is not None:
         try:
-            mock_script = MockScript.from_file(config.mock_script)
+            mock_script = MockScript.from_file(args.mock_script)
         except (OSError, ValueError) as exc:
             print(f"gplmt: error: mock script: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    offline = config.mode is CliMode.DRY_RUN
+    offline = args.dry_run
     pending_warnings = []
     if offline:
         for name in planetlab_target_names(experiment):
@@ -247,25 +210,23 @@ def main(argv: list[str] | None = None) -> int:
         experiment = expand_experiment(
             experiment,
             fetch=None if offline else list_slice_nodes,
-            include_non_boot=config.include_non_boot,
+            include_non_boot=args.include_non_boot_nodes,
         )
     except PlanetLabError as exc:
         print(f"gplmt: error: slice API: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        experiment = filter_targets(experiment, config.target_filter)
+        experiment = filter_targets(experiment, args.only)
     except UnknownTargetError as exc:
         print(f"gplmt: error: --only: unknown target {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.env_overrides:
-        experiment = experiment.with_env_overrides(tuple(config.env_overrides))
+    if args.env_overrides:
+        experiment = experiment.with_env_overrides(tuple(args.env_overrides))
 
     try:
-        run_dir = create_run_dir(
-            config.log_dir, config.experiment_path.stem, time.time()
-        )
-    except RunDirError as exc:
+        run_dir = create_run_dir(args.log_dir, args.experiment.stem, time.time())
+    except (RunDirError, ArtifactPathError) as exc:
         print(f"gplmt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -290,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
                 experiment,
                 transport_factory=factory,
                 clock=clock,
-                limiter_config=config.rate_limit,
+                limiter_config=args.max_connects,
                 event_log=event_log,
                 run_dir=run_dir,
             )

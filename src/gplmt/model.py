@@ -308,19 +308,6 @@ def resolve_group(
     return leaves
 
 
-def call_graph(experiment: Experiment) -> dict[str, list[str]]:
-    """Edges tasklist -> tasklists it references via call tasks."""
-
-    def refs(tasks: tuple[Task, ...]) -> Iterator[str]:
-        for t in tasks:
-            if isinstance(t, CallTask):
-                yield t.ref
-            elif isinstance(t, (SeqTask, ParTask)):
-                yield from refs(t.children)
-
-    return {tl.name: list(refs(tl.tasks)) for tl in experiment.tasklists}
-
-
 def depth_first(
     graph: Mapping[str, list[str]], roots: Iterable[str] | None = None
 ) -> tuple[list[str] | None, list[str]]:
@@ -361,144 +348,11 @@ def find_cycle(
     return depth_first(graph, roots)[0]
 
 
-def cleanup_cycles(experiment: Experiment) -> Iterator[tuple[str, str]]:
+def cleanup_cycles(tasklists: list[Tasklist]) -> Iterator[tuple[str, str]]:
     """(owner, first tasklist met twice) for every tasklist whose chain of
     cleanup references runs into a cycle, in definition order."""
-    graph = {tl.name: [tl.cleanup] if tl.cleanup else [] for tl in experiment.tasklists}
-    for tl in experiment.tasklists:
+    graph = {tl.name: [tl.cleanup] if tl.cleanup else [] for tl in tasklists}
+    for tl in tasklists:
         cycle = find_cycle(graph, [tl.name])
         if cycle is not None:
             yield tl.name, cycle[0]
-
-
-def iter_steps_items(items: tuple[StepsItem, ...]) -> Iterator[StepsItem]:
-    """All items of a steps block, descending into repeat bodies."""
-    for item in items:
-        yield item
-        if isinstance(item, Repeat):
-            yield from iter_steps_items(item.body)
-
-
-def static_step_execution_bound(program: StepsProgram) -> int | None:
-    """Upper bound on step executions, or None when a repeat is bounded only
-    by during/until (finite, but with no static count)."""
-
-    def bound(items: tuple[StepsItem, ...]) -> int | None:
-        total = 0
-        for item in items:
-            if isinstance(item, Step):
-                total += 1
-            elif isinstance(item, Repeat):
-                inner = bound(item.body)
-                if inner is None or item.iterations is None:
-                    return None
-                total += inner * item.iterations
-        return total
-
-    return bound(program.items)
-
-
-def audit(experiment: Experiment) -> list[str]:
-    """Check every model invariant on an Experiment value.
-
-    Returns a list of human-readable violations; empty means the value is
-    well-formed. The parser must never emit an Experiment for which this
-    returns a non-empty list.
-    """
-    problems: list[str] = []
-    targets = experiment.target_map()
-    tasklists = experiment.tasklist_map()
-
-    # A group may embed a previously defined target by reference, so the same
-    # value can appear twice; only conflicting definitions are duplicates.
-    by_target_name: dict[str, TargetDef] = {}
-    for top in experiment.targets:
-        for t in iter_target_defs(top):
-            if by_target_name.setdefault(t.name, t) != t:
-                problems.append(f"duplicate target name {t.name!r}")
-    by_tl_name: dict[str, Tasklist] = {}
-    for tl in experiment.tasklists:
-        if by_tl_name.setdefault(tl.name, tl) != tl:
-            problems.append(f"duplicate tasklist name {tl.name!r}")
-
-    for top in experiment.targets:
-        for t in iter_target_defs(top):
-            problems.extend(_audit_target(t))
-
-    for tl in experiment.tasklists:
-        if tl.timeout is not None and tl.timeout <= 0:
-            problems.append(f"tasklist {tl.name!r} has non-positive timeout")
-        if tl.cleanup is not None and tl.cleanup not in tasklists:
-            problems.append(f"tasklist {tl.name!r} cleanup {tl.cleanup!r} is undefined")
-    problems.extend(
-        f"cleanup chain of {owner!r} is cyclic at {at!r}"
-        for owner, at in cleanup_cycles(experiment)
-    )
-    cycle = find_cycle(call_graph(experiment))
-    if cycle is not None:
-        problems.append(f"call graph contains a cycle through {cycle[0]!r}")
-
-    for item in iter_steps_items(experiment.steps.items):
-        if isinstance(item, (Step, RegisterTeardown)):
-            if item.tasklist_ref not in tasklists:
-                problems.append(f"unknown tasklist reference {item.tasklist_ref!r}")
-            if item.targets_ref not in targets:
-                problems.append(f"unknown target reference {item.targets_ref!r}")
-        if isinstance(item, Step):
-            if (
-                isinstance(item.start, RelativeTime)
-                and isinstance(item.stop, RelativeTime)
-                and not item.start.offset < item.stop.offset
-            ):
-                problems.append("step start must precede stop")
-            for ts in (item.start, item.stop):
-                if isinstance(ts, RelativeTime) and ts.offset < 0:
-                    problems.append("relative time offsets must be non-negative")
-        if isinstance(item, Repeat):
-            if item.iterations is None and item.during is None and item.until is None:
-                problems.append("repeat carries no termination bound")
-            if item.iterations is not None and item.iterations <= 0:
-                problems.append("repeat iterations must be positive")
-    for tl in experiment.tasklists:
-        problems.extend(_audit_call_refs(tl, tasklists))
-    return problems
-
-
-def _audit_target(t: TargetDef) -> list[str]:
-    problems = []
-    conn = {
-        "ssh_user": t.ssh_user,
-        "ssh_password": t.ssh_password,
-        "ssh_host": t.ssh_host,
-        "planetlab_api_url": t.planetlab_api_url,
-        "planetlab_slice": t.planetlab_slice,
-        "planetlab_user": t.planetlab_user,
-    }
-    if t.kind is TargetKind.LOCAL:
-        if any(v is not None for v in conn.values()) or t.members:
-            problems.append(f"local target {t.name!r} must not carry connection fields")
-    elif t.kind is TargetKind.SSH:
-        if not (t.ssh_host and t.ssh_user):
-            problems.append(f"ssh target {t.name!r} requires host and user")
-    elif t.kind is TargetKind.PLANETLAB:
-        if not (t.planetlab_api_url and t.planetlab_slice and t.planetlab_user):
-            problems.append(f"planetlab target {t.name!r} requires api-url, slice, user")
-    elif t.kind is TargetKind.GROUP:
-        # empty groups are legal: slice expansion can yield zero live nodes
-        if any(v is not None for v in conn.values()):
-            problems.append(f"group {t.name!r} must not carry connection fields")
-    return problems
-
-
-def _audit_call_refs(tl: Tasklist, tasklists: Mapping[str, Tasklist]) -> list[str]:
-    problems = []
-
-    def walk(tasks: tuple[Task, ...]) -> None:
-        for t in tasks:
-            if isinstance(t, CallTask) and t.ref not in tasklists:
-                problems.append(f"tasklist {tl.name!r} calls undefined {t.ref!r}")
-            elif isinstance(t, (SeqTask, ParTask)):
-                walk(t.children)
-
-    walk(tl.tasks)
-    return problems

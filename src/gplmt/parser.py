@@ -36,7 +36,6 @@ from .model import (
     Task,
     Tasklist,
     TimeSpec,
-    call_graph,
     cleanup_cycles,
     depth_first,
 )
@@ -734,7 +733,8 @@ class _Validator:
         for ref, node in self.call_refs:
             if ref not in self.tasklists:
                 self.err(node, "UnknownReference", f"call references undefined tasklist {ref!r}")
-        cycle, callees_first = depth_first(call_graph(self._defined_tasklists()))
+        graph = {name: [ref for _, ref, _ in calls] for name, (_, calls) in self.task_shapes.items()}
+        cycle, callees_first = depth_first(graph)
         if cycle is not None:
             node = self.tasklist_nodes[cycle[0]]
             self.err(node, "CallCycle", "call cycle: " + " -> ".join(cycle))
@@ -765,16 +765,12 @@ class _Validator:
                     "UnknownReference",
                     f"cleanup references undefined tasklist {tasklist.cleanup!r}",
                 )
-        for owner, at in cleanup_cycles(self._defined_tasklists()):
+        for owner, at in cleanup_cycles(self.tasklist_order):
             self.err(
                 self.tasklist_nodes[owner],
                 "CleanupCycle",
                 f"cleanup chain of {owner!r} cycles at {at!r}",
             )
-
-    def _defined_tasklists(self) -> Experiment:
-        """The tasklists defined so far, as the graph helpers take them."""
-        return Experiment(tasklists=tuple(self.tasklist_order))
 
     # -- steps --------------------------------------------------------------
 

@@ -175,22 +175,21 @@ def expand_experiment(
 
     `fetch` is called as fetch(api_url, user, credential, slice_name); pass
     None to expand offline into empty groups (dry runs never touch the
-    network). Nested planetlab members inside groups are expanded too; a
-    group none of whose members changed is kept as it is.
+    network). Nested planetlab members inside groups are expanded too, each
+    target once however many groups embed it; a group none of whose members
+    changed is kept as it is.
     """
+    slices: dict[str, TargetDef] = {}
 
     def rebuild(t: TargetDef) -> TargetDef:
         if t.kind is TargetKind.PLANETLAB:
-            if fetch is None:
-                records: list[SliceNodeRecord] = []
-            else:
-                records = fetch(
-                    t.planetlab_api_url,
-                    t.planetlab_user,
-                    t.ssh_password or "",
-                    t.planetlab_slice,
+            expansion = slices.get(t.name)
+            if expansion is None:
+                records = [] if fetch is None else fetch(
+                    t.planetlab_api_url, t.planetlab_user, t.ssh_password or "", t.planetlab_slice
                 )
-            return expand_planetlab_target(t, records, include_non_boot)
+                expansion = slices[t.name] = expand_planetlab_target(t, records, include_non_boot)
+            return expansion
         if t.members:
             members = tuple(map(rebuild, t.members))
             if any(map(operator.is_not, members, t.members)):

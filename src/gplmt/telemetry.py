@@ -160,13 +160,14 @@ class EventLog:
 
 
 def create_run_dir(base: str | Path, experiment_name: str, wall_time: float) -> Path:
-    """Make `<base>/<utc-microsecond-stamp>-<experiment-name>`.
+    """Make `<base>/<utc-microsecond-stamp>-<experiment-name>`, shortened
+    by _fitted when longer than a file name may be.
 
     Refuses to reuse an existing directory: a collision means two runs would
     interleave their artifacts.
     """
     stamp = datetime.fromtimestamp(wall_time, tz=timezone.utc).strftime("%Y%m%dT%H%M%S.%fZ")
-    run_dir = Path(base) / f"{stamp}-{_safe_component(experiment_name)}"
+    run_dir = Path(base) / _safe_component(_fitted(stamp, experiment_name, _NAME_MAX))
     try:
         run_dir.mkdir(parents=True, exist_ok=False)
     except FileExistsError:
@@ -178,6 +179,18 @@ def create_run_dir(base: str | Path, experiment_name: str, wall_time: float) -> 
 
 # The longest file name, in bytes, that common file systems accept.
 _NAME_MAX = 255
+
+
+def _fitted(head: str, tail: str, room: int) -> str:
+    """`<head>-<tail>`; when that is longer than `room` bytes, `<head>-h<first
+    16 hex digits of its sha256>`: deterministic, and never equal to an
+    unshortened name whose tail holds no "h"."""
+    name = f"{head}-{tail}"
+    if len(name) > room // 4 and len(name.encode("utf-8", "surrogatepass")) > room:
+        import hashlib  # only very long names get here
+
+        name = f"{head}-h" + hashlib.sha256(name.encode("utf-8", "surrogatepass")).hexdigest()[:16]
+    return name
 
 
 def _safe_component(name: str) -> str:
@@ -194,18 +207,12 @@ _MAX_LABEL = _NAME_MAX - len("stdout-.log")
 
 
 def artifact_label(stem: str, path: tuple[int, ...]) -> str:
-    """Label of one command's output files: `<stem>-<path, dash-joined>`.
-
-    A label too long for a file name becomes `<stem>-h<first 16 hex digits
-    of its sha256>`: deterministic, and never equal to a path label, since
-    no stem holds an "h" and a path holds only digits and dashes.
+    """Label of one command's output files: `<stem>-<path, dash-joined>`,
+    shortened by _fitted when too long for a file name (only paths some 80
+    levels deep are); a path holds only digits and dashes, so the two forms
+    never collide.
     """
-    label = f"{stem}-" + "-".join(map(str, path))
-    if len(label) > _MAX_LABEL:
-        import hashlib  # only paths some 80 levels deep get here
-
-        label = f"{stem}-h" + hashlib.sha256(label.encode()).hexdigest()[:16]
-    return label
+    return _fitted(stem, "-".join(map(str, path)), _MAX_LABEL)
 
 
 def artifact_path(run_dir: str | Path, node: str, filename: str) -> Path:

@@ -261,9 +261,6 @@ class SessionPool:
         detail = f"attempt={session.connect_count}"
         return self._attempt_details.setdefault(detail, detail)
 
-    def session_for(self, node: str) -> Session | None:
-        return self._sessions.get(node)
-
     def _creation_lock(self, node: str) -> asyncio.Lock:
         lock = self._node_locks.get(node)
         if lock is None:
@@ -273,6 +270,9 @@ class SessionPool:
     async def acquire(self, target: TargetDef, limiter: RateLimiter, clock) -> Session:
         """Return the node's live session, establishing one if needed.
 
+        A first connect is tried once and raises its own error. A lost
+        session is retried with exponential backoff, at most
+        `reconnect_budget` attempts, and then raises RetriesExhausted.
         With an artifact root, a node name that cannot serve as one path
         component raises ArtifactPathError before any connection attempt.
         """
@@ -286,54 +286,39 @@ class SessionPool:
             session = self._sessions.get(target.name)
             if session is not None and session.state is _CONNECTED:
                 return session
-            if session is not None and session.state is _LOST:
-                return await self._reconnect_locked(session, limiter, clock)
             if session is None:
                 if self.artifact_root is not None:
                     _safe_component(target.name)
                 # A factory error costs no permit; the session is built only
                 # once the permit is granted, so a parked node holds none.
                 transport = self.transport_factory(target)
+            lost = session is not None and session.state is _LOST
+            budget = self.reconnect_budget if lost else 1
+            attempt, delay = 0, DEFAULT_RECONNECT_BASE
+            while attempt < budget:
+                if attempt:
+                    await clock.sleep(delay)
+                    delay = min(delay * DEFAULT_RECONNECT_FACTOR, DEFAULT_RECONNECT_CAP)
+                attempt += 1
                 await limiter.wait()
-                session = self._sessions[target.name] = Session(target.name, transport, clock, self)
-            else:
-                await limiter.wait()  # a session whose first connect failed
-            detail = self._next_attempt(session)
-            self.emit(_CONNECT_ATTEMPT, session.node, detail)
-            await session.transport.connect()
-            session.state = _CONNECTED
-            self.emit(_CONNECT_SUCCESS, session.node, detail)
-            return session
+                if session is None:
+                    session = self._sessions[target.name] = Session(target.name, transport, clock, self)
+                detail = self._next_attempt(session)
+                self.emit(_CONNECT_ATTEMPT, session.node, detail)
+                try:
+                    await session.transport.connect()
+                except ConnectFailed:
+                    if not lost:
+                        raise
+                    continue
+                session.state = _CONNECTED
+                self.emit(_CONNECT_SUCCESS, session.node, detail)
+                return session
+            raise RetriesExhausted(
+                f"gave up reconnecting to {target.name} after {self.reconnect_budget} attempts"
+            )
         finally:
             lock.release()
-
-    async def reconnect(self, session: Session, limiter: RateLimiter, clock) -> Session:
-        async with self._creation_lock(session.node):
-            if session.state is SessionState.CONNECTED:
-                return session
-            return await self._reconnect_locked(session, limiter, clock)
-
-    async def _reconnect_locked(self, session: Session, limiter: RateLimiter, clock) -> Session:
-        if session.state is SessionState.CLOSED:
-            raise SessionClosed(f"session to {session.node} is Closed")
-        delay = DEFAULT_RECONNECT_BASE
-        for attempt in range(self.reconnect_budget):
-            if attempt > 0:
-                await clock.sleep(delay)
-                delay = min(delay * DEFAULT_RECONNECT_FACTOR, DEFAULT_RECONNECT_CAP)
-            await limiter.wait()
-            detail = self._next_attempt(session)
-            self.emit(_CONNECT_ATTEMPT, session.node, detail)
-            try:
-                await session.transport.connect()
-            except ConnectFailed:
-                continue
-            session.state = _CONNECTED
-            self.emit(_CONNECT_SUCCESS, session.node, detail)
-            return session
-        raise RetriesExhausted(
-            f"gave up reconnecting to {session.node} after {self.reconnect_budget} attempts"
-        )
 
     async def close_all(self) -> None:
         """Close every session, then forget them and their locks: sessions
@@ -343,9 +328,6 @@ class SessionPool:
             await session.close()
         self._sessions = {}
         self._node_locks = {}
-
-    def live_sessions(self) -> list[Session]:
-        return [s for s in self._sessions.values() if s.state is SessionState.CONNECTED]
 
 
 # --------------------------------------------------------------------------

@@ -185,3 +185,128 @@ def first_cycle(graph: dict[str, list[str]], roots: list[str] | None = None) -> 
             if cycle is not None:
                 return cycle
     return None
+
+
+# --- model invariants ----------------------------------------------------
+#
+# Read from the values' fields alone: kinds are compared by their `.value`,
+# tasks and steps items by class name, and cycles found with first_cycle.
+
+
+def _target_defs(target) -> list:
+    """A target and its nested members, in preorder."""
+    out = [target]
+    for member in target.members:
+        out.extend(_target_defs(member))
+    return out
+
+
+def _call_refs(tasks) -> list[str]:
+    """The refs of every call task, in document order, at any depth."""
+    out = []
+    for t in tasks:
+        kind = type(t).__name__
+        if kind == "CallTask":
+            out.append(t.ref)
+        elif kind in ("SeqTask", "ParTask"):
+            out.extend(_call_refs(t.children))
+    return out
+
+
+def call_graph(experiment) -> dict[str, list[str]]:
+    """Edges tasklist -> tasklists it references via call tasks."""
+    return {tl.name: _call_refs(tl.tasks) for tl in experiment.tasklists}
+
+
+def iter_steps_items(items) -> list:
+    """All items of a steps block, descending into repeat bodies."""
+    out = []
+    for item in items:
+        out.append(item)
+        if type(item).__name__ == "Repeat":
+            out.extend(iter_steps_items(item.body))
+    return out
+
+
+def audit(experiment) -> list[str]:
+    """Every model invariant an Experiment value breaks, as readable
+    problems; empty means well-formed. The parser must never emit an
+    Experiment for which this returns a non-empty list."""
+    problems: list[str] = []
+    # A group may embed a previously defined target by reference, so the
+    # same value can appear twice; only conflicting definitions are
+    # duplicates.
+    targets: dict[str, object] = {}
+    for top in experiment.targets:
+        for t in _target_defs(top):
+            if targets.setdefault(t.name, t) != t:
+                problems.append(f"duplicate target name {t.name!r}")
+            problems.extend(_audit_target(t))
+    tasklists: dict[str, object] = {}
+    for tl in experiment.tasklists:
+        if tasklists.setdefault(tl.name, tl) != tl:
+            problems.append(f"duplicate tasklist name {tl.name!r}")
+
+    for tl in experiment.tasklists:
+        if tl.timeout is not None and tl.timeout <= 0:
+            problems.append(f"tasklist {tl.name!r} has non-positive timeout")
+        if tl.cleanup is not None and tl.cleanup not in tasklists:
+            problems.append(f"tasklist {tl.name!r} cleanup {tl.cleanup!r} is undefined")
+    cleanups = {tl.name: [tl.cleanup] if tl.cleanup else [] for tl in experiment.tasklists}
+    for tl in experiment.tasklists:
+        cycle = first_cycle(cleanups, [tl.name])
+        if cycle is not None:
+            problems.append(f"cleanup chain of {tl.name!r} is cyclic at {cycle[0]!r}")
+    cycle = first_cycle(call_graph(experiment))
+    if cycle is not None:
+        problems.append(f"call graph contains a cycle through {cycle[0]!r}")
+
+    for item in iter_steps_items(experiment.steps.items):
+        kind = type(item).__name__
+        if kind in ("Step", "RegisterTeardown"):
+            if item.tasklist_ref not in tasklists:
+                problems.append(f"unknown tasklist reference {item.tasklist_ref!r}")
+            if item.targets_ref not in targets:
+                problems.append(f"unknown target reference {item.targets_ref!r}")
+        if kind == "Step":
+            offsets = [
+                ts.offset for ts in (item.start, item.stop) if type(ts).__name__ == "RelativeTime"
+            ]
+            if len(offsets) == 2 and not offsets[0] < offsets[1]:
+                problems.append("step start must precede stop")
+            problems.extend(
+                "relative time offsets must be non-negative" for offset in offsets if offset < 0
+            )
+        if kind == "Repeat":
+            if item.iterations is None and item.during is None and item.until is None:
+                problems.append("repeat carries no termination bound")
+            if item.iterations is not None and item.iterations <= 0:
+                problems.append("repeat iterations must be positive")
+    for tl in experiment.tasklists:
+        problems.extend(
+            f"tasklist {tl.name!r} calls undefined {ref!r}"
+            for ref in _call_refs(tl.tasks)
+            if ref not in tasklists
+        )
+    return problems
+
+
+_CONNECTION_FIELDS = (
+    "ssh_user", "ssh_password", "ssh_host",
+    "planetlab_api_url", "planetlab_slice", "planetlab_user",
+)
+
+
+def _audit_target(t) -> list[str]:
+    connected = any(getattr(t, name) is not None for name in _CONNECTION_FIELDS)
+    kind = t.kind.value
+    if kind == "local" and (connected or t.members):
+        return [f"local target {t.name!r} must not carry connection fields"]
+    if kind == "ssh" and not (t.ssh_host and t.ssh_user):
+        return [f"ssh target {t.name!r} requires host and user"]
+    if kind == "planetlab" and not (t.planetlab_api_url and t.planetlab_slice and t.planetlab_user):
+        return [f"planetlab target {t.name!r} requires api-url, slice, user"]
+    # empty groups are legal: slice expansion can yield zero live nodes
+    if kind == "group" and connected:
+        return [f"group {t.name!r} must not carry connection fields"]
+    return []

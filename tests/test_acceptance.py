@@ -233,12 +233,12 @@ def test_file_round_trip(tmp_path):
     limiter = RateLimiter(None, clock)
 
     async def mock_side():
-        fetched = {}
+        fetched, sessions = {}, {}
         for node in clash:
             target = TargetDef(name=node, kind=TargetKind.SSH, ssh_user="u", ssh_host=node)
-            session = await pool.acquire(target, limiter, clock)
+            session = sessions[node] = await pool.acquire(target, limiter, clock)
             fetched[node] = await session.fetch("data.bin")
-        n1 = pool.session_for("n1")
+        n1 = sessions["n1"]
         await n1.push(local, "/remote/payload.bin")
         round_tripped = await n1.fetch("/remote/payload.bin")
         return fetched, round_tripped

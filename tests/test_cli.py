@@ -16,9 +16,7 @@ from gplmt.cli import (
     EXIT_ERRORS,
     EXIT_PANIC,
     EXIT_USAGE,
-    CliMode,
     build_arg_parser,
-    config_from_args,
     filter_targets,
     main,
     parse_env_override,
@@ -96,19 +94,24 @@ def test_parse_env_override_rejects_malformed(text):
 
 def test_config_defaults_to_run_mode():
     args = build_arg_parser().parse_args(["exp.xml"])
-    config = config_from_args(args)
-    assert config.mode is CliMode.RUN
-    assert config.log_dir == Path("gplmt-logs")
-    assert config.target_filter == []
-    assert config.rate_limit is None
+    assert not args.validate and not args.dry_run
+    assert args.experiment == Path("exp.xml")
+    assert args.log_dir == Path("gplmt-logs")
+    assert args.only == []
+    assert args.max_connects is None
+    assert args.env_overrides == []
+    assert args.mock_script is None
+    assert not args.include_non_boot_nodes
 
 
 def test_config_collects_repeated_and_comma_separated_only():
-    args = build_arg_parser().parse_args(
+    parser = build_arg_parser()
+    args = parser.parse_args(
         ["exp.xml", "--only", "a,b", "--only", "c", "--set", "X=1", "--set", "Y=2"])
-    config = config_from_args(args)
-    assert config.target_filter == ["a", "b", "c"]
-    assert config.env_overrides == [("X", "1"), ("Y", "2")]
+    assert args.only == ["a", "b", "c"]
+    assert args.env_overrides == [("X", "1"), ("Y", "2")]
+    assert parser.parse_args(["exp.xml", "--only", ",a,,b,"]).only == ["a", "b"]
+    assert parser.parse_args(["exp.xml"]).only == []  # the default list is not shared
 
 
 def test_mode_flags_are_mutually_exclusive(capsys):
@@ -738,3 +741,34 @@ def test_artifact_labels_that_fit_keep_their_path(tmp_path):
     assert len(artifact_label("c0", path + (1,))) == len("c0-h") + 16
     assert artifact_label("ct3", (10,) * 90) == artifact_label("ct3", (10,) * 90)
     assert artifact_label("ct3", (10,) * 90) != artifact_label("ct3", (10,) * 91)
+
+
+def test_a_long_document_stem_still_names_a_run_directory(tmp_path, capsys):
+    """`<23-byte stamp>-<stem>` passes 255 bytes with a stem of 240
+    characters; the run directory then takes the artifact labels' short form."""
+    import hashlib
+
+    source = FIXTURES / "abort_step.xml"
+    script = str(FIXTURES / "scripts" / "abort_step.json")
+    codes, names = [], []
+    for stem in ("abort_step", "x" * 240):
+        path = tmp_path / f"{stem}.xml"
+        path.write_bytes(source.read_bytes())
+        log_dir = tmp_path / f"logs-{len(stem)}"
+        codes.append(main([str(path), "--dry-run", "--mock-script", script,
+                           "--log-dir", str(log_dir)]))
+        names.append(run_dir_of(log_dir).name)
+    assert "Traceback" not in capsys.readouterr().err
+    assert codes[1] == codes[0] == EXIT_ERRORS
+    assert names[0].endswith("-abort_step")
+    stamp, _, short = names[1].partition("-")
+    assert len(names[1].encode()) <= 255
+    assert short == "h" + hashlib.sha256(f"{stamp}-{'x' * 240}".encode()).hexdigest()[:16]
+
+
+def test_an_unsafe_document_stem_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "a\\b.xml"
+    path.write_text(SMALL_DOC, encoding="utf-8")
+    assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "gplmt: error: unsafe path component" in err and "Traceback" not in err

@@ -110,6 +110,7 @@ def expand_digest(variant: str) -> str:
 
 def test_each_slice_is_fetched_with_its_own_credentials():
     _, calls = expanded("boot-only")
+    assert len(calls) == 2  # once per slice target, not once per group embedding it
     assert list(dict.fromkeys(calls)) == [
         ("https://api.example/", "me@example.org", "sekrit", "s1"),
         ("https://other.example/", "you@example.org", "", "s2"),

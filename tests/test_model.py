@@ -20,17 +20,13 @@ from gplmt.model import (
     TaskOutcome,
     TaskResult,
     UnknownTargetError,
-    audit,
-    call_graph,
     depth_first,
     find_cycle,
-    iter_steps_items,
     iter_target_defs,
     resolve_group,
-    static_step_execution_bound,
 )
 
-from .oracles import first_cycle, resolve_leaf_names
+from .oracles import audit, call_graph, first_cycle, iter_steps_items, resolve_leaf_names
 
 
 def ssh(name: str, host: str | None = None, env: tuple = ()) -> TargetDef:
@@ -200,17 +196,6 @@ def test_iter_steps_items_descends_into_repeat():
     items = (Repeat(body=(inner, registration), iterations=2),)
     flat = list(iter_steps_items(items))
     assert inner in flat and registration in flat
-
-
-def test_static_step_execution_bound():
-    one = Step("work", "node")
-    assert static_step_execution_bound(StepsProgram(items=(one, one))) == 2
-    nested = StepsProgram(
-        items=(one, Repeat(body=(one, Repeat(body=(one,), iterations=3)), iterations=2))
-    )
-    assert static_step_execution_bound(nested) == 1 + 2 * (1 + 3)
-    during_only = StepsProgram(items=(Repeat(body=(one,), during=5.0),))
-    assert static_step_execution_bound(during_only) is None
 
 
 def test_runtime_riders_do_not_mutate():

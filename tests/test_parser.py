@@ -20,7 +20,6 @@ from gplmt.model import (
     Step,
     Synchronize,
     TargetKind,
-    audit,
 )
 from gplmt.parser import (
     MAX_NESTING_DEPTH,
@@ -36,7 +35,7 @@ from gplmt.parser import (
     validate_and_lower,
 )
 
-from .oracles import iso_duration_seconds
+from .oracles import audit, iso_duration_seconds
 
 CORPUS = Path(__file__).parent / "corpus"
 

@@ -11,7 +11,7 @@ from xmlrpc.server import SimpleXMLRPCServer
 import pytest
 
 import gplmt
-from gplmt.model import TargetDef, TargetKind, audit
+from gplmt.model import TargetDef, TargetKind
 from gplmt.planetlab import (
     ApiUnreachable,
     AuthFailed,
@@ -24,6 +24,8 @@ from gplmt.planetlab import (
     list_slice_nodes,
     planetlab_target_names,
 )
+
+from .oracles import audit
 
 THREE_HOSTS = [
     SliceNodeRecord("a.example.org", "boot", 1),

@@ -504,10 +504,14 @@ def test_session_close_is_terminal():
         assert session.state is SessionState.CLOSED
         with pytest.raises(SessionClosed):
             await session.exec("true")
-        with pytest.raises(SessionClosed):
-            await pool.reconnect(session, unlimited(), clock)
+        await pool.close_all()
+        again = await pool.acquire(mock_node(), unlimited(), clock)
+        return session, again
 
-    run_virtual(scenario())
+    session, again = run_virtual(scenario())
+    assert again is not session  # a closed session is never handed out again
+    assert session.state is SessionState.CLOSED
+    assert again.state is SessionState.CONNECTED
 
 
 # --- session pool ---
@@ -529,15 +533,21 @@ def test_pool_reuses_connection_per_node():
 
 
 def test_pool_keeps_one_session_per_node():
-    pool, clock = mock_pool()
+    events = []
+    pool, clock = mock_pool(emit=lambda k, n, detail: events.append((k, n)))
 
     async def scenario():
         a = await pool.acquire(mock_node("alpha"), unlimited(), clock)
         b = await pool.acquire(mock_node("beta"), unlimited(), clock)
         assert a is not b
-        return sorted(s.node for s in pool.live_sessions())
+        assert await pool.acquire(mock_node("alpha"), unlimited(), clock) is a
+        assert await pool.acquire(mock_node("beta"), unlimited(), clock) is b
+        return [(s.node, s.state) for s in (a, b)]
 
-    assert run_virtual(scenario()) == ["alpha", "beta"]
+    assert run_virtual(scenario()) == [
+        ("alpha", SessionState.CONNECTED), ("beta", SessionState.CONNECTED)]
+    assert events == [("ConnectAttempt", "alpha"), ("ConnectSuccess", "alpha"),
+                      ("ConnectAttempt", "beta"), ("ConnectSuccess", "beta")]
 
 
 def test_pool_refuses_group_targets():
@@ -580,7 +590,7 @@ def test_reconnect_backoff_schedule_matches_oracle():
         session = await pool.acquire(mock_node(), unlimited(), clock)
         session.mark_lost()
         base = clock.now()
-        await pool.reconnect(session, unlimited(), clock)
+        assert await pool.acquire(mock_node(), unlimited(), clock) is session
         return base, session.state
 
     base, state = run_virtual(scenario())
@@ -602,7 +612,7 @@ def test_reconnect_budget_exhaustion():
         session = await pool.acquire(mock_node(), unlimited(), clock)
         session.mark_lost()
         with pytest.raises(RetriesExhausted):
-            await pool.reconnect(session, unlimited(), clock)
+            await pool.acquire(mock_node(), unlimited(), clock)
         return session.state
 
     assert run_virtual(scenario()) is SessionState.LOST
@@ -629,30 +639,69 @@ def test_close_all_closes_every_session():
     pool, clock = mock_pool()
 
     async def scenario():
-        await pool.acquire(mock_node("alpha"), unlimited(), clock)
-        await pool.acquire(mock_node("beta"), unlimited(), clock)
+        sessions = [await pool.acquire(mock_node(name), unlimited(), clock)
+                    for name in ("alpha", "beta")]
         await pool.close_all()
-        return pool.live_sessions()
+        return [s.state for s in sessions]
 
-    assert run_virtual(scenario()) == []
+    assert run_virtual(scenario()) == [SessionState.CLOSED, SessionState.CLOSED]
 
 
 def test_close_all_closes_every_session_before_forgetting_it():
-    # live_sessions() is empty once the pool forgets its sessions, so the
-    # sessions acquired are checked themselves.
-    pool, clock = mock_pool()
+    events = []
+    pool, clock = mock_pool(emit=lambda k, n, detail: events.append((k, n, detail)))
 
     async def scenario():
         sessions = [await pool.acquire(mock_node(name), unlimited(), clock)
                     for name in ("alpha", "beta")]
         await pool.close_all()
-        again = await pool.acquire(mock_node("alpha"), unlimited(), clock)
+        del events[:]
+        again = [await pool.acquire(mock_node(name), unlimited(), clock)
+                 for name in ("alpha", "beta")]
         return sessions, again
 
     sessions, again = run_virtual(scenario())
     assert [s.state for s in sessions] == [SessionState.CLOSED, SessionState.CLOSED]
-    assert pool.session_for("beta") is None
-    assert again is not sessions[0] and again.state is SessionState.CONNECTED
+    # the pool forgot both: each node gets a new session and a first connect
+    assert all(new is not old for new, old in zip(again, sessions))
+    assert [s.state for s in again] == [SessionState.CONNECTED, SessionState.CONNECTED]
+    assert events == [(kind, node, "attempt=1") for node in ("alpha", "beta")
+                      for kind in ("ConnectAttempt", "ConnectSuccess")]
+
+
+def test_a_first_connect_is_tried_once_and_raises_its_own_error():
+    script = MockScript.from_json('{"nodes": {"alpha": {"available": false}}}')
+    attempts = []
+    pool, clock = mock_pool(script, reconnect_budget=5)
+    pool._emit = lambda kind, node, detail: (
+        attempts.append(detail) if kind == "ConnectAttempt" else None)
+
+    async def scenario():
+        with pytest.raises(Unreachable):
+            await pool.acquire(mock_node(), unlimited(), clock)
+        assert attempts == ["attempt=1"]
+        # the next acquire of the node tries exactly once more
+        with pytest.raises(Unreachable):
+            await pool.acquire(mock_node(), unlimited(), clock)
+        return clock.now()
+
+    assert run_virtual(scenario()) == 0.0  # no backoff between the two
+    assert attempts == ["attempt=1", "attempt=2"]
+
+
+def test_a_lost_session_with_budget_zero_gives_up_without_an_attempt():
+    events = []
+    pool, clock = mock_pool(emit=lambda k, n, detail: events.append(k), reconnect_budget=0)
+
+    async def scenario():
+        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session.mark_lost()
+        with pytest.raises(RetriesExhausted):
+            await pool.acquire(mock_node(), unlimited(), clock)
+        return session.state
+
+    assert run_virtual(scenario()) is SessionState.LOST
+    assert events == ["ConnectAttempt", "ConnectSuccess", "ConnectLost"]
 
 
 # --- local transport ---
