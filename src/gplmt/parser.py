@@ -379,7 +379,6 @@ class _Validator:
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
         self.targets: dict[str, TargetDef] = {}
-        self.target_nodes: dict[str, XmlNode] = {}
         self.top_targets: list[TargetDef] = []
         self.tasklists: dict[str, Tasklist] = {}
         self.tasklist_nodes: dict[str, XmlNode] = {}
@@ -525,7 +524,6 @@ class _Validator:
             self.err(node, "DuplicateName", f"target {name!r} is already defined")
             return None
         self.targets[name] = target
-        self.target_nodes[name] = node
         return target
 
     def _lower_member_reference(

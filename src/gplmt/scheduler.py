@@ -55,7 +55,6 @@ from .telemetry import (
     write_report,
 )
 from .transport import (
-    DEFAULT_RECONNECT_BUDGET,
     MockScript,
     RateLimiter,
     RateLimiterConfig,
@@ -175,8 +174,8 @@ class RealClock(Clock):
 # Bound once: on CPython 3.11 every `EnumClass.MEMBER` read goes through the
 # enum metaclass's attribute hook, several times the cost of a plain read,
 # and these are read on every node, task or event.
-_SUCCESS = TaskOutcome.SUCCESS
-_TIMED_OUT = TaskOutcome.TIMED_OUT
+_SUCCESS, _FAILED, _TIMED_OUT = TaskOutcome.SUCCESS, TaskOutcome.FAILED, TaskOutcome.TIMED_OUT
+_ABORT_TASKLIST, _ABORT_STEP = ErrorMode.ABORT_TASKLIST, ErrorMode.ABORT_STEP
 _NODE_SUCCEEDED, _NODE_FAILED = NodeState.SUCCEEDED, NodeState.FAILED
 _NODE_SKIPPED = NodeState.SKIPPED
 _TASK_START, _TASK_END = EventKind.TASK_START, EventKind.TASK_END
@@ -188,16 +187,14 @@ class _PanicSignal(Exception):
     """Raised inside the engine to unwind to the teardown phase."""
 
 
-class _Escalation(Exception):
-    """A task failure whose error mode reaches beyond its own tasklist."""
+class _Abort(Exception):
+    """Ends a tasklist body: `outcome` is the body's worst, `mode` how far
+    the failure reaches. A passed deadline is TimedOut and abort-tasklist;
+    abort-step and panic escalate beyond the tasklist."""
 
-    def __init__(self, mode: ErrorMode):
-        super().__init__(mode.value)
+    def __init__(self, outcome: TaskOutcome, mode: ErrorMode):
+        self.outcome = outcome
         self.mode = mode
-
-
-class _DeadlineHit(Exception):
-    """A tasklist deadline (timeout or step stop) has passed."""
 
 
 _SEVERITY = {
@@ -258,7 +255,6 @@ class ExperimentRunner:
         limiter_config: RateLimiterConfig | None,
         event_log: EventLog,
         run_dir: Path | None = None,
-        reconnect_budget: int = DEFAULT_RECONNECT_BUDGET,
     ):
         self.experiment = experiment
         self.targets = experiment.target_map()
@@ -268,7 +264,6 @@ class ExperimentRunner:
         self.limiter_config = limiter_config
         self.log = event_log
         self.run_dir = run_dir
-        self.reconnect_budget = reconnect_budget
 
         self.registry: list[RegisterTeardown] = []
         self.panicked = False
@@ -308,12 +303,7 @@ class ExperimentRunner:
 
     async def run(self) -> ExperimentReport:
         self.limiter = RateLimiter(self.limiter_config, self.clock)
-        self.pool = SessionPool(
-            self.transport_factory,
-            emit=self.emit,
-            artifact_root=self.run_dir,
-            reconnect_budget=self.reconnect_budget,
-        )
+        self.pool = SessionPool(self.transport_factory, emit=self.emit, artifact_root=self.run_dir)
         try:
             self.emit(EventKind.EXPERIMENT_START)
             try:
@@ -336,7 +326,7 @@ class ExperimentRunner:
 
     async def _drain_step_tasks(self) -> None:
         # After a panic the cancelled tasks must fully unwind (releasing
-        # their session locks) before any teardown work may start.
+        # their node locks) before any teardown work may start.
         if self._all_step_tasks:
             await asyncio.gather(*self._all_step_tasks, return_exceptions=True)
 
@@ -483,11 +473,17 @@ class ExperimentRunner:
     ) -> None:
         """Run one tasklist on one node; outcome lands in ctx.outcomes.
 
-        One try turns whatever the node's execution raised into its state,
-        an optional Warning and an optional escalation; only cancellation
-        propagates. A teardown always runs its tasklist as abort-tasklist.
+        The node's lock is taken before its session and held through the
+        tasklist and its cleanup, so executions on one node serialize and
+        each acquires the session afresh: one that an earlier execution lost
+        is reconnected. One try turns whatever the node's execution raised
+        into its state, an optional Warning and an optional escalation; only
+        cancellation propagates. A teardown always runs its tasklist as
+        abort-tasklist.
         """
         node = leaf.name
+        lock = self.pool.node_lock(node)
+        locked = False
         run: _NodeRun | None = None
         state = _NODE_FAILED
         warning = reason = ""
@@ -495,22 +491,22 @@ class ExperimentRunner:
         try:
             try:
                 if ctx.stop_instant is None:
+                    await lock.acquire()
+                    locked = True
                     session = await self.pool.acquire(leaf, self.limiter, self.clock)
-                    await session.lock.acquire()
                 else:
                     remaining = ctx.stop_instant - self.clock.now()
                     if remaining <= 0:
                         raise asyncio.TimeoutError()
-                    session = await asyncio.wait_for(self._acquire_node(leaf), remaining)
+                    session = await asyncio.wait_for(self._acquire_node(leaf, lock), remaining)
+                    locked = True
                 run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
                 deadline = self._deadline(tasklist.timeout, ctx.stop_instant)
-                worst, _ = await self._run_tasks(run, tasklist, tasklist.tasks, deadline, ())
-                if worst is _SUCCESS:
+                if await self._run_tasks(run, tasklist, tasklist.tasks, deadline, ()) is _SUCCESS:
                     state = _NODE_SUCCEEDED
-            except _DeadlineHit:
-                pass
-            except _Escalation as exc:
-                escalation, reason = exc.mode, f"on-error={exc.mode.value}"
+            except _Abort as exc:
+                if exc.mode is not _ABORT_TASKLIST:
+                    escalation, reason = exc.mode, f"on-error={exc.mode.value}"
             except asyncio.CancelledError:
                 ctx.outcomes[node] = state = NodeState.ABORTED
                 if run is None or (self.panicked and not ctx.is_teardown):
@@ -542,16 +538,20 @@ class ExperimentRunner:
                 # the controller faulted in the cleanup; an aborted node stays Aborted
                 ctx.outcomes[node] = _NODE_FAILED
         finally:
-            if run is not None:
-                run.session.lock.release()
+            if locked:
+                lock.release()
 
-    async def _acquire_node(self, leaf: TargetDef) -> Session:
-        """Acquire the node session, then its per-node execution lock, as
-        one awaitable for a stop time's wait_for. Without a stop time
-        execute_tasklist awaits both itself: one frame fewer per parked node."""
-        session = await self.pool.acquire(leaf, self.limiter, self.clock)
-        await session.lock.acquire()
-        return session
+    async def _acquire_node(self, leaf: TargetDef, lock: asyncio.Lock) -> Session:
+        """Take the node's lock, then its session, as one awaitable for a
+        stop time's wait_for; the lock is released again if no session
+        comes of it. Without a stop time execute_tasklist awaits both
+        itself: one frame fewer per parked node."""
+        await lock.acquire()
+        try:
+            return await self.pool.acquire(leaf, self.limiter, self.clock)
+        except BaseException:
+            lock.release()
+            raise
 
     def _deadline(self, timeout: float | None, outer: float | None) -> float | None:
         """Now plus `timeout`, capped by the `outer` deadline; None bounds nothing."""
@@ -572,7 +572,7 @@ class ExperimentRunner:
         if mode is ErrorMode.PANIC:
             self.trigger_panic(node, tasklist, detail, ctx.step_task)
             self._cancel_step_siblings(ctx, node)
-        elif mode is ErrorMode.ABORT_STEP:
+        elif mode is _ABORT_STEP:
             self._cancel_step_siblings(ctx, node)
 
     async def _run_cleanup(self, run: _NodeRun, cleanup_ref: str) -> bool:
@@ -581,8 +581,9 @@ class ExperimentRunner:
         Cleanups are contained: effective mode abort-tasklist, bounded by
         their own timeout only, and their own cleanup attribute does not
         chain further. A lost session is re-acquired first; failures are
-        logged and never escalate. Returns whether the controller itself
-        faulted in one of its tasks, a callee's cleanup included.
+        logged with the body's worst outcome and never escalate. Returns
+        whether the controller itself faulted in one of its tasks, a
+        callee's cleanup included.
         """
         cleanup = self.tasklists[cleanup_ref]
         node = run.leaf.name
@@ -595,15 +596,22 @@ class ExperimentRunner:
         cleanup_run = _NodeRun(session, run.leaf, run.env, run.ctx, True, "c")
         deadline = self._deadline(cleanup.timeout, None)
         try:
-            worst, _ = await self._run_tasks(cleanup_run, cleanup, cleanup.tasks, deadline, ())
-        except _DeadlineHit:
-            worst = _TIMED_OUT
+            worst = await self._run_tasks(cleanup_run, cleanup, cleanup.tasks, deadline, ())
+        except _Abort as exc:
+            worst = exc.outcome
         if worst is not _SUCCESS:
             detail = f"cleanup finished {worst.value}"
             self.emit(EventKind.WARNING, node, run.ctx.step_index, cleanup.name, detail=detail)
         return cleanup_run.faulted
 
     # -- task trees ------------------------------------------------------
+    #
+    # A failure ends a tasklist body as one _Abort. What returns normally is
+    # Success, or Failed when a callee absorbed a failure of its own: that
+    # taint lets the body carry on, and since Failed is the least severe
+    # failure, an _Abort's outcome is always the worst of the body it ends.
+    # A failed task raises it as abort-tasklist; the task sequence it
+    # belongs to applies the governing error mode (see _run_tasks).
 
     async def _run_tasks(
         self,
@@ -612,28 +620,29 @@ class ExperimentRunner:
         tasks: tuple[Task, ...],
         deadline: float | None,
         path: tuple[int, ...],
-    ) -> tuple[TaskOutcome, bool]:
+    ) -> TaskOutcome:
         """Run a task sequence under one governing tasklist.
 
-        Returns (worst outcome, saw-uncontained-failure). Failures from
-        directly governed tasks trigger the governing error mode, which a
-        contained run (teardown or cleanup) takes as abort-tasklist; failures
-        already absorbed by a callee's own mode only taint the outcome.
+        A failure of a task in it takes the governing error mode here, but
+        a passed deadline stays abort-tasklist, and so does every failure
+        of a contained run (teardown or cleanup).
         """
         worst = _SUCCESS
-        uncontained = False
         for index, task in enumerate(tasks):
             child = self._run_leaf if isinstance(task, _LEAF_TASKS) else self._run_one
-            outcome, contained = await child(
-                run, governing, task, deadline, self._share(path + (index,))
-            )
-            worst = _worse(worst, outcome)
-            if outcome is not _SUCCESS and not contained:
-                uncontained = True
-                if governing.on_error is not ErrorMode.ABORT_TASKLIST and not run.contained:
-                    raise _Escalation(governing.on_error)
-                break
-        return worst, uncontained
+            try:
+                if await child(run, governing, task, deadline, self._share(path + (index,))) is not _SUCCESS:
+                    worst = _FAILED
+            except _Abort as exc:
+                if (
+                    exc.mode is _ABORT_TASKLIST
+                    and exc.outcome is not _TIMED_OUT
+                    and governing.on_error is not _ABORT_TASKLIST
+                    and not run.contained
+                ):
+                    raise _Abort(exc.outcome, governing.on_error) from None
+                raise
+        return worst
 
     async def _run_one(
         self,
@@ -642,15 +651,12 @@ class ExperimentRunner:
         task: SeqTask | ParTask | CallTask,
         deadline: float | None,
         path: tuple[int, ...],
-    ) -> tuple[TaskOutcome, bool]:
+    ) -> TaskOutcome:
         """Run a seq, par or call construct; leaves go to _run_leaf."""
         if deadline is not None and self.clock.now() >= deadline:
-            raise _DeadlineHit()
+            raise _Abort(_TIMED_OUT, _ABORT_TASKLIST)
         if isinstance(task, SeqTask):
-            worst, uncontained = await self._run_tasks(
-                run, governing, task.children, deadline, path
-            )
-            return worst, not uncontained and worst is not _SUCCESS
+            return await self._run_tasks(run, governing, task.children, deadline, path)
         if isinstance(task, ParTask):
             return await self._run_par(run, governing, task, deadline, path)
         return await self._run_call(run, task, deadline, path)
@@ -662,17 +668,17 @@ class ExperimentRunner:
         task: RunTask | GetTask | PutTask,
         deadline: float | None,
         path: tuple[int, ...],
-    ) -> tuple[TaskOutcome, bool]:
-        """Run one command or transfer between its TaskStart and TaskEnd;
-        returns (outcome, False), as _run_one does for an uncontained task.
+    ) -> TaskOutcome:
+        """Run one command or transfer between its TaskStart and TaskEnd.
 
         Whatever the session raises becomes the task's outcome here:
         ConnectionLost for a closed session, Failed for any other transport
         error, and Failed with a `controller:` detail for a fault of the
-        controller itself (a failed artifact write, say).
+        controller itself (a failed artifact write, say). Any outcome but
+        Success raises it as an abort-tasklist _Abort.
         """
         if deadline is not None and self.clock.now() >= deadline:
-            raise _DeadlineHit()
+            raise _Abort(_TIMED_OUT, _ABORT_TASKLIST)
         node = run.leaf.name
         step_index = run.ctx.step_index
         if isinstance(task, RunTask):
@@ -706,16 +712,16 @@ class ExperimentRunner:
             outcome = TaskOutcome.CONNECTION_LOST
             detail = outcome.value
         except TransportError:
-            outcome = TaskOutcome.FAILED
+            outcome = _FAILED
             detail = f"Failed {verb}={target}"
         except Exception as exc:
-            outcome = TaskOutcome.FAILED
+            outcome = _FAILED
             detail = f"Failed controller: {type(exc).__name__}: {exc}"
             run.faulted = True
         self.emit(_TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts)
-        if outcome is _TIMED_OUT:
-            raise _DeadlineHit()
-        return outcome, False
+        if outcome is not _SUCCESS:
+            raise _Abort(outcome, _ABORT_TASKLIST)
+        return outcome
 
     async def _run_par(
         self,
@@ -724,12 +730,14 @@ class ExperimentRunner:
         task: ParTask,
         deadline: float | None,
         path: tuple[int, ...],
-    ) -> tuple[TaskOutcome, bool]:
+    ) -> TaskOutcome:
         """All children start at once; the construct ends with the last one.
 
-        Escalation and deadline exhaustion are applied after the already
-        started children have been collected, first child in tree order
-        winning, so parallel work is never torn down halfway by a sibling.
+        Failures are applied only after every started child has been
+        collected, so parallel work is never torn down halfway by a sibling:
+        a fault of the controller first, then the first escalation or
+        passed deadline in tree order, else an abort-tasklist _Abort with
+        the worst outcome of all children.
         """
         children = [
             asyncio.create_task(
@@ -740,29 +748,21 @@ class ExperimentRunner:
             for index, child in enumerate(task.children)
         ]
         results = await asyncio.gather(*children, return_exceptions=True)
-        worst = TaskOutcome.SUCCESS
-        uncontained = False
-        to_raise: BaseException | None = None
+        worst = _SUCCESS
+        aborts = []
         for result in results:
-            if isinstance(result, _Escalation):
-                worst = _worse(worst, TaskOutcome.FAILED)
-                uncontained = True
-                if to_raise is None:
-                    to_raise = result
-            elif isinstance(result, _DeadlineHit):
-                worst = _worse(worst, TaskOutcome.TIMED_OUT)
-                if to_raise is None:
-                    to_raise = result
+            if isinstance(result, _Abort):
+                aborts.append(result)
+                result = result.outcome
             elif isinstance(result, BaseException):
                 raise result
-            else:
-                outcome, contained = result
-                worst = _worse(worst, outcome)
-                if outcome is not TaskOutcome.SUCCESS and not contained:
-                    uncontained = True
-        if to_raise is not None:
-            raise to_raise
-        return worst, not uncontained and worst is not TaskOutcome.SUCCESS
+            worst = _worse(worst, result)
+        if not aborts:
+            return worst
+        for abort in aborts:
+            if abort.mode is not _ABORT_TASKLIST or abort.outcome is _TIMED_OUT:
+                raise abort
+        raise _Abort(worst, _ABORT_TASKLIST)
 
     async def _run_call(
         self,
@@ -770,40 +770,34 @@ class ExperimentRunner:
         task: CallTask,
         deadline: float | None,
         path: tuple[int, ...],
-    ) -> tuple[TaskOutcome, bool]:
+    ) -> TaskOutcome:
         """Execute the referenced tasklist inline, inheriting the deadline.
 
         The callee's own timeout and abort-tasklist failures stay contained:
         the call reports Failed and the caller carries on. abort-step and
-        panic escalate through, except inside a teardown or cleanup. The
-        callee's cleanup runs only when the callee's own body failed.
+        panic escalate through, except inside a teardown or cleanup, and so
+        does a timeout once the caller's own deadline has passed too. The
+        callee's cleanup runs only when the callee's own body failed, and
+        not before a panic.
         """
         callee = self.tasklists[task.ref]
         callee_deadline = self._deadline(callee.timeout, deadline)
-        worst = TaskOutcome.SUCCESS
-        reraise: BaseException | None = None
+        reraise: _Abort | None = None
         try:
-            worst, _ = await self._run_tasks(run, callee, callee.tasks, callee_deadline, path)
-        except _DeadlineHit as exc:
-            worst = TaskOutcome.TIMED_OUT
-            if deadline is not None and self.clock.now() >= deadline:
-                reraise = exc  # the caller's own deadline has passed too
-        except _Escalation as exc:
-            worst = TaskOutcome.FAILED
+            if await self._run_tasks(run, callee, callee.tasks, callee_deadline, path) is _SUCCESS:
+                return _SUCCESS
+        except _Abort as exc:
             if exc.mode is ErrorMode.PANIC:
                 raise
-            reraise = exc
-        if (
-            worst is not _SUCCESS
-            and callee.cleanup is not None
-            and await self._run_cleanup(run, callee.cleanup)
-        ):
+            if exc.mode is _ABORT_STEP or (
+                exc.outcome is _TIMED_OUT and deadline is not None and self.clock.now() >= deadline
+            ):
+                reraise = exc
+        if callee.cleanup is not None and await self._run_cleanup(run, callee.cleanup):
             run.faulted = True
         if reraise is not None:
             raise reraise
-        if worst is not TaskOutcome.SUCCESS:
-            return TaskOutcome.FAILED, True
-        return TaskOutcome.SUCCESS, False
+        return _FAILED
 
     # -- teardowns ------------------------------------------------------
 
@@ -831,7 +825,6 @@ def run_experiment(
     limiter_config: RateLimiterConfig | None = None,
     event_log: EventLog | None = None,
     run_dir: str | Path | None = None,
-    reconnect_budget: int = DEFAULT_RECONNECT_BUDGET,
 ) -> ExperimentReport:
     """Execute an experiment to completion and return its report.
 
@@ -850,13 +843,7 @@ def run_experiment(
     if event_log is None:
         event_log = EventLog(run_dir / "events.jsonl" if run_dir is not None else None)
     runner = ExperimentRunner(
-        experiment,
-        transport_factory,
-        clock,
-        limiter_config,
-        event_log,
-        run_dir=run_dir,
-        reconnect_budget=reconnect_budget,
+        experiment, transport_factory, clock, limiter_config, event_log, run_dir=run_dir
     )
     virtual = isinstance(clock, VirtualClock)
     loop = VirtualTimeEventLoop() if virtual else asyncio.new_event_loop()
@@ -878,17 +865,8 @@ def dry_run(
     limiter_config: RateLimiterConfig | None = None,
     event_log: EventLog | None = None,
     run_dir: str | Path | None = None,
-    reconnect_budget: int = DEFAULT_RECONNECT_BUDGET,
 ) -> ExperimentReport:
     """Full execution on the mock transport and virtual clock."""
     clock = VirtualClock()
     factory = make_transport_factory(clock, mock_script, force_mock=True)
-    return run_experiment(
-        experiment,
-        factory,
-        clock,
-        limiter_config,
-        event_log,
-        run_dir,
-        reconnect_budget,
-    )
+    return run_experiment(experiment, factory, clock, limiter_config, event_log, run_dir)

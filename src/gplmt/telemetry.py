@@ -219,10 +219,12 @@ def artifact_path(run_dir: str | Path, node: str, filename: str) -> Path:
     """Resolve `<run_dir>/<node>/<filename>`, rejecting traversal attempts.
 
     ``filename`` is reduced to its basename first: remote-supplied names must
-    never navigate the controller's filesystem.
+    never navigate the controller's filesystem. The basename must leave room
+    for the `<basename>.part` a fetch writes first.
     """
     run_dir = Path(run_dir)
     basename = PurePosixPath(filename).name
+    _safe_component(basename + ".part")
     path = run_dir / _safe_component(node) / _safe_component(basename)
     if not path.resolve().is_relative_to(run_dir.resolve()):
         raise ArtifactPathError(f"path escapes the run directory: {filename!r}")

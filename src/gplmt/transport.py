@@ -145,8 +145,7 @@ class ExecOutput(NamedTuple):
 class Session:
     """One control connection to a node; all commands tunnel through it."""
 
-    __slots__ = ("node", "state", "connect_count", "transport", "clock", "pool", "lock",
-                 "_artifact_dir")
+    __slots__ = ("node", "state", "connect_count", "transport", "clock", "pool", "_artifact_dir")
 
     def __init__(self, node: str, transport, clock, pool: SessionPool):
         self.node = node
@@ -155,7 +154,6 @@ class Session:
         self.transport = transport
         self.clock = clock
         self.pool = pool
-        self.lock = asyncio.Lock()  # serializes tasklist executions per node
         self._artifact_dir: Path | None = None  # created on the first write
 
     def _node_dir(self) -> Path:
@@ -234,7 +232,8 @@ class Session:
 
 
 class SessionPool:
-    """Registry of live sessions; at most one per node at any instant."""
+    """Registry of live sessions, at most one per node at any instant, and
+    of the locks that serialize the executions on each node."""
 
     def __init__(
         self,
@@ -249,6 +248,7 @@ class SessionPool:
         self._emit = emit
         self._sessions: dict[str, Session] = {}
         self._node_locks: dict[str, asyncio.Lock] = {}
+        self._reconnect_locks: dict[str, asyncio.Lock] = {}
         self._attempt_details: dict[str, str] = {}  # one "attempt=N" per N and run
 
     def emit(self, kind: EventKind, node: str, detail: str) -> None:
@@ -261,7 +261,8 @@ class SessionPool:
         detail = f"attempt={session.connect_count}"
         return self._attempt_details.setdefault(detail, detail)
 
-    def _creation_lock(self, node: str) -> asyncio.Lock:
+    def node_lock(self, node: str) -> asyncio.Lock:
+        """The lock whose holder alone may acquire and use `node`'s session."""
         lock = self._node_locks.get(node)
         if lock is None:
             lock = self._node_locks[node] = asyncio.Lock()
@@ -275,23 +276,30 @@ class SessionPool:
         `reconnect_budget` attempts, and then raises RetriesExhausted.
         With an artifact root, a node name that cannot serve as one path
         component raises ArtifactPathError before any connection attempt.
+
+        The caller holds the node's lock (see node_lock). Only the branches
+        of one `<par>` can then ask at once, each to run a callee's cleanup:
+        they reconnect one at a time, so the first reconnects the session
+        and the others take it as it then is.
         """
         if target.kind is TargetKind.GROUP:
             raise ValueError(f"cannot open a session to group {target.name!r}")
-        # acquire/release rather than `async with`, as in RateLimiter.wait:
-        # two coroutine objects fewer per node
-        lock = self._creation_lock(target.name)
-        await lock.acquire()
+        session = self._sessions.get(target.name)
+        reconnect_lock = None
+        if session is None:
+            if self.artifact_root is not None:
+                _safe_component(target.name)
+            # A factory error costs no permit; the session is built only
+            # once the permit is granted, so a parked node holds none.
+            transport = self.transport_factory(target)
+        elif session.state is _CONNECTED:
+            return session
+        else:
+            reconnect_lock = self._reconnect_locks.setdefault(target.name, asyncio.Lock())
+            await reconnect_lock.acquire()
         try:
-            session = self._sessions.get(target.name)
             if session is not None and session.state is _CONNECTED:
-                return session
-            if session is None:
-                if self.artifact_root is not None:
-                    _safe_component(target.name)
-                # A factory error costs no permit; the session is built only
-                # once the permit is granted, so a parked node holds none.
-                transport = self.transport_factory(target)
+                return session  # reconnected while this waited
             lost = session is not None and session.state is _LOST
             budget = self.reconnect_budget if lost else 1
             attempt, delay = 0, DEFAULT_RECONNECT_BASE
@@ -318,7 +326,8 @@ class SessionPool:
                 f"gave up reconnecting to {target.name} after {self.reconnect_budget} attempts"
             )
         finally:
-            lock.release()
+            if reconnect_lock is not None:
+                reconnect_lock.release()
 
     async def close_all(self) -> None:
         """Close every session, then forget them and their locks: sessions
@@ -328,6 +337,7 @@ class SessionPool:
             await session.close()
         self._sessions = {}
         self._node_locks = {}
+        self._reconnect_locks = {}
 
 
 # --------------------------------------------------------------------------

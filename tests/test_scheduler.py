@@ -18,6 +18,7 @@ import gplmt
 from gplmt.model import (
     ErrorMode,
     Experiment,
+    GetTask,
     OverallStatus,
     RegisterTeardown,
     RunTask,
@@ -270,10 +271,41 @@ def test_steps_on_the_same_node_serialize(load_xml):
 </experiment>
 """)
     _, events = dry_events(experiment, fixture_script("timing.json"))
-    # both steps launch at 0 but the per-node session lock serializes them
+    # both steps launch at 0 but the node lock serializes them
     ends = all_indices(events, "StepEnd")
     assert sorted(at(events, i) for i in ends) == [2.0, 4.0]
     assert len(all_indices(events, "ConnectAttempt")) == 1
+
+
+def test_a_step_queued_behind_a_lost_session_reconnects(load_xml):
+    """The second step waits for the node, not for the first step's session:
+    once the first has lost the connection, the second's use reconnects."""
+    experiment = load_xml("""
+<experiment>
+ <targets>
+   <target name="alpha" type="ssh"><user>u</user><host>alpha.example</host></target>
+ </targets>
+ <tasklists>
+   <tasklist name="first"><run>sleep 2</run></tasklist>
+   <tasklist name="second"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="first" targets="alpha" />
+   <step tasklist="second" targets="alpha" />
+ </steps>
+</experiment>
+""")
+    script = MockScript.from_json(
+        '{"nodes": {"alpha": {"rules": [{"pattern": "sleep 2", "duration": 2}],'
+        '"lose_connection_at": [1.0]}}}')
+    _, events = dry_events(experiment, script)
+    assert events[first_index(events, "TaskEnd", tasklist="first")]["detail"] == "ConnectionLost exit=-1"
+    retry = first_index(events, "ConnectAttempt", detail="attempt=2")
+    assert retry != -1 and at(events, retry) == 1.0
+    end = first_index(events, "TaskEnd", tasklist="second")
+    assert retry < end and events[end]["detail"] == "Success exit=0"
+    ends = {events[i]["tasklist"]: events[i]["detail"] for i in all_indices(events, "StepEnd")}
+    assert ends == {"first": "alpha=Failed", "second": "alpha=Succeeded"}
 
 
 def test_vacuous_step_warns_and_completes(load_xml):
@@ -697,6 +729,38 @@ def test_cleanup_reconnects_a_lost_session():
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
 
 
+def test_par_branches_reconnect_a_lost_session_once(load_xml):
+    """Both calls of the par fail while the session is lost, so both callee
+    cleanups need it at once: the first reconnects (one refused attempt,
+    then one after the 1 s backoff) and the second waits and reuses it."""
+    experiment = load_xml("""
+<experiment>
+ <targets>
+   <target name="alpha" type="ssh"><user>u</user><host>alpha.example</host></target>
+ </targets>
+ <tasklists>
+   <tasklist name="main"><par><call ref="a" /><call ref="b" /></par></tasklist>
+   <tasklist name="a" cleanup="ca"><run>slow</run></tasklist>
+   <tasklist name="b" cleanup="cb"><run>bad</run></tasklist>
+   <tasklist name="ca"><run>true</run></tasklist>
+   <tasklist name="cb"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="main" targets="alpha" />
+ </steps>
+</experiment>
+""")
+    script = MockScript.from_json(
+        '{"nodes": {"alpha": {"rules": [{"pattern": "slow", "duration": 2},'
+        '{"pattern": "bad", "exit": 1, "duration": 1.5}],'
+        '"lose_connection_at": [1.0], "connect_failures": 1}}}')
+    _, events = dry_events(experiment, script)
+    attempts = [(at(events, i), events[i]["detail"]) for i in all_indices(events, "ConnectAttempt")]
+    assert attempts == [(0.0, "attempt=1"), (1.0, "attempt=2"), (2.0, "attempt=3")]
+    starts = [(events[i]["tasklist"], at(events, i)) for i in all_indices(events, "TaskStart")]
+    assert sorted(starts)[-2:] == [("ca", 2.0), ("cb", 2.0)]
+
+
 def test_cleanup_failure_is_a_warning_and_does_not_chain(load_xml):
     experiment = load_xml("""
 <experiment>
@@ -748,6 +812,40 @@ def test_cleanup_is_bounded_by_its_own_timeout(load_xml):
     assert at(events, cut) == 3.0  # body failed at 1, cleanup window is 2
     warning = first_index(events, "Warning", tasklist="mop")
     assert events[warning]["detail"] == "cleanup finished TimedOut"
+
+
+def test_cleanup_warning_names_its_worst_outcome(load_xml):
+    """A failed call only taints the cleanup; the par's lost connection is
+    its worst outcome and ends it before the next task."""
+    experiment = load_xml("""
+<experiment>
+ <targets>
+   <target name="alpha" type="local" />
+ </targets>
+ <tasklists>
+   <tasklist name="main" cleanup="c"><run>true</run></tasklist>
+   <tasklist name="c">
+     <call ref="f" />
+     <par><run>bad</run><run>slow</run></par>
+     <run>never</run>
+   </tasklist>
+   <tasklist name="f"><run>bad</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="main" targets="alpha" />
+ </steps>
+</experiment>
+""")
+    script = MockScript.from_json(
+        '{"nodes": {"*": {"rules": [{"pattern": "bad", "exit": 1},'
+        '{"pattern": "slow", "duration": 5}], "lose_connection_at": [2.0]}}}')
+    report, events = dry_events(experiment, script)
+    warning = first_index(events, "Warning", tasklist="c")
+    assert events[warning]["detail"] == "cleanup finished ConnectionLost"
+    assert at(events, warning) == 2.0
+    assert first_index(events, "TaskStart", detail="run never") == -1
+    assert events[first_index(events, "StepEnd")]["detail"] == "alpha=Succeeded"
+    assert report.overall is OverallStatus.COMPLETED
 
 
 # --- teardowns ---
@@ -1095,6 +1193,26 @@ def test_unsafe_node_name_fails_the_node_and_writes_nothing_outside(tmp_path):
     ]
 
 
+def test_a_fetched_name_with_no_room_for_its_temporary_name_fails_the_get(tmp_path):
+    """A 252-byte basename is a valid file name, but the fetch writes it
+    through `<name>.part` first, 257 bytes: the get fails as one with an
+    unusable remote name, not as a fault of the controller."""
+    name = "r" * 252
+    experiment = Experiment(
+        targets=(TargetDef("alpha", TargetKind.LOCAL),),
+        tasklists=(Tasklist("t", (GetTask(f"logs/{name}"),)),),
+        steps=StepsProgram((Step("t", "alpha"),)),
+    )
+    run = tmp_path / "run"
+    report = dry_run(experiment, run_dir=run)
+
+    ends = [e.detail for e in report.events if e.kind.value == "TaskEnd"]
+    assert ends == [f"Failed get=logs/{name}"]
+    assert report.per_node_outcomes == {"alpha|t#s0": "Failed"}
+    assert [e for e in report.events if e.kind.value == "Warning"] == []
+    assert list((run / "alpha").iterdir()) == []
+
+
 def test_slice_leaf_name_too_long_for_a_directory_fails_the_node(tmp_path):
     """A slice leaf is named `<target>:<hostname>`; each part may be valid
     while the whole is longer than 255 bytes. With a run directory the pool
@@ -1132,7 +1250,7 @@ def test_slice_leaf_name_too_long_for_a_directory_fails_the_node(tmp_path):
 def test_controller_fault_fails_the_node_and_is_logged(tmp_path):
     """A file where n1's artifact directory belongs makes the controller's
     own mkdir fail inside the exec. The task ends Failed with a TaskEnd
-    naming the exception, the node fails, its session lock is released (the
+    naming the exception, the node fails, its node lock is released (the
     teardown on n1 still runs), and its sibling is untouched."""
     n1, n2 = TargetDef("n1", TargetKind.LOCAL), TargetDef("n2", TargetKind.LOCAL)
     experiment = Experiment(
