@@ -20,7 +20,7 @@ from .planetlab import (
     list_slice_nodes,
     planetlab_target_names,
 )
-from .scheduler import RealClock, VirtualClock, run_experiment
+from .scheduler import run_experiment
 from .telemetry import (
     ArtifactPathError,
     EventKind,
@@ -230,14 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gplmt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if offline:
-        clock = VirtualClock()
-        factory = make_transport_factory(clock, mock_script, force_mock=True)
-    else:
-        clock = RealClock()
-        factory = make_transport_factory(
-            clock, mock_script, force_mock=mock_script is not None
-        )
+    factory = make_transport_factory((mock_script or MockScript()) if offline else mock_script)
     # the event sink may fail on open, on any record, and on close
     try:
         event_log = EventLog(run_dir / "events.jsonl")
@@ -250,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
             report = run_experiment(
                 experiment,
                 transport_factory=factory,
-                clock=clock,
+                real_time=not offline,
                 limiter_config=args.max_connects,
                 event_log=event_log,
                 run_dir=run_dir,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 
 class UnknownTargetError(KeyError):
@@ -308,17 +308,15 @@ def resolve_group(
     return leaves
 
 
-def depth_first(
-    graph: Mapping[str, list[str]], roots: Iterable[str] | None = None
-) -> tuple[list[str] | None, list[str]]:
-    """Depth-first walk from ``roots`` (default: every node, in order),
-    without recursion. Returns the first cycle met, as a closed path
-    [a, ..., a], or None; and the names finished so far, each after every
-    name it reaches, so callees come before callers when there is no cycle.
-    Edges to names that are not keys of ``graph`` are ignored."""
+def depth_first(graph: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str]]:
+    """Depth-first walk from every node, in order, without recursion.
+    Returns the first cycle met, as a closed path [a, ..., a], or None; and
+    the names finished so far, each after every name it reaches, so callees
+    come before callers when there is no cycle. Edges to names that are not
+    keys of ``graph`` are ignored."""
     state: dict[str, int] = {}  # 1 = on the stack, 2 = finished
     finished: list[str] = []
-    for root in graph if roots is None else roots:
+    for root in graph:
         if root in state:
             continue
         state[root] = 1
@@ -339,20 +337,3 @@ def depth_first(
                 state[name] = 2
                 finished.append(name)
     return None, finished
-
-
-def find_cycle(
-    graph: Mapping[str, list[str]], roots: Iterable[str] | None = None
-) -> list[str] | None:
-    """First cycle met by a depth-first walk from ``roots``; see depth_first."""
-    return depth_first(graph, roots)[0]
-
-
-def cleanup_cycles(tasklists: list[Tasklist]) -> Iterator[tuple[str, str]]:
-    """(owner, first tasklist met twice) for every tasklist whose chain of
-    cleanup references runs into a cycle, in definition order."""
-    graph = {tl.name: [tl.cleanup] if tl.cleanup else [] for tl in tasklists}
-    for tl in tasklists:
-        cycle = find_cycle(graph, [tl.name])
-        if cycle is not None:
-            yield tl.name, cycle[0]

@@ -36,7 +36,6 @@ from .model import (
     Task,
     Tasklist,
     TimeSpec,
-    cleanup_cycles,
     depth_first,
 )
 from .telemetry import ArtifactPathError, _safe_component
@@ -97,10 +96,12 @@ class XmlNode:
 
 
 # The deepest element nesting a document may have, the root counting as
-# level 1, and the deepest task nesting a tasklist may have, counting seq,
-# par and call levels with each call entering its callee. Lowering and the
-# engine recurse once per level, so a limit here keeps hostile input from
-# exhausting the interpreter's stack.
+# level 1; the most documents an inclusion stack may hold; the deepest a
+# group may nest targets, inline or by reference; and the deepest task
+# nesting a tasklist may have, counting seq, par and call levels with each
+# call entering its callee and a callee's cleanup at the callee's level.
+# Lowering and the engine recurse once per level, so a limit here keeps
+# hostile input from exhausting the interpreter's stack.
 MAX_NESTING_DEPTH = 100
 
 
@@ -186,10 +187,12 @@ def resolve_includes(
     """Splice every include element's definitions into the tree, in place.
 
     ``visited`` is the set of canonical paths currently on the inclusion
-    stack; a repeat is reported as IncludeCycle. Included documents may
-    contribute only targets and tasklists; a steps element inside one is an
-    IncludeContent error. Paths resolve relative to ``base_dir``, the
-    directory of the including document, never the working directory.
+    stack; a repeat is reported as IncludeCycle, and an include that would
+    put more than MAX_NESTING_DEPTH documents on it as NestingTooDeep.
+    Included documents may contribute only targets and tasklists; a steps
+    element inside one is an IncludeContent error. Paths resolve relative
+    to ``base_dir``, the directory of the including document, never the
+    working directory.
     """
     base_dir = Path(base_dir)
     diagnostics: list[Diagnostic] = []
@@ -234,6 +237,11 @@ def _expand_include(
         return err(
             "IncludeCycle",
             f"{node.document} includes {canonical}, which is already on the inclusion stack",
+        )
+    if len(visited) >= MAX_NESTING_DEPTH:
+        return err(
+            "NestingTooDeep",
+            f"{node.document} includes {canonical}, more than {MAX_NESTING_DEPTH} documents deep",
         )
     try:
         included = parse_document(target)
@@ -380,6 +388,7 @@ class _Validator:
         self.diagnostics = diagnostics
         self.targets: dict[str, TargetDef] = {}
         self.top_targets: list[TargetDef] = []
+        self.group_depths: dict[str, int] = {}  # per group: the levels down to its deepest leaf
         self.tasklists: dict[str, Tasklist] = {}
         self.tasklist_nodes: dict[str, XmlNode] = {}
         self.tasklist_order: list[Tasklist] = []
@@ -415,8 +424,7 @@ class _Validator:
                 self.err(child, "UnknownElement", "include must be resolved before validation")
             else:
                 self.err(child, "UnknownElement", f"element {child.tag!r} not allowed under experiment")
-        self._check_call_refs()
-        self._check_cleanups()
+        self._check_references()
 
         if not steps_nodes:
             self.err(root, "MissingSteps", "experiment requires exactly one steps element")
@@ -524,6 +532,15 @@ class _Validator:
             self.err(node, "DuplicateName", f"target {name!r} is already defined")
             return None
         self.targets[name] = target
+        if kind is _GROUP:
+            depths = self.group_depths
+            depth = depths[name] = 1 + max([depths.get(m.name, 0) for m in target.members])
+            if depth == MAX_NESTING_DEPTH + 1:  # where a chain crosses the limit
+                self.err(
+                    node,
+                    "NestingTooDeep",
+                    f"group {name!r} nests targets {depth} levels deep, more than {MAX_NESTING_DEPTH}",
+                )
         return target
 
     def _lower_member_reference(
@@ -727,23 +744,49 @@ class _Validator:
         self.err(node, "UnknownElement", f"element {node.tag!r} is not a task")
         return None
 
-    def _check_call_refs(self) -> None:
+    def _check_references(self) -> None:
+        """Report unknown call and cleanup references, then walk the call
+        and cleanup edges once, depth first: report the first cycle, else
+        the calls that nest tasks too deep."""
         for ref, node in self.call_refs:
             if ref not in self.tasklists:
                 self.err(node, "UnknownReference", f"call references undefined tasklist {ref!r}")
-        graph = {name: [ref for _, ref, _ in calls] for name, (_, calls) in self.task_shapes.items()}
+        for tasklist in self.tasklist_order:
+            if tasklist.cleanup is not None and tasklist.cleanup not in self.tasklists:
+                self.err(
+                    self.tasklist_nodes[tasklist.name],
+                    "UnknownReference",
+                    f"cleanup references undefined tasklist {tasklist.cleanup!r}",
+                )
+        calls: dict[str, list[str]] = {}
+        graph: dict[str, list[str]] = {}  # calls first, then the cleanup
+        for name, (_, shape_calls) in self.task_shapes.items():
+            refs = calls[name] = [ref for _, ref, _ in shape_calls]
+            cleanup = self.tasklists[name].cleanup
+            graph[name] = refs + [cleanup] if cleanup is not None else refs
         cycle, callees_first = depth_first(graph)
         if cycle is not None:
-            node = self.tasklist_nodes[cycle[0]]
-            self.err(node, "CallCycle", "call cycle: " + " -> ".join(cycle))
+            # A link that is both a call and the cleanup was met as a call.
+            if all(callee in calls[caller] for caller, callee in zip(cycle, cycle[1:])):
+                node = self.tasklist_nodes[cycle[0]]
+                self.err(node, "CallCycle", "call cycle: " + " -> ".join(cycle))
+                return
+            for tasklist in self.tasklist_order:
+                if tasklist.name in cycle:
+                    self.err(
+                        self.tasklist_nodes[tasklist.name],
+                        "CleanupCycle",
+                        f"cleanup chain of {tasklist.name!r} cycles at {tasklist.name!r}",
+                    )
             return
-        # Each tasklist's task depth, callees first, so each is computed
-        # once. A call is reported where it takes a callee that is itself
-        # within the limit past it: a chain gets one error, not one per link.
+        # Each tasklist's task depth, callees and cleanups first, so each is
+        # computed once. A callee's cleanup runs at the callee's level. A
+        # call is reported where it takes a callee that is itself within the
+        # limit past it: a chain gets one error, not one per link.
         depths: dict[str, int] = {}
         for name in callees_first:
-            depth, calls = self.task_shapes[name]
-            for level, ref, node in calls:
+            depth, shape_calls = self.task_shapes[name]
+            for level, ref, node in shape_calls:
                 inner = depths.get(ref, 0)
                 if level + inner > MAX_NESTING_DEPTH >= inner:
                     self.err(
@@ -753,22 +796,7 @@ class _Validator:
                         f" more than {MAX_NESTING_DEPTH}",
                     )
                 depth = max(depth, level + inner)
-            depths[name] = depth
-
-    def _check_cleanups(self) -> None:
-        for tasklist in self.tasklist_order:
-            if tasklist.cleanup is not None and tasklist.cleanup not in self.tasklists:
-                self.err(
-                    self.tasklist_nodes[tasklist.name],
-                    "UnknownReference",
-                    f"cleanup references undefined tasklist {tasklist.cleanup!r}",
-                )
-        for owner, at in cleanup_cycles(self.tasklist_order):
-            self.err(
-                self.tasklist_nodes[owner],
-                "CleanupCycle",
-                f"cleanup chain of {owner!r} cycles at {at!r}",
-            )
+            depths[name] = max(depth, depths.get(self.tasklists[name].cleanup, 0))
 
     # -- steps --------------------------------------------------------------
 

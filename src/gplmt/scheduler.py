@@ -5,11 +5,12 @@ steps block until everything launched before it has finished; repeat loops
 re-run a nested block under decidable bounds; register-teardown records
 work that is guaranteed to run at the end, whatever happens in between.
 
-The engine is plain asyncio and never inspects the clock type, so the same
-code runs against wall time or against VirtualTimeEventLoop, where time
-advances only when every runnable coroutine is blocked. Virtual runs are
-fully deterministic: steps launch in document order, nodes within a step
-run in name order, and the ready queue is FIFO.
+The engine is plain asyncio and takes every instant from the running
+loop's time(), so the same code runs on RealTimeEventLoop, in wall seconds
+since the run began, or on VirtualTimeEventLoop, where time advances only
+when every runnable coroutine is blocked. Virtual runs are fully
+deterministic: steps launch in document order, nodes within a step run in
+name order, and the ready queue is FIFO.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import itertools
 import math
 import selectors
 import time
-from collections.abc import Awaitable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -95,8 +95,11 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
     """Event loop whose clock jumps straight to the next scheduled timer.
 
     Sleeps cost no wall time and timers fire at exact instants, which makes
-    runs over the mock transport both fast and reproducible.
+    runs over the mock transport both fast and reproducible. Absolute
+    instants count from the Unix epoch.
     """
+
+    wall_zero = 0.0  # Unix time at time() == 0
 
     def __init__(self):
         self._vtime = 0.0
@@ -120,51 +123,18 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
         self._clock_resolution = max(1e-9, 4.0 * math.ulp(self._vtime))
 
 
-class Clock:
-    """Experiment-relative time source shared by engine and transports.
+class RealTimeEventLoop(asyncio.SelectorEventLoop):
+    """Event loop whose time() counts wall seconds from its creation, as
+    VirtualTimeEventLoop's counts virtual ones: the engine reads every
+    instant of a run from the running loop, whichever it is."""
 
-    now() starts near 0 at experiment start; wall() is Unix time, used only
-    to evaluate absolute time specs.
-    """
-
-    def now(self) -> float:
-        raise NotImplementedError
-
-    def wall(self) -> float:
-        raise NotImplementedError
-
-    def sleep(self, seconds: float) -> Awaitable[None]:
-        return asyncio.sleep(max(0.0, seconds))
-
-    def sleep_until(self, instant: float) -> Awaitable[None]:
-        return self.sleep(instant - self.now())
-
-
-class VirtualClock(Clock):
-    """Reads the running virtual loop; wall time starts at the Unix epoch.
-
-    While run_experiment drives a loop of its own, the clock is bound to it:
-    now() is then that loop's time(), without asking asyncio for the
-    running loop on every read. Hence one clock serves one run at a time.
-    """
-
-    def now(self) -> float:
-        return asyncio.get_running_loop().time()
-
-    def wall(self) -> float:
-        return self.now()
-
-
-class RealClock(Clock):
     def __init__(self):
         self._mono_zero = time.monotonic()
-        self._wall_zero = time.time()
+        self.wall_zero = time.time()  # Unix time at time() == 0
+        super().__init__()
 
-    def now(self) -> float:
+    def time(self):
         return time.monotonic() - self._mono_zero
-
-    def wall(self) -> float:
-        return self._wall_zero + self.now()
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +221,6 @@ class ExperimentRunner:
         self,
         experiment: Experiment,
         transport_factory,
-        clock: Clock,
         limiter_config: RateLimiterConfig | None,
         event_log: EventLog,
         run_dir: Path | None = None,
@@ -260,7 +229,6 @@ class ExperimentRunner:
         self.targets = experiment.target_map()
         self.tasklists = experiment.tasklist_map()
         self.transport_factory = transport_factory
-        self.clock = clock
         self.limiter_config = limiter_config
         self.log = event_log
         self.run_dir = run_dir
@@ -269,6 +237,8 @@ class ExperimentRunner:
         self.panicked = False
         self.pool: SessionPool | None = None
         self.limiter: RateLimiter | None = None
+        self._now = None  # the running loop's time(), bound by run()
+        self._wall_zero = 0.0  # Unix time at the loop's time() == 0
         self._step_counter = itertools.count()
         self._all_step_tasks: list[asyncio.Task] = []
         self._shared: dict = {}  # see _share
@@ -288,7 +258,7 @@ class ExperimentRunner:
     ) -> None:
         self.log.record(
             _new_tuple(ExecutionEvent, (
-                self.clock.now(), kind, node, step_index, tasklist, task_path, detail,
+                self._now(), kind, node, step_index, tasklist, task_path, detail,
                 outcomes, artifacts,
             ))
         )
@@ -302,7 +272,10 @@ class ExperimentRunner:
     # -- top level ------------------------------------------------------
 
     async def run(self) -> ExperimentReport:
-        self.limiter = RateLimiter(self.limiter_config, self.clock)
+        loop = asyncio.get_running_loop()
+        self._now = loop.time
+        self._wall_zero = loop.wall_zero
+        self.limiter = RateLimiter(self.limiter_config)
         self.pool = SessionPool(self.transport_factory, emit=self.emit, artifact_root=self.run_dir)
         try:
             self.emit(EventKind.EXPERIMENT_START)
@@ -373,16 +346,16 @@ class ExperimentRunner:
         Bounds are checked between iterations only; a running iteration is
         never pre-empted by during/until.
         """
-        entered = self.clock.now()
+        entered = self._now()
         completed = 0
         while True:
             if self.panicked:
                 raise _PanicSignal()
             if repeat.iterations is not None and completed >= repeat.iterations:
                 break
-            if repeat.during is not None and self.clock.now() - entered >= repeat.during:
+            if repeat.during is not None and self._now() - entered >= repeat.during:
                 break
-            if repeat.until is not None and self.clock.wall() >= repeat.until.timestamp():
+            if repeat.until is not None and self._wall_zero + self._now() >= repeat.until.timestamp():
                 break
             await self.execute_steps_block(repeat.body)
             completed += 1
@@ -392,8 +365,7 @@ class ExperimentRunner:
     def _instant(self, spec: TimeSpec) -> float:
         if isinstance(spec, RelativeTime):
             return spec.offset
-        wall_base = self.clock.wall() - self.clock.now()
-        return spec.instant.timestamp() - wall_base
+        return spec.instant.timestamp() - self._wall_zero
 
     def _resolve_nodes(self, targets_ref: str) -> list[tuple[TargetDef, EnvPairs]]:
         leaves = resolve_group(self.targets[targets_ref], self.targets)
@@ -414,7 +386,7 @@ class ExperimentRunner:
     async def execute_step(self, step: Step) -> None:
         step_index = next(self._step_counter)
         if step.start is not None:
-            await self.clock.sleep_until(self._instant(step.start))
+            await asyncio.sleep(self._instant(step.start) - self._now())
         ctx = _StepContext(
             step_index=step_index,
             exec_label=str(step_index),
@@ -493,9 +465,9 @@ class ExperimentRunner:
                 if ctx.stop_instant is None:
                     await lock.acquire()
                     locked = True
-                    session = await self.pool.acquire(leaf, self.limiter, self.clock)
+                    session = await self.pool.acquire(leaf, self.limiter)
                 else:
-                    remaining = ctx.stop_instant - self.clock.now()
+                    remaining = ctx.stop_instant - self._now()
                     if remaining <= 0:
                         raise asyncio.TimeoutError()
                     session = await asyncio.wait_for(self._acquire_node(leaf, lock), remaining)
@@ -548,7 +520,7 @@ class ExperimentRunner:
         itself: one frame fewer per parked node."""
         await lock.acquire()
         try:
-            return await self.pool.acquire(leaf, self.limiter, self.clock)
+            return await self.pool.acquire(leaf, self.limiter)
         except BaseException:
             lock.release()
             raise
@@ -557,7 +529,7 @@ class ExperimentRunner:
         """Now plus `timeout`, capped by the `outer` deadline; None bounds nothing."""
         if timeout is None:
             return outer
-        own = self.clock.now() + timeout
+        own = self._now() + timeout
         return own if outer is None else min(outer, own)
 
     def _cancel_step_siblings(self, ctx: _StepContext, failing_node: str) -> None:
@@ -588,7 +560,7 @@ class ExperimentRunner:
         cleanup = self.tasklists[cleanup_ref]
         node = run.leaf.name
         try:
-            session = await self.pool.acquire(run.leaf, self.limiter, self.clock)
+            session = await self.pool.acquire(run.leaf, self.limiter)
         except Exception as exc:
             detail = f"cleanup session: {exc}"
             self.emit(EventKind.WARNING, node, run.ctx.step_index, cleanup.name, detail=detail)
@@ -653,7 +625,7 @@ class ExperimentRunner:
         path: tuple[int, ...],
     ) -> TaskOutcome:
         """Run a seq, par or call construct; leaves go to _run_leaf."""
-        if deadline is not None and self.clock.now() >= deadline:
+        if deadline is not None and self._now() >= deadline:
             raise _Abort(_TIMED_OUT, _ABORT_TASKLIST)
         if isinstance(task, SeqTask):
             return await self._run_tasks(run, governing, task.children, deadline, path)
@@ -677,7 +649,7 @@ class ExperimentRunner:
         controller itself (a failed artifact write, say). Any outcome but
         Success raises it as an abort-tasklist _Abort.
         """
-        if deadline is not None and self.clock.now() >= deadline:
+        if deadline is not None and self._now() >= deadline:
             raise _Abort(_TIMED_OUT, _ABORT_TASKLIST)
         node = run.leaf.name
         step_index = run.ctx.step_index
@@ -790,7 +762,7 @@ class ExperimentRunner:
             if exc.mode is ErrorMode.PANIC:
                 raise
             if exc.mode is _ABORT_STEP or (
-                exc.outcome is _TIMED_OUT and deadline is not None and self.clock.now() >= deadline
+                exc.outcome is _TIMED_OUT and deadline is not None and self._now() >= deadline
             ):
                 reraise = exc
         if callee.cleanup is not None and await self._run_cleanup(run, callee.cleanup):
@@ -821,21 +793,20 @@ class ExperimentRunner:
 def run_experiment(
     experiment: Experiment,
     transport_factory=None,
-    clock: Clock | None = None,
+    real_time: bool = False,
     limiter_config: RateLimiterConfig | None = None,
     event_log: EventLog | None = None,
     run_dir: str | Path | None = None,
 ) -> ExperimentReport:
     """Execute an experiment to completion and return its report.
 
-    With no clock given, execution happens on the virtual clock (and, with
-    no transport factory, against an empty mock deployment): a dry run.
-    Operational failures are data in the report, never exceptions.
+    The run gets a loop of its own: a RealTimeEventLoop with `real_time`,
+    else a VirtualTimeEventLoop (and, with no transport factory, an empty
+    mock deployment): a dry run. Operational failures are data in the
+    report, never exceptions.
     """
-    if clock is None:
-        clock = VirtualClock()
     if transport_factory is None:
-        transport_factory = make_transport_factory(clock, force_mock=True)
+        transport_factory = make_transport_factory(MockScript())
     run_dir = Path(run_dir) if run_dir is not None else None
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -843,18 +814,13 @@ def run_experiment(
     if event_log is None:
         event_log = EventLog(run_dir / "events.jsonl" if run_dir is not None else None)
     runner = ExperimentRunner(
-        experiment, transport_factory, clock, limiter_config, event_log, run_dir=run_dir
+        experiment, transport_factory, limiter_config, event_log, run_dir=run_dir
     )
-    virtual = isinstance(clock, VirtualClock)
-    loop = VirtualTimeEventLoop() if virtual else asyncio.new_event_loop()
-    if virtual:
-        clock.now = loop.time  # bound while this loop runs; see VirtualClock
+    loop = RealTimeEventLoop() if real_time else VirtualTimeEventLoop()
     try:
         return loop.run_until_complete(runner.run())
     finally:
         loop.close()
-        if virtual:
-            del clock.now
         if own_log:
             event_log.close()
 
@@ -867,6 +833,7 @@ def dry_run(
     run_dir: str | Path | None = None,
 ) -> ExperimentReport:
     """Full execution on the mock transport and virtual clock."""
-    clock = VirtualClock()
-    factory = make_transport_factory(clock, mock_script, force_mock=True)
-    return run_experiment(experiment, factory, clock, limiter_config, event_log, run_dir)
+    factory = make_transport_factory(mock_script or MockScript())
+    return run_experiment(
+        experiment, factory, limiter_config=limiter_config, event_log=event_log, run_dir=run_dir
+    )

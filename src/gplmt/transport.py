@@ -103,9 +103,8 @@ class RateLimiter:
     `interval` at most `max_attempts` permits are granted.
     """
 
-    def __init__(self, config: RateLimiterConfig | None, clock):
+    def __init__(self, config: RateLimiterConfig | None):
         self._config = config
-        self._clock = clock
         self._grants: deque[float] = deque()
         self._lock = asyncio.Lock()
 
@@ -117,14 +116,15 @@ class RateLimiter:
         # acquire() never holds the lock.
         await self._lock.acquire()
         try:
+            loop_time = asyncio.get_running_loop().time
             while True:
-                now = self._clock.now()
+                now = loop_time()
                 while self._grants and self._grants[0] <= now - self._config.interval:
                     self._grants.popleft()
                 if len(self._grants) < self._config.max_attempts:
                     self._grants.append(now)
                     return
-                await self._clock.sleep(self._grants[0] + self._config.interval - now)
+                await asyncio.sleep(self._grants[0] + self._config.interval - now)
         finally:
             self._lock.release()
 
@@ -145,14 +145,13 @@ class ExecOutput(NamedTuple):
 class Session:
     """One control connection to a node; all commands tunnel through it."""
 
-    __slots__ = ("node", "state", "connect_count", "transport", "clock", "pool", "_artifact_dir")
+    __slots__ = ("node", "state", "connect_count", "transport", "pool", "_artifact_dir")
 
-    def __init__(self, node: str, transport, clock, pool: SessionPool):
+    def __init__(self, node: str, transport, pool: SessionPool):
         self.node = node
         self.state = SessionState.CLOSED
         self.connect_count = 0
         self.transport = transport
-        self.clock = clock
         self.pool = pool
         self._artifact_dir: Path | None = None  # created on the first write
 
@@ -179,7 +178,7 @@ class Session:
     ) -> TaskResult:
         """Run a shell command on the node, capturing output to artifacts.
 
-        `deadline` is an instant on the session clock; when it passes first
+        `deadline` is an instant of the running loop's time(); when it passes first
         the process group is terminated and the outcome is TimedOut.
         """
         self._require_connected()
@@ -268,7 +267,7 @@ class SessionPool:
             lock = self._node_locks[node] = asyncio.Lock()
         return lock
 
-    async def acquire(self, target: TargetDef, limiter: RateLimiter, clock) -> Session:
+    async def acquire(self, target: TargetDef, limiter: RateLimiter) -> Session:
         """Return the node's live session, establishing one if needed.
 
         A first connect is tried once and raises its own error. A lost
@@ -305,12 +304,12 @@ class SessionPool:
             attempt, delay = 0, DEFAULT_RECONNECT_BASE
             while attempt < budget:
                 if attempt:
-                    await clock.sleep(delay)
+                    await asyncio.sleep(delay)
                     delay = min(delay * DEFAULT_RECONNECT_FACTOR, DEFAULT_RECONNECT_CAP)
                 attempt += 1
                 await limiter.wait()
                 if session is None:
-                    session = self._sessions[target.name] = Session(target.name, transport, clock, self)
+                    session = self._sessions[target.name] = Session(target.name, transport, self)
                 detail = self._next_attempt(session)
                 self.emit(_CONNECT_ATTEMPT, session.node, detail)
                 try:
@@ -350,12 +349,12 @@ def _merged_env(env: tuple[tuple[str, str], ...]) -> dict[str, str]:
     return merged
 
 
-async def _collect(proc, deadline: float | None, clock) -> ExecOutput:
+async def _collect(proc, deadline: float | None) -> ExecOutput:
     """Wait for a process's output; when `deadline` passes first, terminate
     its process group and report TimedOut."""
     timeout = None
     if deadline is not None:
-        timeout = max(0.0, deadline - clock.now())
+        timeout = max(0.0, deadline - asyncio.get_running_loop().time())
     try:
         stdout, stderr = await asyncio.wait_for(proc.communicate(), timeout)
     except asyncio.TimeoutError:
@@ -383,9 +382,8 @@ async def _terminate_group(proc) -> None:
 class LocalTransport:
     """Runs commands on the controller under its default shell."""
 
-    def __init__(self, target: TargetDef, clock):
+    def __init__(self, target: TargetDef):
         self.target = target
-        self.clock = clock
 
     async def connect(self) -> None:
         return None  # nothing to establish
@@ -400,7 +398,7 @@ class LocalTransport:
             env=_merged_env(env),
             start_new_session=True,  # its own process group, so timeouts kill children too
         )
-        return await _collect(proc, deadline, self.clock)
+        return await _collect(proc, deadline)
 
     async def fetch(self, remote_path: str, destination: Path) -> None:
         source = Path(remote_path).expanduser()
@@ -444,9 +442,8 @@ class SshTransport:
     authentication is rejected.
     """
 
-    def __init__(self, target: TargetDef, clock):
+    def __init__(self, target: TargetDef):
         self.target = target
-        self.clock = clock
         self._control_dir: str | None = None
 
     @property
@@ -503,7 +500,7 @@ class SshTransport:
             stderr=asyncio.subprocess.PIPE,
             start_new_session=True,
         )
-        output = await _collect(proc, deadline, self.clock)
+        output = await _collect(proc, deadline)
         if output.exit_code == 255 and not output.timed_out:
             return output._replace(connection_lost=True)  # the client's "connection failed" code
         return output
@@ -666,12 +663,11 @@ class MockTransport:
     scripts, until the first push gives this node a copy.
     """
 
-    __slots__ = ("target", "clock", "script", "strict_files", "files",
+    __slots__ = ("target", "script", "strict_files", "files",
                  "_connect_failures_left", "_next_loss", "_ever_connected")
 
-    def __init__(self, target: TargetDef, clock, script: MockScript):
+    def __init__(self, target: TargetDef, script: MockScript):
         self.target = target
-        self.clock = clock
         self.script = script.node_script(target.name)
         self.strict_files = script.strict_files
         self.files: dict[str, bytes] = self.script.files
@@ -696,7 +692,7 @@ class MockTransport:
         self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None
     ) -> ExecOutput:
         rule, output = self.script.rule_for(command)
-        start = self.clock.now()
+        start = asyncio.get_running_loop().time()
         natural_end = start + rule.duration
 
         loss_at = None
@@ -707,13 +703,13 @@ class MockTransport:
             loss_at = losses[self._next_loss]
 
         if deadline is not None and deadline < natural_end and (loss_at is None or deadline < loss_at):
-            await self.clock.sleep(deadline - start)
+            await asyncio.sleep(deadline - start)
             return _TIMED_OUT_OUTPUT
         if loss_at is not None:
             self._next_loss += 1
-            await self.clock.sleep(loss_at - start)
+            await asyncio.sleep(loss_at - start)
             return _LOST_OUTPUT
-        await self.clock.sleep(rule.duration)
+        await asyncio.sleep(rule.duration)
         return output
 
     async def fetch(self, remote_path: str, destination: Path) -> None:
@@ -734,21 +730,21 @@ class MockTransport:
         return None
 
 
-def make_transport_factory(clock, mock_script: MockScript | None = None, force_mock: bool = False):
-    """Pick a transport per target: mock when forced, else by target kind.
+def make_transport_factory(mock_script: MockScript | None = None):
+    """Pick a transport per target: a mock node for every target when a
+    script is given, else by target kind.
 
     PlanetLab targets must be expanded to ssh leaves before execution, so
     the factory refuses them.
     """
-    script = mock_script or MockScript()
 
     def factory(target: TargetDef):
-        if force_mock:
-            return MockTransport(target, clock, script)
+        if mock_script is not None:
+            return MockTransport(target, mock_script)
         if target.kind is TargetKind.LOCAL:
-            return LocalTransport(target, clock)
+            return LocalTransport(target)
         if target.kind is TargetKind.SSH:
-            return SshTransport(target, clock)
+            return SshTransport(target)
         raise ValueError(f"no transport for target kind {target.kind.value!r}")
 
     return factory

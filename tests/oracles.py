@@ -257,9 +257,10 @@ def audit(experiment) -> list[str]:
         cycle = first_cycle(cleanups, [tl.name])
         if cycle is not None:
             problems.append(f"cleanup chain of {tl.name!r} is cyclic at {cycle[0]!r}")
-    cycle = first_cycle(call_graph(experiment))
+    references = {name: refs + cleanups[name] for name, refs in call_graph(experiment).items()}
+    cycle = first_cycle(references)
     if cycle is not None:
-        problems.append(f"call graph contains a cycle through {cycle[0]!r}")
+        problems.append(f"calls and cleanups form a cycle through {cycle[0]!r}")
 
     for item in iter_steps_items(experiment.steps.items):
         kind = type(item).__name__

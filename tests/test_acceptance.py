@@ -22,7 +22,7 @@ from gplmt.planetlab import (
     expand_planetlab_target,
     list_slice_nodes,
 )
-from gplmt.scheduler import RealClock, VirtualClock, dry_run, run_experiment
+from gplmt.scheduler import dry_run, run_experiment
 from gplmt.telemetry import EventLog
 from gplmt.transport import (
     MockScript,
@@ -227,16 +227,15 @@ def test_file_round_trip(tmp_path):
     clash = {"n1": b"from n1", "n2": b"from n2"}
     files = {node: {"files": {"data.bin": content.decode()}} for node, content in clash.items()}
     script = MockScript.from_json(json.dumps({"nodes": files}))
-    clock = VirtualClock()
-    factory = make_transport_factory(clock, script, force_mock=True)
+    factory = make_transport_factory(script)
     pool = SessionPool(factory, artifact_root=tmp_path / "mock-artifacts")
-    limiter = RateLimiter(None, clock)
+    limiter = RateLimiter(None)
 
     async def mock_side():
         fetched, sessions = {}, {}
         for node in clash:
             target = TargetDef(name=node, kind=TargetKind.SSH, ssh_user="u", ssh_host=node)
-            session = sessions[node] = await pool.acquire(target, limiter, clock)
+            session = sessions[node] = await pool.acquire(target, limiter)
             fetched[node] = await session.fetch("data.bin")
         n1 = sessions["n1"]
         await n1.push(local, "/remote/payload.bin")
@@ -252,7 +251,7 @@ def test_file_round_trip(tmp_path):
     # local transport: the same round trip through real files
     from gplmt.transport import LocalTransport
 
-    transport = LocalTransport(TargetDef(name="ctl", kind=TargetKind.LOCAL), RealClock())
+    transport = LocalTransport(TargetDef(name="ctl", kind=TargetKind.LOCAL))
 
     async def local_side():
         await transport.push(local, str(tmp_path / "remote-copy.bin"))
@@ -286,11 +285,10 @@ def test_scale_smoke(load_xml):
  </steps>
 </experiment>
 """)
-    clock = RealClock()
-    factory = make_transport_factory(clock, MockScript(), force_mock=True)
+    factory = make_transport_factory(MockScript())
     log = EventLog()
     started = time.monotonic()
-    report = run_experiment(experiment, factory, clock, event_log=log)
+    report = run_experiment(experiment, factory, real_time=True, event_log=log)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
     assert report.overall.value == "Completed"

@@ -15,14 +15,10 @@ import hashlib
 import json
 from pathlib import Path
 
-import pytest
-
 from gplmt.parser import load_experiment
-from gplmt.scheduler import VirtualClock, dry_run, run_experiment
+from gplmt.scheduler import dry_run, run_experiment
 from gplmt.telemetry import EventKind, ExecutionEvent
 from gplmt.transport import MockScript, RateLimiterConfig, make_transport_factory
-
-from .conftest import run_virtual
 
 REPORT_FILES = ("events.jsonl", "report.json", "report.txt")
 
@@ -128,32 +124,20 @@ def test_paths_output_matches_golden_digests(tmp_path):
     assert digests(tmp_path) == GOLDEN
 
 
-def test_a_virtual_clock_reads_the_loop_that_is_running(tmp_path):
-    """One clock, reused: each run_experiment reads its own fresh loop (so
-    both logs equal a dry run's), the clock follows no closed loop after
-    a run, and it reads whichever loop drives it next."""
+def test_one_transport_factory_serves_two_runs(tmp_path):
+    """A factory holds no clock: reused for two run_experiment calls, each
+    on a fresh loop of its own, it gives a dry run's log both times."""
     experiment = load_paths_experiment(tmp_path)
     script = MockScript.from_json(json.dumps(SCRIPT))
     expected = [e.to_json_line() for e in dry_run(experiment, script, limiter_config=LIMIT).events]
     assert json.loads(expected[-1])["ts"] > 30
-    clock = VirtualClock()
-    factory = make_transport_factory(clock, script, force_mock=True)
+    factory = make_transport_factory(script)
     for _ in range(2):
-        report = run_experiment(experiment, factory, clock, LIMIT)
+        report = run_experiment(experiment, factory, limiter_config=LIMIT)
         assert [e.to_json_line() for e in report.events] == expected
     assert all(
         type(e) is ExecutionEvent and type(e.kind) is EventKind for e in report.events
     )
-    with pytest.raises(RuntimeError):
-        clock.now()  # no loop is running
-
-    async def sleep_and_read():
-        before = clock.now()
-        await clock.sleep(2.5)
-        return before, clock.now(), clock.wall()
-
-    assert run_virtual(sleep_and_read()) == (0.0, 2.5, 2.5)
-    assert run_virtual(sleep_and_read()) == (0.0, 2.5, 2.5)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from gplmt.model import (
     TaskResult,
     UnknownTargetError,
     depth_first,
-    find_cycle,
     iter_target_defs,
     resolve_group,
 )
@@ -172,6 +171,16 @@ def test_audit_flags_cleanup_cycle():
     assert any("cleanup" in p for p in audit(exp))
 
 
+def test_audit_flags_a_cycle_through_a_call_and_a_cleanup():
+    exp = _experiment(
+        tasklists=(
+            Tasklist("work", (RunTask("true"),), cleanup="mop"),
+            Tasklist("mop", (CallTask("work"),)),
+        )
+    )
+    assert any("cycle" in p for p in audit(exp))
+
+
 def test_audit_flags_unbounded_repeat():
     exp = _experiment(
         steps=StepsProgram(items=(Repeat(body=(Step("work", "node"),)),))
@@ -292,11 +301,9 @@ call_graphs = st.dictionaries(
 )
 
 
-@given(call_graphs, st.none() | st.lists(st.sampled_from("abcdefg"), max_size=4))
-def test_find_cycle_matches_the_recursive_walk(graph, roots):
-    if roots is not None:
-        roots = [r for r in roots if r in graph]
-    assert find_cycle(graph, roots) == first_cycle(graph, roots)
+@given(call_graphs)
+def test_find_cycle_matches_the_recursive_walk(graph):
+    assert depth_first(graph)[0] == first_cycle(graph)
 
 
 @given(call_graphs)
@@ -312,6 +319,6 @@ def test_depth_first_finishes_callees_before_callers(graph):
 def test_a_long_call_chain_walks_without_recursion():
     chain = {f"t{i}": [f"t{i + 1}"] for i in range(5000)}
     chain["t5000"] = []
-    assert find_cycle(chain) is None
+    assert depth_first(chain)[0] is None
     chain["t5000"] = ["t4000"]
-    assert find_cycle(chain) == [f"t{i}" for i in range(4000, 5001)] + ["t4000"]
+    assert depth_first(chain)[0] == [f"t{i}" for i in range(4000, 5001)] + ["t4000"]

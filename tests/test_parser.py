@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -663,6 +664,170 @@ def test_a_call_cycle_gets_no_depth_diagnostic(tmp_path):
     exp, diags = check(tmp_path, doc)
     assert exp is None
     assert [d.code for d in diags] == ["CallCycle"]
+
+
+def test_a_cycle_through_a_call_and_a_cleanup_is_rejected(tmp_path, capsys):
+    # main's cleanup c calls b, whose cleanup is c again: each failure of b
+    # would run c, which calls b, without end
+    doc = (
+        '<experiment><targets><target name="n" type="local"/></targets><tasklists>'
+        '<tasklist name="main" cleanup="c"><run>true</run></tasklist>'
+        '<tasklist name="c"><call ref="b"/></tasklist>'
+        '<tasklist name="b" cleanup="c"><run>false</run></tasklist>'
+        '</tasklists><steps><step tasklist="main" targets="n"/></steps></experiment>'
+    )
+    path = tmp_path / "mixed.xml"
+    path.write_text(doc, encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is None
+    assert [(d.code, d.message, d.location) for d in diags] == [
+        ("CleanupCycle", f"cleanup chain of {name!r} cycles at {name!r}",
+         (str(path), 1, doc.index(f'<tasklist name="{name}"') + 1))
+        for name in ("c", "b")  # the cycle's tasklists in definition order; main only leads in
+    ]
+
+    from gplmt.cli import EXIT_USAGE, main
+
+    assert main([str(path), "--validate"]) == EXIT_USAGE
+    assert "CleanupCycle" in capsys.readouterr().err
+
+
+def cleanup_linked_chains_doc(chains: int, links: int) -> str:
+    """One line: in chain k, tasklist c<k>_0 calls c<k>_1 and so on up to
+    c<k>_<links>, which fails; its cleanup is the next chain's first."""
+    tasklists = []
+    for k in range(chains):
+        for i in range(links):
+            tasklists.append(f'<tasklist name="c{k}_{i}"><call ref="c{k}_{i + 1}"/></tasklist>')
+        cleanup = f' cleanup="c{k + 1}_0"' if k + 1 < chains else ""
+        tasklists.append(f'<tasklist name="c{k}_{links}"{cleanup}><run>false</run></tasklist>')
+    return (
+        '<experiment><targets><target name="n" type="local"/></targets>'
+        f'<tasklists>{"".join(tasklists)}</tasklists>'
+        '<steps><step tasklist="c0_0" targets="n"/></steps></experiment>'
+    )
+
+
+def test_a_callee_cleanup_counts_at_the_callee_level(tmp_path, capsys):
+    # The engine runs a failed callee's cleanup where the callee ran: six
+    # chains of 99 calls, each run from the previous chain's last callee,
+    # nest 594 levels deep at run time.
+    doc = cleanup_linked_chains_doc(6, 99)
+    path = tmp_path / "chains.xml"
+    path.write_text(doc, encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is None
+    # c4_98 reaches 100 levels through c4_99's cleanup, the whole of chain 5
+    offset = doc.index('<call ref="c4_98"/>')
+    assert [(d.severity, d.code, d.location) for d in diags] == [
+        (Severity.ERROR, "NestingTooDeep", (str(path), 1, offset + 1))
+    ]
+    assert "101 levels deep" in diags[0].message
+
+    from gplmt.cli import EXIT_USAGE, main
+
+    assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "NestingTooDeep" in err and "Traceback" not in err
+
+
+def test_a_long_cleanup_chain_loads_in_linear_time(tmp_path):
+    # 4,000 tasklists, each the cleanup of the one before: one walk over
+    # the chain, not one per tasklist
+    tasklists = "".join(
+        f'<tasklist name="t{i}" cleanup="t{i + 1}"><run>true</run></tasklist>' for i in range(3999)
+    )
+    doc = (
+        '<experiment><targets><target name="n" type="local"/></targets>'
+        f'<tasklists>{tasklists}<tasklist name="t3999"><run>true</run></tasklist></tasklists>'
+        '<steps><step tasklist="t0" targets="n"/></steps></experiment>'
+    )
+    started = time.perf_counter()
+    exp, diags = check(tmp_path, doc)
+    elapsed = time.perf_counter() - started
+    assert exp is not None and diags == []
+    assert elapsed < 2.0
+
+
+def write_include_chain(tmp_path, documents: int) -> Path:
+    """d0.xml includes d1.xml, which includes d2.xml, and so on; only d0
+    has steps. Returns d0's path."""
+    for i in range(1, documents):
+        include = f'<include file="d{i + 1}.xml"/>' if i + 1 < documents else ""
+        (tmp_path / f"d{i}.xml").write_text(f"<experiment>{include}</experiment>", encoding="utf-8")
+    first = tmp_path / "d0.xml"
+    first.write_text(
+        VALID.replace("<targets>", '<include file="d1.xml"/><targets>'), encoding="utf-8"
+    )
+    return first
+
+
+def test_an_include_chain_past_the_limit_is_one_diagnostic(tmp_path, capsys):
+    # Without the limit, 500 documents overflow the stack while resolving.
+    path = write_include_chain(tmp_path, 500)
+    exp, diags = load_experiment(path)
+    assert exp is None
+    last = tmp_path / f"d{MAX_NESTING_DEPTH - 1}.xml"  # holds the 100th document's include
+    assert [(d.severity, d.code, d.location) for d in diags] == [
+        (Severity.ERROR, "NestingTooDeep", (str(last), 1, len("<experiment>") + 1))
+    ]
+
+    from gplmt.cli import EXIT_USAGE, main
+
+    assert main([str(path), "--validate"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "NestingTooDeep" in err and "Traceback" not in err
+
+
+def test_an_include_chain_at_the_limit_loads(tmp_path):
+    exp, diags = load_experiment(write_include_chain(tmp_path, MAX_NESTING_DEPTH))
+    assert exp is not None and diags == []
+    assert len(exp.source_documents) == 1  # included documents contribute no elements
+
+
+def group_chain_doc(groups: int) -> str:
+    """One line: group g0 holds the leaf, and each later group g<i> embeds
+    g<i-1> by name; the step targets the last group."""
+    chain = "".join(
+        f'<target name="g{i}" type="group"><target name="g{i - 1}"/></target>'
+        for i in range(1, groups)
+    )
+    return (
+        '<experiment><targets><target name="g0" type="group"><target name="leaf" type="local"/>'
+        f'</target>{chain}</targets>'
+        '<tasklists><tasklist name="t"><run>true</run></tasklist></tasklists>'
+        f'<steps><step tasklist="t" targets="g{groups - 1}"/></steps></experiment>'
+    )
+
+
+def test_a_group_reference_chain_past_the_limit_is_one_diagnostic(tmp_path, capsys):
+    # Without the limit, 2,000 groups validate and then overflow the stack
+    # when the run walks the targets.
+    doc = group_chain_doc(2000)
+    path = tmp_path / "groups.xml"
+    path.write_text(doc, encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is None
+    offset = doc.index(f'<target name="g{MAX_NESTING_DEPTH}" type="group">')
+    assert [(d.severity, d.code, d.location) for d in diags] == [
+        (Severity.ERROR, "NestingTooDeep", (str(path), 1, offset + 1))
+    ]
+
+    from gplmt.cli import EXIT_USAGE, main
+
+    assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "NestingTooDeep" in err and "Traceback" not in err
+
+
+def test_a_group_reference_chain_at_the_limit_loads_and_dry_runs(tmp_path):
+    from gplmt.cli import EXIT_COMPLETED, main
+
+    path = tmp_path / "groups.xml"
+    path.write_text(group_chain_doc(MAX_NESTING_DEPTH), encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is not None and diags == []
+    assert main([str(path), "--dry-run", "--log-dir", str(tmp_path / "logs")]) == EXIT_COMPLETED
 
 
 def test_buffered_text_keeps_every_run_of_character_data(tmp_path):

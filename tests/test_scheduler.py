@@ -30,8 +30,7 @@ from gplmt.model import (
 )
 from gplmt.parser import load_experiment
 from gplmt.scheduler import (
-    RealClock,
-    VirtualClock,
+    RealTimeEventLoop,
     VirtualTimeEventLoop,
     dry_run,
     run_experiment,
@@ -139,33 +138,44 @@ def test_virtual_timers_fire_at_large_clock_values():
 
 
 def test_virtual_clock_wall_equals_now():
-    clock = VirtualClock()
-
+    # the virtual loop starts at 0.0, and its wall time counts from the epoch
     async def scenario():
-        assert clock.now() == 0.0
-        assert clock.wall() == clock.now()
-        await clock.sleep(4)
-        return clock.now(), clock.wall()
+        loop = asyncio.get_running_loop()
+        assert (loop.time(), loop.wall_zero) == (0.0, 0.0)
+        await asyncio.sleep(4)
+        return loop.time(), loop.wall_zero + loop.time()
 
     assert run_virtual(scenario()) == (4.0, 4.0)
 
 
 def test_virtual_clock_sleep_until_past_is_immediate():
-    clock = VirtualClock()
-
+    # the engine sleeps until an instant as a sleep of its distance from
+    # now, which is negative for an instant already behind it
     async def scenario():
-        await clock.sleep(2)
-        await clock.sleep_until(1.0)  # already behind us
-        await clock.sleep(-5)
-        return clock.now()
+        loop = asyncio.get_running_loop()
+        await asyncio.sleep(2)
+        await asyncio.sleep(1.0 - loop.time())
+        await asyncio.sleep(-5)
+        return loop.time()
 
     assert run_virtual(scenario()) == 2.0
 
 
 def test_real_clock_tracks_wall_time():
-    clock = RealClock()
-    assert 0.0 <= clock.now() < 5.0
-    assert abs(clock.wall() - time.time()) < 5.0
+    loop = RealTimeEventLoop()
+
+    async def scenario():
+        await asyncio.sleep(0.05)
+        return loop.time()
+
+    try:
+        assert 0.0 <= loop.time() < 5.0
+        assert abs(loop.wall_zero + loop.time() - time.time()) < 1.0
+        slept = loop.run_until_complete(scenario())
+        assert 0.05 <= slept < 5.0
+        assert abs(loop.wall_zero + loop.time() - time.time()) < 1.0
+    finally:
+        loop.close()
 
 
 # --- step scheduling and ordering ---
@@ -1076,8 +1086,7 @@ def test_env_exports_reach_real_commands(load_xml, tmp_path):
 </experiment>
 """)
     experiment = experiment.with_env_overrides((("TOKEN", "xyz"),))
-    clock = RealClock()
-    report = run_experiment(experiment, make_transport_factory(clock), clock)
+    report = run_experiment(experiment, make_transport_factory(), real_time=True)
     assert report.overall is OverallStatus.COMPLETED
     assert out.read_text() == "seed:xyz"
 
@@ -1489,8 +1498,7 @@ def test_a_failing_transport_factory_costs_no_connect_permit():
         tasklists=(Tasklist("t", (RunTask("true"),)),),
         steps=StepsProgram((Step("t", "fleet"),)),
     )
-    clock = VirtualClock()
-    mock_factory = make_transport_factory(clock, force_mock=True)
+    mock_factory = make_transport_factory(MockScript())
 
     def factory(target):
         if target.name == "n1":
@@ -1498,7 +1506,9 @@ def test_a_failing_transport_factory_costs_no_connect_permit():
         return mock_factory(target)
 
     log = EventLog()
-    report = run_experiment(experiment, factory, clock, RateLimiterConfig(1, 1.0), log)
+    report = run_experiment(
+        experiment, factory, limiter_config=RateLimiterConfig(1, 1.0), event_log=log
+    )
     assert report.per_node_outcomes == {"n1|t#s0": "Failed", "n2|t#s0": "Succeeded"}
     warnings = [(e.node, e.detail) for e in log.events if e.kind.value == "Warning"]
     assert warnings == [("n1", "session: no transport for n1")]

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from gplmt.model import TargetDef, TargetKind, TaskOutcome
-from gplmt.scheduler import RealClock, VirtualClock
 from gplmt.transport import (
     AuthUnsupported,
     ConnectFailed,
@@ -42,15 +41,17 @@ def mock_node(name="alpha"):
 
 
 def mock_pool(script=None, emit=None, artifact_root=None, reconnect_budget=8):
-    clock = VirtualClock()
-    factory = make_transport_factory(clock, script or MockScript(), force_mock=True)
-    pool = SessionPool(factory, emit=emit, artifact_root=artifact_root,
+    factory = make_transport_factory(script or MockScript())
+    return SessionPool(factory, emit=emit, artifact_root=artifact_root,
                        reconnect_budget=reconnect_budget)
-    return pool, clock
 
 
 def unlimited():
-    return RateLimiter(None, VirtualClock())
+    return RateLimiter(None)
+
+
+def now():
+    return asyncio.get_running_loop().time()
 
 
 # --- rate limiter ---
@@ -63,14 +64,13 @@ def test_limiter_config_rejects_non_positive_values(attempts, interval):
 
 
 def test_limiter_grant_schedule_matches_oracle():
-    clock = VirtualClock()
-    limiter = RateLimiter(RateLimiterConfig(2, 1.0), clock)
+    limiter = RateLimiter(RateLimiterConfig(2, 1.0))
 
     async def scenario():
         grants = []
         for _ in range(5):
             await limiter.wait()
-            grants.append(clock.now())
+            grants.append(now())
         return grants
 
     grants = run_virtual(scenario())
@@ -78,15 +78,14 @@ def test_limiter_grant_schedule_matches_oracle():
 
 
 def test_limiter_window_never_exceeded():
-    clock = VirtualClock()
-    limiter = RateLimiter(RateLimiterConfig(3, 2.0), clock)
+    limiter = RateLimiter(RateLimiterConfig(3, 2.0))
 
     async def scenario():
         grants = []
 
         async def one():
             await limiter.wait()
-            grants.append(clock.now())
+            grants.append(now())
 
         await asyncio.gather(*[one() for _ in range(11)])
         return grants
@@ -97,43 +96,40 @@ def test_limiter_window_never_exceeded():
 
 
 def test_limiter_window_slides_with_uneven_demand():
-    clock = VirtualClock()
-    limiter = RateLimiter(RateLimiterConfig(2, 1.0), clock)
+    limiter = RateLimiter(RateLimiterConfig(2, 1.0))
 
     async def scenario():
         grants = []
         await limiter.wait()
-        grants.append(clock.now())
-        await clock.sleep(0.5)
+        grants.append(now())
+        await asyncio.sleep(0.5)
         await limiter.wait()
-        grants.append(clock.now())
+        grants.append(now())
         # window [-0.4, 0.6] already holds two grants; the one at 0.0
         # leaves the window at 1.0 and the one at 0.5 at 1.5
-        await clock.sleep(0.1)
+        await asyncio.sleep(0.1)
         await limiter.wait()
-        grants.append(clock.now())
+        grants.append(now())
         await limiter.wait()
-        grants.append(clock.now())
+        grants.append(now())
         return grants
 
     assert run_virtual(scenario()) == [0.0, 0.5, 1.0, 1.5]
 
 
 def test_limiter_none_config_is_unlimited():
-    clock = VirtualClock()
-    limiter = RateLimiter(None, clock)
+    limiter = RateLimiter(None)
 
     async def scenario():
         for _ in range(50):
             await limiter.wait()
-        return clock.now()
+        return now()
 
     assert run_virtual(scenario()) == 0.0
 
 
 def test_limiter_serves_waiters_in_fifo_order():
-    clock = VirtualClock()
-    limiter = RateLimiter(RateLimiterConfig(1, 1.0), clock)
+    limiter = RateLimiter(RateLimiterConfig(1, 1.0))
 
     async def scenario():
         order = []
@@ -208,13 +204,12 @@ def test_mock_script_from_file(tmp_path):
 
 def exec_under_mock(script_json, command, deadline=None, node="alpha"):
     script = MockScript.from_json(script_json)
-    clock = VirtualClock()
-    transport = MockTransport(mock_node(node), clock, script)
+    transport = MockTransport(mock_node(node), script)
 
     async def scenario():
         await transport.connect()
         output = await transport.exec(command, (), deadline)
-        return output, clock.now()
+        return output, now()
 
     return run_virtual(scenario())
 
@@ -280,12 +275,11 @@ def test_mock_stale_loss_instants_are_discarded():
     script = MockScript.from_json(
         '{"nodes": {"alpha": {"rules": [{"pattern": "*", "duration": 1}],'
         '"lose_connection_at": [0.5]}}}')
-    clock = VirtualClock()
-    transport = MockTransport(mock_node(), clock, script)
+    transport = MockTransport(mock_node(), script)
 
     async def scenario():
         await transport.connect()
-        await clock.sleep(2.0)
+        await asyncio.sleep(2.0)
         return await transport.exec("late", (), None)
 
     output = run_virtual(scenario())
@@ -295,15 +289,14 @@ def test_mock_stale_loss_instants_are_discarded():
 
 def test_mock_unavailable_node_refuses_connect():
     script = MockScript.from_json('{"nodes": {"alpha": {"available": false}}}')
-    transport = MockTransport(mock_node(), VirtualClock(), script)
+    transport = MockTransport(mock_node(), script)
     with pytest.raises(Unreachable):
         run_virtual(transport.connect())
 
 
 def test_mock_fetch_unscripted_path_depends_on_strict_files(tmp_path):
     async def fetch_with(script_text):
-        transport = MockTransport(mock_node(), VirtualClock(),
-                                  MockScript.from_json(script_text))
+        transport = MockTransport(mock_node(), MockScript.from_json(script_text))
         await transport.connect()
         await transport.fetch("/var/log/missing", tmp_path / "out.bin")
         return (tmp_path / "out.bin").read_bytes()
@@ -317,7 +310,7 @@ def test_mock_push_then_fetch_round_trip(tmp_path):
     source = tmp_path / "in.bin"
     payload = bytes(range(256)) * 8
     source.write_bytes(payload)
-    transport = MockTransport(mock_node(), VirtualClock(), MockScript())
+    transport = MockTransport(mock_node(), MockScript())
 
     async def scenario():
         await transport.connect()
@@ -334,8 +327,7 @@ def test_mock_push_stays_on_its_node(tmp_path):
     source.write_bytes(b"from n1")
     script = MockScript.from_json(
         '{"nodes": {"*": {"files": {"/seed": "seed"}}}, "strict_files": true}')
-    clock = VirtualClock()
-    n1, n2 = (MockTransport(mock_node(name), clock, script) for name in ("n1", "n2"))
+    n1, n2 = (MockTransport(mock_node(name), script) for name in ("n1", "n2"))
 
     async def scenario():
         await n1.push(source, "/remote/data.bin")
@@ -356,8 +348,7 @@ def test_mock_nodes_sharing_a_rule_keep_equal_outputs():
     script = MockScript.from_json(
         '{"nodes": {"*": {"rules": [{"pattern": "*", "exit": 3, "duration": 2,'
         ' "stdout": "out", "stderr": "err"}], "lose_connection_at": [1.0]}}}')
-    clock = VirtualClock()
-    n1, n2 = (MockTransport(mock_node(name), clock, script) for name in ("n1", "n2"))
+    n1, n2 = (MockTransport(mock_node(name), script) for name in ("n1", "n2"))
 
     async def scenario():
         cut = await n1.exec("job", (), 0.5)
@@ -376,13 +367,13 @@ def test_mock_nodes_sharing_a_rule_keep_equal_outputs():
 
 
 def test_session_refuses_exec_before_connect():
-    pool, clock = mock_pool()
+    pool = mock_pool()
     target = mock_node()
     factory = pool.transport_factory
 
     async def scenario():
         from gplmt.transport import Session
-        session = Session(target.name, factory(target), clock, pool)
+        session = Session(target.name, factory(target), pool)
         with pytest.raises(SessionClosed):
             await session.exec("true")
 
@@ -392,10 +383,10 @@ def test_session_refuses_exec_before_connect():
 def test_session_classifies_exit_codes():
     script = MockScript.from_json(
         '{"nodes": {"alpha": {"rules": [{"pattern": "bad", "exit": 2}]}}}')
-    pool, clock = mock_pool(script)
+    pool = mock_pool(script)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         good = await session.exec("good")
         bad = await session.exec("bad")
         return good, bad
@@ -411,12 +402,12 @@ def test_session_timeout_and_loss_outcomes():
     script = MockScript.from_json(
         '{"nodes": {"alpha": {"rules": [{"pattern": "*", "duration": 10}],'
         '"lose_connection_at": [12.0]}}}')
-    pool, clock = mock_pool(script)
+    pool = mock_pool(script)
     seen = []
     pool._emit = lambda kind, node, detail: seen.append(kind)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         timed = await session.exec("one", deadline=5.0)
         lost = await session.exec("two")
         return timed, lost, session.state
@@ -431,10 +422,10 @@ def test_session_timeout_and_loss_outcomes():
 def test_session_captures_artifacts_when_labeled(tmp_path):
     script = MockScript.from_json(
         '{"nodes": {"alpha": {"rules": [{"pattern": "*", "stdout": "data", "stderr": "warn"}]}}}')
-    pool, clock = mock_pool(script, artifact_root=tmp_path)
+    pool = mock_pool(script, artifact_root=tmp_path)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         labeled = await session.exec("x", artifact_label="0-0")
         plain = await session.exec("x")
         return labeled, plain
@@ -450,10 +441,10 @@ def test_session_captures_artifacts_when_labeled(tmp_path):
 def test_session_fetch_lands_in_node_directory(tmp_path):
     script = MockScript.from_json(
         '{"nodes": {"alpha": {"files": {"/var/log/out.pcap": "bytes!"}}}}')
-    pool, clock = mock_pool(script, artifact_root=tmp_path)
+    pool = mock_pool(script, artifact_root=tmp_path)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         return await session.fetch("/var/log/out.pcap")
 
     destination = run_virtual(scenario())
@@ -463,10 +454,10 @@ def test_session_fetch_lands_in_node_directory(tmp_path):
 
 @pytest.mark.parametrize("path", ["/", ".", "..", "logs/.."])
 def test_session_fetch_rejects_non_file_paths(tmp_path, path):
-    pool, clock = mock_pool(artifact_root=tmp_path)
+    pool = mock_pool(artifact_root=tmp_path)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         with pytest.raises(RemoteFileMissing):
             await session.fetch(path)
 
@@ -474,10 +465,10 @@ def test_session_fetch_rejects_non_file_paths(tmp_path, path):
 
 
 def test_session_fetch_requires_some_destination():
-    pool, clock = mock_pool()  # no artifact root configured
+    pool = mock_pool()  # no artifact root configured
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         with pytest.raises(TransportError):
             await session.fetch("/var/log/x")
 
@@ -485,10 +476,10 @@ def test_session_fetch_requires_some_destination():
 
 
 def test_session_push_requires_local_file(tmp_path):
-    pool, clock = mock_pool()
+    pool = mock_pool()
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         with pytest.raises(LocalFileMissing):
             await session.push(tmp_path / "absent.bin", "/remote/x")
 
@@ -496,16 +487,16 @@ def test_session_push_requires_local_file(tmp_path):
 
 
 def test_session_close_is_terminal():
-    pool, clock = mock_pool()
+    pool = mock_pool()
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         await session.close()
         assert session.state is SessionState.CLOSED
         with pytest.raises(SessionClosed):
             await session.exec("true")
         await pool.close_all()
-        again = await pool.acquire(mock_node(), unlimited(), clock)
+        again = await pool.acquire(mock_node(), unlimited())
         return session, again
 
     session, again = run_virtual(scenario())
@@ -519,12 +510,12 @@ def test_session_close_is_terminal():
 
 def test_pool_reuses_connection_per_node():
     events = []
-    pool, clock = mock_pool(emit=lambda k, n, detail: events.append((k, n, detail)))
+    pool = mock_pool(emit=lambda k, n, detail: events.append((k, n, detail)))
 
     async def scenario():
-        first = await pool.acquire(mock_node(), unlimited(), clock)
+        first = await pool.acquire(mock_node(), unlimited())
         for _ in range(49):
-            again = await pool.acquire(mock_node(), unlimited(), clock)
+            again = await pool.acquire(mock_node(), unlimited())
             assert again is first
         return first.connect_count
 
@@ -534,14 +525,14 @@ def test_pool_reuses_connection_per_node():
 
 def test_pool_keeps_one_session_per_node():
     events = []
-    pool, clock = mock_pool(emit=lambda k, n, detail: events.append((k, n)))
+    pool = mock_pool(emit=lambda k, n, detail: events.append((k, n)))
 
     async def scenario():
-        a = await pool.acquire(mock_node("alpha"), unlimited(), clock)
-        b = await pool.acquire(mock_node("beta"), unlimited(), clock)
+        a = await pool.acquire(mock_node("alpha"), unlimited())
+        b = await pool.acquire(mock_node("beta"), unlimited())
         assert a is not b
-        assert await pool.acquire(mock_node("alpha"), unlimited(), clock) is a
-        assert await pool.acquire(mock_node("beta"), unlimited(), clock) is b
+        assert await pool.acquire(mock_node("alpha"), unlimited()) is a
+        assert await pool.acquire(mock_node("beta"), unlimited()) is b
         return [(s.node, s.state) for s in (a, b)]
 
     assert run_virtual(scenario()) == [
@@ -551,24 +542,24 @@ def test_pool_keeps_one_session_per_node():
 
 
 def test_pool_refuses_group_targets():
-    pool, clock = mock_pool()
+    pool = mock_pool()
     group = TargetDef(name="all", kind=TargetKind.GROUP, members=(mock_node(),))
 
     async def scenario():
         with pytest.raises(ValueError):
-            await pool.acquire(group, unlimited(), clock)
+            await pool.acquire(group, unlimited())
 
     run_virtual(scenario())
 
 
 def test_pool_acquire_reconnects_lost_sessions():
     events = []
-    pool, clock = mock_pool(emit=lambda k, n, detail: events.append(k))
+    pool = mock_pool(emit=lambda k, n, detail: events.append(k))
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         session.mark_lost()
-        again = await pool.acquire(mock_node(), unlimited(), clock)
+        again = await pool.acquire(mock_node(), unlimited())
         assert again is session
         return session.connect_count, session.state
 
@@ -582,15 +573,15 @@ def test_pool_acquire_reconnects_lost_sessions():
 def test_reconnect_backoff_schedule_matches_oracle():
     script = MockScript.from_json('{"nodes": {"alpha": {"connect_failures": 3}}}')
     attempts = []
-    pool, clock = mock_pool(script)
+    pool = mock_pool(script)
     pool._emit = lambda kind, node, detail: (
-        attempts.append(clock.now()) if kind == "ConnectAttempt" else None)
+        attempts.append(now()) if kind == "ConnectAttempt" else None)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         session.mark_lost()
-        base = clock.now()
-        assert await pool.acquire(mock_node(), unlimited(), clock) is session
+        base = now()
+        assert await pool.acquire(mock_node(), unlimited()) is session
         return base, session.state
 
     base, state = run_virtual(scenario())
@@ -604,15 +595,15 @@ def test_reconnect_backoff_schedule_matches_oracle():
 def test_reconnect_budget_exhaustion():
     script = MockScript.from_json('{"nodes": {"alpha": {"reconnectable": false}}}')
     attempts = []
-    pool, clock = mock_pool(script, reconnect_budget=5)
+    pool = mock_pool(script, reconnect_budget=5)
     pool._emit = lambda kind, node, detail: (
-        attempts.append(clock.now()) if kind == "ConnectAttempt" else None)
+        attempts.append(now()) if kind == "ConnectAttempt" else None)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         session.mark_lost()
         with pytest.raises(RetriesExhausted):
-            await pool.acquire(mock_node(), unlimited(), clock)
+            await pool.acquire(mock_node(), unlimited())
         return session.state
 
     assert run_virtual(scenario()) is SessionState.LOST
@@ -620,26 +611,25 @@ def test_reconnect_budget_exhaustion():
 
 
 def test_reconnect_attempts_respect_the_limiter():
-    limiter_clock = VirtualClock()
     attempts = []
-    pool, clock = mock_pool()
+    pool = mock_pool()
     pool._emit = lambda kind, node, detail: (
-        attempts.append(clock.now()) if kind == "ConnectAttempt" else None)
-    limiter = RateLimiter(RateLimiterConfig(1, 2.0), limiter_clock)
+        attempts.append(now()) if kind == "ConnectAttempt" else None)
+    limiter = RateLimiter(RateLimiterConfig(1, 2.0))
 
     async def scenario():
         for name in ("alpha", "beta", "gamma"):
-            await pool.acquire(mock_node(name), limiter, clock)
+            await pool.acquire(mock_node(name), limiter)
 
     run_virtual(scenario())
     assert attempts == [0.0, 2.0, 4.0]
 
 
 def test_close_all_closes_every_session():
-    pool, clock = mock_pool()
+    pool = mock_pool()
 
     async def scenario():
-        sessions = [await pool.acquire(mock_node(name), unlimited(), clock)
+        sessions = [await pool.acquire(mock_node(name), unlimited())
                     for name in ("alpha", "beta")]
         await pool.close_all()
         return [s.state for s in sessions]
@@ -649,14 +639,14 @@ def test_close_all_closes_every_session():
 
 def test_close_all_closes_every_session_before_forgetting_it():
     events = []
-    pool, clock = mock_pool(emit=lambda k, n, detail: events.append((k, n, detail)))
+    pool = mock_pool(emit=lambda k, n, detail: events.append((k, n, detail)))
 
     async def scenario():
-        sessions = [await pool.acquire(mock_node(name), unlimited(), clock)
+        sessions = [await pool.acquire(mock_node(name), unlimited())
                     for name in ("alpha", "beta")]
         await pool.close_all()
         del events[:]
-        again = [await pool.acquire(mock_node(name), unlimited(), clock)
+        again = [await pool.acquire(mock_node(name), unlimited())
                  for name in ("alpha", "beta")]
         return sessions, again
 
@@ -672,18 +662,18 @@ def test_close_all_closes_every_session_before_forgetting_it():
 def test_a_first_connect_is_tried_once_and_raises_its_own_error():
     script = MockScript.from_json('{"nodes": {"alpha": {"available": false}}}')
     attempts = []
-    pool, clock = mock_pool(script, reconnect_budget=5)
+    pool = mock_pool(script, reconnect_budget=5)
     pool._emit = lambda kind, node, detail: (
         attempts.append(detail) if kind == "ConnectAttempt" else None)
 
     async def scenario():
         with pytest.raises(Unreachable):
-            await pool.acquire(mock_node(), unlimited(), clock)
+            await pool.acquire(mock_node(), unlimited())
         assert attempts == ["attempt=1"]
         # the next acquire of the node tries exactly once more
         with pytest.raises(Unreachable):
-            await pool.acquire(mock_node(), unlimited(), clock)
-        return clock.now()
+            await pool.acquire(mock_node(), unlimited())
+        return now()
 
     assert run_virtual(scenario()) == 0.0  # no backoff between the two
     assert attempts == ["attempt=1", "attempt=2"]
@@ -691,13 +681,13 @@ def test_a_first_connect_is_tried_once_and_raises_its_own_error():
 
 def test_a_lost_session_with_budget_zero_gives_up_without_an_attempt():
     events = []
-    pool, clock = mock_pool(emit=lambda k, n, detail: events.append(k), reconnect_budget=0)
+    pool = mock_pool(emit=lambda k, n, detail: events.append(k), reconnect_budget=0)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited(), clock)
+        session = await pool.acquire(mock_node(), unlimited())
         session.mark_lost()
         with pytest.raises(RetriesExhausted):
-            await pool.acquire(mock_node(), unlimited(), clock)
+            await pool.acquire(mock_node(), unlimited())
         return session.state
 
     assert run_virtual(scenario()) is SessionState.LOST
@@ -712,7 +702,7 @@ def local_target():
 
 
 def test_local_exec_runs_real_processes():
-    transport = LocalTransport(local_target(), RealClock())
+    transport = LocalTransport(local_target())
 
     async def scenario():
         await transport.connect()
@@ -725,7 +715,7 @@ def test_local_exec_runs_real_processes():
 
 
 def test_local_exec_exports_environment():
-    transport = LocalTransport(local_target(), RealClock())
+    transport = LocalTransport(local_target())
 
     async def scenario():
         return await transport.exec('printf "%s" "$GREETING"',
@@ -735,11 +725,10 @@ def test_local_exec_exports_environment():
 
 
 def test_local_exec_deadline_kills_process_group():
-    clock = RealClock()
-    transport = LocalTransport(local_target(), clock)
+    transport = LocalTransport(local_target())
 
     async def scenario():
-        return await transport.exec("sleep 30", (), clock.now() + 0.2)
+        return await transport.exec("sleep 30", (), now() + 0.2)
 
     started = time.monotonic()
     output = asyncio.run(scenario())
@@ -748,7 +737,7 @@ def test_local_exec_deadline_kills_process_group():
 
 
 def test_local_fetch_and_push_copy_files(tmp_path):
-    transport = LocalTransport(local_target(), RealClock())
+    transport = LocalTransport(local_target())
     source = tmp_path / "src.bin"
     source.write_bytes(b"x" * 4096)
 
@@ -780,20 +769,20 @@ def test_ssh_client_executable_env_override(monkeypatch):
 
 
 def test_ssh_rejects_password_targets(fake_ssh):
-    transport = SshTransport(ssh_target(password="hunter2"), RealClock())
+    transport = SshTransport(ssh_target(password="hunter2"))
     with pytest.raises(AuthUnsupported):
         asyncio.run(transport.connect())
 
 
 def test_ssh_connect_failure_surfaces_stderr(fake_ssh, monkeypatch):
     monkeypatch.setenv("FAKE_SSH_CONNECT_EXIT", "255")
-    transport = SshTransport(ssh_target(), RealClock())
+    transport = SshTransport(ssh_target())
     with pytest.raises(ConnectFailed):
         asyncio.run(transport.connect())
 
 
 def test_ssh_exec_round_trips_env_quoting(fake_ssh):
-    transport = SshTransport(ssh_target(), RealClock())
+    transport = SshTransport(ssh_target())
     tricky = "s3 cr'et\"$x"
 
     async def scenario():
@@ -809,7 +798,7 @@ def test_ssh_exec_round_trips_env_quoting(fake_ssh):
 
 
 def test_ssh_exit_255_means_connection_lost(fake_ssh):
-    transport = SshTransport(ssh_target(), RealClock())
+    transport = SshTransport(ssh_target())
 
     async def scenario():
         await transport.connect()
@@ -823,7 +812,7 @@ def test_ssh_exit_255_means_connection_lost(fake_ssh):
 
 
 def test_ssh_fetch_and_push_use_the_channel(fake_ssh, tmp_path):
-    transport = SshTransport(ssh_target(), RealClock())
+    transport = SshTransport(ssh_target())
     remote = tmp_path / "remote.bin"
     payload = os.urandom(2048)
     remote.write_bytes(payload)
@@ -850,7 +839,7 @@ def test_ssh_leaves_no_control_directory_behind(fake_ssh, tmp_path, monkeypatch,
     closed)."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setenv("FAKE_SSH_CONNECT_EXIT", connect_exit)
-    transport = SshTransport(ssh_target(), RealClock())
+    transport = SshTransport(ssh_target())
 
     async def scenario():
         if connect_exit != "0":
@@ -869,8 +858,7 @@ def test_ssh_leaves_no_control_directory_behind(fake_ssh, tmp_path, monkeypatch,
 
 
 def test_factory_picks_transport_by_target_kind():
-    clock = RealClock()
-    factory = make_transport_factory(clock)
+    factory = make_transport_factory()
     assert isinstance(factory(local_target()), LocalTransport)
     assert isinstance(factory(ssh_target()), SshTransport)
     planetlab = TargetDef(name="p", kind=TargetKind.PLANETLAB,
@@ -879,7 +867,7 @@ def test_factory_picks_transport_by_target_kind():
         factory(planetlab)
 
 
-def test_factory_force_mock_overrides_kind():
-    factory = make_transport_factory(VirtualClock(), force_mock=True)
+def test_factory_with_a_script_makes_every_target_a_mock_node():
+    factory = make_transport_factory(MockScript())
     assert isinstance(factory(local_target()), MockTransport)
     assert isinstance(factory(ssh_target()), MockTransport)
