@@ -231,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     factory = make_transport_factory((mock_script or MockScript()) if offline else mock_script)
-    # the event sink may fail on open, on any record, and on close
+    # SinkIoError: the log cannot open, a write failed (raised by close), or write_report failed
     try:
         event_log = EventLog(run_dir / "events.jsonl")
         try:

@@ -56,7 +56,6 @@ from .telemetry import (
 )
 from .transport import (
     MockScript,
-    RateLimiter,
     RateLimiterConfig,
     Session,
     SessionClosed,
@@ -228,15 +227,12 @@ class ExperimentRunner:
         self.experiment = experiment
         self.targets = experiment.target_map()
         self.tasklists = experiment.tasklist_map()
-        self.transport_factory = transport_factory
-        self.limiter_config = limiter_config
         self.log = event_log
         self.run_dir = run_dir
+        self.pool = SessionPool(transport_factory, self.emit, run_dir, limiter_config)
 
         self.registry: list[RegisterTeardown] = []
         self.panicked = False
-        self.pool: SessionPool | None = None
-        self.limiter: RateLimiter | None = None
         self._now = None  # the running loop's time(), bound by run()
         self._wall_zero = 0.0  # Unix time at the loop's time() == 0
         self._step_counter = itertools.count()
@@ -275,18 +271,19 @@ class ExperimentRunner:
         loop = asyncio.get_running_loop()
         self._now = loop.time
         self._wall_zero = loop.wall_zero
-        self.limiter = RateLimiter(self.limiter_config)
-        self.pool = SessionPool(self.transport_factory, emit=self.emit, artifact_root=self.run_dir)
         try:
             self.emit(EventKind.EXPERIMENT_START)
             try:
                 await self.execute_steps_block(self.experiment.steps.items)
             except (_PanicSignal, asyncio.CancelledError):
                 pass
-            await self._drain_step_tasks()
+            # After a panic the cancelled tasks must fully unwind (releasing
+            # their node locks) before any teardown work may start.
+            if self._all_step_tasks:
+                await asyncio.gather(*self._all_step_tasks, return_exceptions=True)
             await self.drain_teardowns()
         finally:
-            await self.pool.close_all()  # also when a failing sink ends the run
+            await self.pool.close_all()  # also when a controller fault ends the run
 
         # ExperimentEnd changes neither the status nor the summary, so the
         # report is rendered once and only its event tuple is replaced.
@@ -296,12 +293,6 @@ class ExperimentRunner:
         if self.run_dir is not None:
             write_report(self.run_dir, report, summary)
         return report
-
-    async def _drain_step_tasks(self) -> None:
-        # After a panic the cancelled tasks must fully unwind (releasing
-        # their node locks) before any teardown work may start.
-        if self._all_step_tasks:
-            await asyncio.gather(*self._all_step_tasks, return_exceptions=True)
 
     def trigger_panic(self, node: str, tasklist: str, detail: str, own_step: asyncio.Task | None) -> None:
         if self.panicked:
@@ -344,7 +335,8 @@ class ExperimentRunner:
         """Loop the body while every given bound still admits an iteration.
 
         Bounds are checked between iterations only; a running iteration is
-        never pre-empted by during/until.
+        never pre-empted by during/until. Without `iterations`, a Warning
+        stops the loop after an iteration that took no (virtual) time.
         """
         entered = self._now()
         completed = 0
@@ -357,8 +349,13 @@ class ExperimentRunner:
                 break
             if repeat.until is not None and self._wall_zero + self._now() >= repeat.until.timestamp():
                 break
+            began = self._now()
             await self.execute_steps_block(repeat.body)
             completed += 1
+            if repeat.iterations is None and self._now() == began:
+                bound = f"during={repeat.during:g}s" if repeat.until is None else f"until={repeat.until}"
+                self.emit(EventKind.WARNING, detail=f"repeat {bound}: an iteration took no time; stopped")
+                break
 
     # -- steps ------------------------------------------------------
 
@@ -427,7 +424,12 @@ class ExperimentRunner:
             ctx.node_tasks[leaf.name] = asyncio.create_task(
                 self.execute_tasklist(tasklist, leaf, env, ctx)
             )
-        await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
+        results = await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
+        for node, result in zip(ctx.node_tasks, results):
+            if isinstance(result, Exception):  # a controller fault outside execute_tasklist's try
+                ctx.outcomes[node] = _NODE_FAILED
+                detail = f"controller: {type(result).__name__}: {result}"
+                self.emit(EventKind.WARNING, node, ctx.step_index, tasklist.name, detail=detail)
         outcomes = tuple(sorted(ctx.outcomes.items()))
         detail = " ".join(f"{node}={state._value_}" for node, state in outcomes)
         self.emit(
@@ -465,7 +467,7 @@ class ExperimentRunner:
                 if ctx.stop_instant is None:
                     await lock.acquire()
                     locked = True
-                    session = await self.pool.acquire(leaf, self.limiter)
+                    session = await self.pool.acquire(leaf)
                 else:
                     remaining = ctx.stop_instant - self._now()
                     if remaining <= 0:
@@ -520,7 +522,7 @@ class ExperimentRunner:
         itself: one frame fewer per parked node."""
         await lock.acquire()
         try:
-            return await self.pool.acquire(leaf, self.limiter)
+            return await self.pool.acquire(leaf)
         except BaseException:
             lock.release()
             raise
@@ -560,7 +562,7 @@ class ExperimentRunner:
         cleanup = self.tasklists[cleanup_ref]
         node = run.leaf.name
         try:
-            session = await self.pool.acquire(run.leaf, self.limiter)
+            session = await self.pool.acquire(run.leaf)
         except Exception as exc:
             detail = f"cleanup session: {exc}"
             self.emit(EventKind.WARNING, node, run.ctx.step_index, cleanup.name, detail=detail)

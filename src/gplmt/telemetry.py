@@ -18,7 +18,7 @@ from .model import ERROR_NODE_STATES, ExperimentReport, NodeState, OverallStatus
 
 
 class SinkIoError(Exception):
-    """The event sink could not be written; fatal for the controller."""
+    """The event sink could not be written; EventLog.close() raises the first."""
 
 
 class RunDirError(Exception):
@@ -109,9 +109,9 @@ class EventLog:
     """In-memory event list, optionally mirrored to an events.jsonl file.
 
     record() is safe under concurrent callers; each event is written as one
-    whole line and flushed before the call returns. close() raises the
-    first SinkIoError again, so a log with a hole stays fatal even when
-    every later write succeeded.
+    whole line and flushed before the call returns. A failed write does
+    not raise: the log keeps the first SinkIoError, tries every later
+    write, and close() raises it once the run, teardowns included, is over.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -138,9 +138,7 @@ class EventLog:
                     self._handle.write(event.to_json_line() + "\n")
                     self._handle.flush()
                 except OSError as exc:
-                    error = SinkIoError(str(exc))
-                    self._error = self._error or error
-                    raise error from exc
+                    self._error = self._error or SinkIoError(str(exc))
 
     def close(self) -> None:
         with self._lock:

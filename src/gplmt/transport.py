@@ -167,7 +167,7 @@ class Session:
     def mark_lost(self) -> None:
         if self.state is SessionState.CONNECTED:
             self.state = SessionState.LOST
-            self.pool.emit(EventKind.CONNECT_LOST, self.node, "")
+            self.pool.emit(EventKind.CONNECT_LOST, self.node, detail="")
 
     async def exec(
         self,
@@ -232,27 +232,25 @@ class Session:
 
 class SessionPool:
     """Registry of live sessions, at most one per node at any instant, and
-    of the locks that serialize the executions on each node."""
+    of the locks that serialize the executions on each node. It owns the
+    connection policy: its RateLimiter gates every attempt (see acquire),
+    and events go to `emit`, the runner's."""
 
     def __init__(
         self,
         transport_factory,
-        emit=None,
+        emit,
         artifact_root: str | Path | None = None,
-        reconnect_budget: int = DEFAULT_RECONNECT_BUDGET,
+        limiter_config: RateLimiterConfig | None = None,
     ):
         self.transport_factory = transport_factory
+        self.emit = emit
         self.artifact_root = Path(artifact_root) if artifact_root is not None else None
-        self.reconnect_budget = reconnect_budget
-        self._emit = emit
+        self.limiter = RateLimiter(limiter_config)
         self._sessions: dict[str, Session] = {}
         self._node_locks: dict[str, asyncio.Lock] = {}
         self._reconnect_locks: dict[str, asyncio.Lock] = {}
         self._attempt_details: dict[str, str] = {}  # one "attempt=N" per N and run
-
-    def emit(self, kind: EventKind, node: str, detail: str) -> None:
-        if self._emit is not None:
-            self._emit(kind, node, detail=detail)
 
     def _next_attempt(self, session: Session) -> str:
         """Count one more connection attempt; returns its event detail."""
@@ -267,12 +265,13 @@ class SessionPool:
             lock = self._node_locks[node] = asyncio.Lock()
         return lock
 
-    async def acquire(self, target: TargetDef, limiter: RateLimiter) -> Session:
+    async def acquire(self, target: TargetDef) -> Session:
         """Return the node's live session, establishing one if needed.
 
         A first connect is tried once and raises its own error. A lost
         session is retried with exponential backoff, at most
-        `reconnect_budget` attempts, and then raises RetriesExhausted.
+        DEFAULT_RECONNECT_BUDGET attempts, and then raises RetriesExhausted.
+        Every attempt waits for its permit from the pool's limiter.
         With an artifact root, a node name that cannot serve as one path
         component raises ArtifactPathError before any connection attempt.
 
@@ -300,18 +299,18 @@ class SessionPool:
             if session is not None and session.state is _CONNECTED:
                 return session  # reconnected while this waited
             lost = session is not None and session.state is _LOST
-            budget = self.reconnect_budget if lost else 1
+            budget = DEFAULT_RECONNECT_BUDGET if lost else 1
             attempt, delay = 0, DEFAULT_RECONNECT_BASE
-            while attempt < budget:
+            while attempt < budget:  # a range iterator would cost every parked node 32 B
                 if attempt:
                     await asyncio.sleep(delay)
                     delay = min(delay * DEFAULT_RECONNECT_FACTOR, DEFAULT_RECONNECT_CAP)
                 attempt += 1
-                await limiter.wait()
+                await self.limiter.wait()
                 if session is None:
                     session = self._sessions[target.name] = Session(target.name, transport, self)
                 detail = self._next_attempt(session)
-                self.emit(_CONNECT_ATTEMPT, session.node, detail)
+                self.emit(_CONNECT_ATTEMPT, session.node, detail=detail)
                 try:
                     await session.transport.connect()
                 except ConnectFailed:
@@ -319,10 +318,10 @@ class SessionPool:
                         raise
                     continue
                 session.state = _CONNECTED
-                self.emit(_CONNECT_SUCCESS, session.node, detail)
+                self.emit(_CONNECT_SUCCESS, session.node, detail=detail)
                 return session
             raise RetriesExhausted(
-                f"gave up reconnecting to {target.name} after {self.reconnect_budget} attempts"
+                f"gave up reconnecting to {target.name} after {DEFAULT_RECONNECT_BUDGET} attempts"
             )
         finally:
             if reconnect_lock is not None:

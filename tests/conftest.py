@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import itertools
 import json
 import stat
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 from gplmt.parser import load_experiment
 from gplmt.scheduler import VirtualTimeEventLoop
+from gplmt.telemetry import EventLog
 
 
 def run_virtual(coro):
@@ -17,6 +20,34 @@ def run_virtual(coro):
         return loop.run_until_complete(coro)
     finally:
         loop.close()
+
+
+class _FullDiskHandle:
+    """An EventLog's file handle whose k-th write (counting from 0) raises
+    ENOSPC when `fails(k)`; every other write goes through."""
+
+    def __init__(self, handle, fails):
+        self._handle = handle
+        self._fails = fails
+        self._writes = itertools.count()
+
+    def write(self, text):
+        if self._fails(next(self._writes)):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._handle.write(text)
+
+    def flush(self):
+        self._handle.flush()
+
+    def close(self):
+        self._handle.close()
+
+
+def full_disk_log(path, fails) -> EventLog:
+    """An EventLog on `path` whose k-th events.jsonl write fails when `fails(k)`."""
+    log = EventLog(path)
+    log._handle = _FullDiskHandle(log._handle, fails)
+    return log
 
 
 @pytest.fixture

@@ -27,7 +27,6 @@ from gplmt.telemetry import EventLog
 from gplmt.transport import (
     MockScript,
     RateLimiterConfig,
-    RateLimiter,
     SessionPool,
     make_transport_factory,
 )
@@ -228,14 +227,13 @@ def test_file_round_trip(tmp_path):
     files = {node: {"files": {"data.bin": content.decode()}} for node, content in clash.items()}
     script = MockScript.from_json(json.dumps({"nodes": files}))
     factory = make_transport_factory(script)
-    pool = SessionPool(factory, artifact_root=tmp_path / "mock-artifacts")
-    limiter = RateLimiter(None)
+    pool = SessionPool(factory, lambda kind, node, detail: None, tmp_path / "mock-artifacts")
 
     async def mock_side():
         fetched, sessions = {}, {}
         for node in clash:
             target = TargetDef(name=node, kind=TargetKind.SSH, ssh_user="u", ssh_host=node)
-            session = sessions[node] = await pool.acquire(target, limiter)
+            session = sessions[node] = await pool.acquire(target)
             fetched[node] = await session.fetch("data.bin")
         n1 = sessions["n1"]
         await n1.push(local, "/remote/payload.bin")

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import argparse
-import errno
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,6 +28,8 @@ from gplmt.model import UnknownTargetError
 from gplmt.parser import load_experiment
 from gplmt.planetlab import FakePlanetLabApi
 from gplmt.telemetry import EventLog, SinkIoError
+
+from .conftest import full_disk_log
 
 FIXTURES = Path(gplmt.__file__).parent / "fixtures"
 
@@ -296,6 +300,50 @@ def test_dry_run_expands_slices_offline(tmp_path, capsys):
     assert not any(e["kind"] == "TaskStart" for e in events)
 
 
+UNTIL_DOC = """
+<experiment>
+ <targets>
+   <target name="alpha" type="local" />
+ </targets>
+ <tasklists>
+   <tasklist name="work"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <repeat until="2100-01-01T00:00:00Z">
+     <step tasklist="work" targets="alpha" />
+   </repeat>
+ </steps>
+</experiment>
+"""
+
+
+@pytest.mark.parametrize("document,bound", [
+    (None, "during=5s"),
+    (UNTIL_DOC, "until=2100-01-01 00:00:00+00:00"),
+], ids=["during", "until"])
+def test_a_repeat_whose_iteration_takes_no_time_stops(tmp_path, document, bound):
+    """Without a mock script every command takes no virtual time, so a
+    repeat bounded by during or until alone would never end. Its first
+    iteration runs, then one Warning names the bound and the loop stops.
+    A separate process with a timeout keeps a loop that never ends from
+    hanging the suite."""
+    path = FIXTURES / "repeat_during.xml" if document is None else write_doc(tmp_path, document)
+    src = os.path.dirname(os.path.dirname(gplmt.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    log_dir = tmp_path / "logs"
+    done = subprocess.run(
+        [sys.executable, "-m", "gplmt.cli", str(path), "--dry-run", "--log-dir", str(log_dir)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_COMPLETED, done.stderr
+    events = [json.loads(line) for line in
+              (run_dir_of(log_dir) / "events.jsonl").read_text().splitlines()]
+    assert [e["kind"] for e in events].count("TaskStart") == 1
+    warnings = [e["detail"] for e in events if e["kind"] == "Warning"]
+    assert warnings == [f"repeat {bound}: an iteration took no time; stopped"]
+    assert events[-1] == {"ts": 0.0, "kind": "ExperimentEnd", "detail": "Completed"}
+
+
 # --- run mode ---
 
 
@@ -520,27 +568,6 @@ def test_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, monkeypatch
         assert "Traceback" not in err, healthy
 
 
-class _OneShotFullHandle:
-    """A file handle whose `fail_at`-th write (counting from 0) raises ENOSPC
-    once; every other write goes through."""
-
-    def __init__(self, handle, fail_at):
-        self._handle = handle
-        self._writes = itertools.count()
-        self._fail_at = fail_at
-
-    def write(self, text):
-        if next(self._writes) == self._fail_at:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self._handle.write(text)
-
-    def flush(self):
-        self._handle.flush()
-
-    def close(self):
-        self._handle.close()
-
-
 def test_one_shot_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, monkeypatch):
     """A write that fails once leaves a hole in events.jsonl even when the
     engine absorbs the error and every later write succeeds."""
@@ -550,9 +577,7 @@ def test_one_shot_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, mo
     for position in range(total):
 
         def event_log(path, position=position):
-            log = EventLog(path)
-            log._handle = _OneShotFullHandle(log._handle, position)
-            return log
+            return full_disk_log(path, lambda k: k == position)
 
         monkeypatch.setattr(cli, "EventLog", event_log)
         capsys.readouterr()
@@ -561,15 +586,6 @@ def test_one_shot_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, mo
         assert code == EXIT_USAGE, position
         assert "gplmt: error: [Errno 28] No space left on device" in err, position
         assert "Traceback" not in err, position
-
-
-class _FullFromHandle(_OneShotFullHandle):
-    """A file handle whose every write from the `fail_at`-th on raises ENOSPC."""
-
-    def write(self, text):
-        if next(self._writes) >= self._fail_at:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self._handle.write(text)
 
 
 def test_a_sink_that_keeps_failing_still_closes_the_ssh_sessions(
@@ -598,9 +614,7 @@ def test_a_sink_that_keeps_failing_still_closes_the_ssh_sessions(
 """
 
     def event_log(path):
-        log = EventLog(path)
-        log._handle = _FullFromHandle(log._handle, 8)
-        return log
+        return full_disk_log(path, lambda k: k >= 8)
 
     monkeypatch.setattr(cli, "EventLog", event_log)
     code = main([str(write_doc(tmp_path, doc)), "--log-dir", str(tmp_path / "logs")])

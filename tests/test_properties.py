@@ -3,9 +3,10 @@
 Hypothesis builds small experiments (local targets, tasklists of run tasks
 with random error modes and optional cleanups, steps with optional
 barriers, teardown registrations) plus a mock script with per-node exit
-codes and durations, and a fault to inject: the k-th artifact write of the
-run fails with ENOSPC, or none does. Every dry run, into a run directory of
-its own, must keep the invariants below.
+codes and durations, and two faults to inject: the k-th artifact write of
+the run fails with ENOSPC, or none does, and the j-th events.jsonl record
+fails with ENOSPC, or none does. Every dry run, into a run directory of its
+own, must keep the invariants below.
 """
 from __future__ import annotations
 
@@ -34,8 +35,10 @@ from gplmt.model import (
     Tasklist,
 )
 from gplmt.scheduler import dry_run
+from gplmt.telemetry import SinkIoError
 from gplmt.transport import MockScript
 
+from .conftest import full_disk_log
 from .oracles import report_from_log_lines
 
 CLEANUP = "cl"
@@ -82,13 +85,17 @@ def experiments(draw):
         targets=targets, tasklists=tuple(tasklists), steps=StepsProgram(tuple(items))
     )
     fault = draw(st.one_of(st.none(), st.integers(0, 24)))
-    return experiment, MockScript.from_json(json.dumps({"nodes": script})), fault
+    sink_fault = draw(st.one_of(st.none(), st.integers(0, 40)))
+    return experiment, MockScript.from_json(json.dumps({"nodes": script})), fault, sink_fault
 
 
-def _run(experiment, script, fault):
+def _run(experiment, script, fault, sink_fault=None):
     """Dry-run into a fresh run directory whose `fault`-th artifact write
-    raises ENOSPC. Returns the report, the events.jsonl lines, whether the
-    fault struck, and what was written outside the run directory."""
+    and `sink_fault`-th events.jsonl write raise ENOSPC. Returns the report,
+    the lines events.jsonl would hold without the sink fault, whether the
+    artifact fault struck, and what was written outside the run directory.
+    Checks that the sink fault left exactly its line out of the file, and
+    that only it makes closing the log fail."""
     real_write_bytes = Path.write_bytes
     written: list[Path] = []
 
@@ -100,9 +107,21 @@ def _run(experiment, script, fault):
 
     with tempfile.TemporaryDirectory() as root:
         run_dir = Path(root) / "run"
-        with mock.patch.object(Path, "write_bytes", write_bytes):
-            report = dry_run(experiment, script, run_dir=run_dir)
-        lines = (run_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        run_dir.mkdir()
+        log = full_disk_log(run_dir / "events.jsonl", lambda k: k == sink_fault)
+        try:
+            with mock.patch.object(Path, "write_bytes", write_bytes):
+                report = dry_run(experiment, script, event_log=log, run_dir=run_dir)
+        finally:
+            try:
+                log.close()
+                sink_failed = False
+            except SinkIoError:
+                sink_failed = True
+        lines = [event.to_json_line() for event in report.events]
+        assert sink_failed == (sink_fault is not None and sink_fault < len(lines))
+        kept = [line for k, line in enumerate(lines) if k != sink_fault]
+        assert (run_dir / "events.jsonl").read_text(encoding="utf-8").splitlines() == kept
         outside = [p for p in written if not p.resolve().is_relative_to(run_dir.resolve())]
         struck = fault is not None and fault < len(written)
         return report, lines, struck, outside + sorted(set(os.listdir(root)) - {"run"})
@@ -111,12 +130,14 @@ def _run(experiment, script, fault):
 @settings(max_examples=50, deadline=None)
 @given(experiments())
 def test_generated_experiments_keep_the_engine_invariants(case):
-    experiment, script, fault = case
-    report, lines, struck, outside = _run(experiment, script, fault)  # on the virtual loop
+    experiment, script, fault, sink_fault = case
+    report, lines, struck, outside = _run(experiment, script, fault, sink_fault)  # on the virtual loop
+    # two runs give identical logs, and a failed record changes no event
     assert _run(experiment, script, fault)[1] == lines
     assert outside == []  # no file lands outside the run directory
     events = report.events
     kinds = [e.kind.value for e in events]
+    assert not any("SinkIoError" in e.detail for e in events)
 
     # every TaskStart is closed by its TaskEnd unless the node was aborted:
     # its step ended with the node Aborted, or a panic cancelled the step

@@ -5,6 +5,7 @@ import errno
 import gc
 import itertools
 import json
+import logging
 import os
 import sys
 import time
@@ -35,10 +36,10 @@ from gplmt.scheduler import (
     dry_run,
     run_experiment,
 )
-from gplmt.telemetry import EventLog
+from gplmt.telemetry import EventLog, SinkIoError
 from gplmt.transport import MockScript, RateLimiterConfig, make_transport_factory
 
-from .conftest import run_virtual
+from .conftest import full_disk_log, run_virtual
 from .oracles import all_indices, first_index, repeat_executions
 
 FIXTURES = Path(gplmt.__file__).parent / "fixtures"
@@ -1408,6 +1409,64 @@ def test_a_controller_fault_in_a_cleanup_leaves_an_aborted_node_aborted(tmp_path
     assert [(e.node, e.tasklist) for e in faulted] == [("n2", "c")]
     assert report.per_node_outcomes == {"n1|t#s0": "Failed", "n2|t#s0": "Aborted"}
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
+def test_an_exception_that_escapes_a_node_execution_fails_the_node():
+    """A hand-built tasklist names a cleanup that does not exist, so the
+    lookup raises after the tasklist itself has succeeded, outside the try
+    that turns a node's faults into data. The node fails with a
+    controller Warning instead of the exception being dropped."""
+    experiment = Experiment(
+        targets=(TargetDef("n1", TargetKind.LOCAL),),
+        tasklists=(Tasklist("t", (RunTask("a"),), cleanup="missing"),),
+        steps=StepsProgram((Step("t", "n1"),)),
+    )
+    report = dry_run(experiment)
+    assert report.per_node_outcomes == {"n1|t#s0": "Failed"}
+    warnings = [(e.node, e.tasklist, e.detail) for e in report.events if e.kind.value == "Warning"]
+    assert warnings == [("n1", "t", "controller: KeyError: 'missing'")]
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
+# --- event sink failures ---
+
+
+def _sink_probe(log):
+    """n1 runs a short step and n2 a 50 s one; a teardown on n1 is registered first."""
+    n1, n2 = TargetDef("n1", TargetKind.LOCAL), TargetDef("n2", TargetKind.LOCAL)
+    experiment = Experiment(
+        targets=(n1, n2),
+        tasklists=(
+            Tasklist("short", (RunTask("a"),)),
+            Tasklist("long", (RunTask("long"),)),
+            Tasklist("fin", (RunTask("fin"),)),
+        ),
+        steps=StepsProgram((RegisterTeardown("fin", "n1"), Step("short", "n1"), Step("long", "n2"))),
+    )
+    script = MockScript.from_json('{"nodes": {"n2": {"rules": [{"pattern": "long", "duration": 50}]}}}')
+    return dry_run(experiment, script, event_log=log)
+
+
+@pytest.mark.parametrize("fail_at", range(16))
+def test_a_failing_event_sink_changes_nothing_but_the_file(tmp_path, caplog, fail_at):
+    """Every events.jsonl write from the fail_at-th on raises ENOSPC. The
+    run goes on as if the disk were healthy: the teardown runs once, no
+    node is blamed and no task is left pending. Only close() fails."""
+    clean = [e.to_json_line() for e in _sink_probe(EventLog()).events]
+    log = full_disk_log(tmp_path / "events.jsonl", lambda k: k >= fail_at)
+    try:
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            report = _sink_probe(log)
+            gc.collect()  # a task destroyed while pending would be logged now
+    finally:
+        with pytest.raises(SinkIoError, match="No space left on device"):
+            log.close()
+    assert [e.to_json_line() for e in report.events] == clean
+    fin = [e for e in report.events if e.kind.value == "TaskStart" and e.tasklist == "fin"]
+    assert len(fin) == 1
+    assert not any("SinkIoError" in e.detail for e in report.events)
+    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+    assert (tmp_path / "events.jsonl").read_text().splitlines() == clean[:fail_at]
 
 
 def _traced_peak_of_parked_fanout(nodes: int) -> int:

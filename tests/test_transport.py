@@ -40,14 +40,10 @@ def mock_node(name="alpha"):
     return TargetDef(name=name, kind=TargetKind.SSH, ssh_user="u", ssh_host=f"{name}.example.org")
 
 
-def mock_pool(script=None, emit=None, artifact_root=None, reconnect_budget=8):
+def mock_pool(script=None, emit=None, artifact_root=None, limiter_config=None):
     factory = make_transport_factory(script or MockScript())
-    return SessionPool(factory, emit=emit, artifact_root=artifact_root,
-                       reconnect_budget=reconnect_budget)
-
-
-def unlimited():
-    return RateLimiter(None)
+    return SessionPool(factory, emit or (lambda kind, node, detail: None),
+                       artifact_root=artifact_root, limiter_config=limiter_config)
 
 
 def now():
@@ -386,7 +382,7 @@ def test_session_classifies_exit_codes():
     pool = mock_pool(script)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         good = await session.exec("good")
         bad = await session.exec("bad")
         return good, bad
@@ -404,10 +400,10 @@ def test_session_timeout_and_loss_outcomes():
         '"lose_connection_at": [12.0]}}}')
     pool = mock_pool(script)
     seen = []
-    pool._emit = lambda kind, node, detail: seen.append(kind)
+    pool.emit = lambda kind, node, detail: seen.append(kind)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         timed = await session.exec("one", deadline=5.0)
         lost = await session.exec("two")
         return timed, lost, session.state
@@ -425,7 +421,7 @@ def test_session_captures_artifacts_when_labeled(tmp_path):
     pool = mock_pool(script, artifact_root=tmp_path)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         labeled = await session.exec("x", artifact_label="0-0")
         plain = await session.exec("x")
         return labeled, plain
@@ -444,7 +440,7 @@ def test_session_fetch_lands_in_node_directory(tmp_path):
     pool = mock_pool(script, artifact_root=tmp_path)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         return await session.fetch("/var/log/out.pcap")
 
     destination = run_virtual(scenario())
@@ -457,7 +453,7 @@ def test_session_fetch_rejects_non_file_paths(tmp_path, path):
     pool = mock_pool(artifact_root=tmp_path)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         with pytest.raises(RemoteFileMissing):
             await session.fetch(path)
 
@@ -468,7 +464,7 @@ def test_session_fetch_requires_some_destination():
     pool = mock_pool()  # no artifact root configured
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         with pytest.raises(TransportError):
             await session.fetch("/var/log/x")
 
@@ -479,7 +475,7 @@ def test_session_push_requires_local_file(tmp_path):
     pool = mock_pool()
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         with pytest.raises(LocalFileMissing):
             await session.push(tmp_path / "absent.bin", "/remote/x")
 
@@ -490,13 +486,13 @@ def test_session_close_is_terminal():
     pool = mock_pool()
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         await session.close()
         assert session.state is SessionState.CLOSED
         with pytest.raises(SessionClosed):
             await session.exec("true")
         await pool.close_all()
-        again = await pool.acquire(mock_node(), unlimited())
+        again = await pool.acquire(mock_node())
         return session, again
 
     session, again = run_virtual(scenario())
@@ -513,9 +509,9 @@ def test_pool_reuses_connection_per_node():
     pool = mock_pool(emit=lambda k, n, detail: events.append((k, n, detail)))
 
     async def scenario():
-        first = await pool.acquire(mock_node(), unlimited())
+        first = await pool.acquire(mock_node())
         for _ in range(49):
-            again = await pool.acquire(mock_node(), unlimited())
+            again = await pool.acquire(mock_node())
             assert again is first
         return first.connect_count
 
@@ -528,11 +524,11 @@ def test_pool_keeps_one_session_per_node():
     pool = mock_pool(emit=lambda k, n, detail: events.append((k, n)))
 
     async def scenario():
-        a = await pool.acquire(mock_node("alpha"), unlimited())
-        b = await pool.acquire(mock_node("beta"), unlimited())
+        a = await pool.acquire(mock_node("alpha"))
+        b = await pool.acquire(mock_node("beta"))
         assert a is not b
-        assert await pool.acquire(mock_node("alpha"), unlimited()) is a
-        assert await pool.acquire(mock_node("beta"), unlimited()) is b
+        assert await pool.acquire(mock_node("alpha")) is a
+        assert await pool.acquire(mock_node("beta")) is b
         return [(s.node, s.state) for s in (a, b)]
 
     assert run_virtual(scenario()) == [
@@ -547,7 +543,7 @@ def test_pool_refuses_group_targets():
 
     async def scenario():
         with pytest.raises(ValueError):
-            await pool.acquire(group, unlimited())
+            await pool.acquire(group)
 
     run_virtual(scenario())
 
@@ -557,9 +553,9 @@ def test_pool_acquire_reconnects_lost_sessions():
     pool = mock_pool(emit=lambda k, n, detail: events.append(k))
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         session.mark_lost()
-        again = await pool.acquire(mock_node(), unlimited())
+        again = await pool.acquire(mock_node())
         assert again is session
         return session.connect_count, session.state
 
@@ -574,14 +570,14 @@ def test_reconnect_backoff_schedule_matches_oracle():
     script = MockScript.from_json('{"nodes": {"alpha": {"connect_failures": 3}}}')
     attempts = []
     pool = mock_pool(script)
-    pool._emit = lambda kind, node, detail: (
+    pool.emit = lambda kind, node, detail: (
         attempts.append(now()) if kind == "ConnectAttempt" else None)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         session.mark_lost()
         base = now()
-        assert await pool.acquire(mock_node(), unlimited()) is session
+        assert await pool.acquire(mock_node()) is session
         return base, session.state
 
     base, state = run_virtual(scenario())
@@ -595,15 +591,15 @@ def test_reconnect_backoff_schedule_matches_oracle():
 def test_reconnect_budget_exhaustion():
     script = MockScript.from_json('{"nodes": {"alpha": {"reconnectable": false}}}')
     attempts = []
-    pool = mock_pool(script, reconnect_budget=5)
-    pool._emit = lambda kind, node, detail: (
+    pool = mock_pool(script)
+    pool.emit = lambda kind, node, detail: (
         attempts.append(now()) if kind == "ConnectAttempt" else None)
 
     async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
+        session = await pool.acquire(mock_node())
         session.mark_lost()
         with pytest.raises(RetriesExhausted):
-            await pool.acquire(mock_node(), unlimited())
+            await pool.acquire(mock_node())
         return session.state
 
     assert run_virtual(scenario()) is SessionState.LOST
@@ -612,14 +608,13 @@ def test_reconnect_budget_exhaustion():
 
 def test_reconnect_attempts_respect_the_limiter():
     attempts = []
-    pool = mock_pool()
-    pool._emit = lambda kind, node, detail: (
+    pool = mock_pool(limiter_config=RateLimiterConfig(1, 2.0))
+    pool.emit = lambda kind, node, detail: (
         attempts.append(now()) if kind == "ConnectAttempt" else None)
-    limiter = RateLimiter(RateLimiterConfig(1, 2.0))
 
     async def scenario():
         for name in ("alpha", "beta", "gamma"):
-            await pool.acquire(mock_node(name), limiter)
+            await pool.acquire(mock_node(name))
 
     run_virtual(scenario())
     assert attempts == [0.0, 2.0, 4.0]
@@ -629,7 +624,7 @@ def test_close_all_closes_every_session():
     pool = mock_pool()
 
     async def scenario():
-        sessions = [await pool.acquire(mock_node(name), unlimited())
+        sessions = [await pool.acquire(mock_node(name))
                     for name in ("alpha", "beta")]
         await pool.close_all()
         return [s.state for s in sessions]
@@ -642,11 +637,11 @@ def test_close_all_closes_every_session_before_forgetting_it():
     pool = mock_pool(emit=lambda k, n, detail: events.append((k, n, detail)))
 
     async def scenario():
-        sessions = [await pool.acquire(mock_node(name), unlimited())
+        sessions = [await pool.acquire(mock_node(name))
                     for name in ("alpha", "beta")]
         await pool.close_all()
         del events[:]
-        again = [await pool.acquire(mock_node(name), unlimited())
+        again = [await pool.acquire(mock_node(name))
                  for name in ("alpha", "beta")]
         return sessions, again
 
@@ -662,36 +657,21 @@ def test_close_all_closes_every_session_before_forgetting_it():
 def test_a_first_connect_is_tried_once_and_raises_its_own_error():
     script = MockScript.from_json('{"nodes": {"alpha": {"available": false}}}')
     attempts = []
-    pool = mock_pool(script, reconnect_budget=5)
-    pool._emit = lambda kind, node, detail: (
+    pool = mock_pool(script)
+    pool.emit = lambda kind, node, detail: (
         attempts.append(detail) if kind == "ConnectAttempt" else None)
 
     async def scenario():
         with pytest.raises(Unreachable):
-            await pool.acquire(mock_node(), unlimited())
+            await pool.acquire(mock_node())
         assert attempts == ["attempt=1"]
         # the next acquire of the node tries exactly once more
         with pytest.raises(Unreachable):
-            await pool.acquire(mock_node(), unlimited())
+            await pool.acquire(mock_node())
         return now()
 
     assert run_virtual(scenario()) == 0.0  # no backoff between the two
     assert attempts == ["attempt=1", "attempt=2"]
-
-
-def test_a_lost_session_with_budget_zero_gives_up_without_an_attempt():
-    events = []
-    pool = mock_pool(emit=lambda k, n, detail: events.append(k), reconnect_budget=0)
-
-    async def scenario():
-        session = await pool.acquire(mock_node(), unlimited())
-        session.mark_lost()
-        with pytest.raises(RetriesExhausted):
-            await pool.acquire(mock_node(), unlimited())
-        return session.state
-
-    assert run_virtual(scenario()) is SessionState.LOST
-    assert events == ["ConnectAttempt", "ConnectSuccess", "ConnectLost"]
 
 
 # --- local transport ---
