@@ -5,8 +5,9 @@ same experiment whatever the checkout: step start and stop times, rate
 limits, scripted connection losses and reconnect failures, tasklist
 timeouts, cleanups, calls, seq and par, repeats bounded by iterations,
 barriers and teardowns. Each is dry-run into a run directory of its own,
-and one line per seed is printed: the seed, the sha256 of its events.jsonl
-and its overall status. Run it once per checkout and compare:
+and one line per seed is printed: the seed, the sha256 of its events.jsonl,
+the sha256 of its artifact tree (see tree_digest) and its overall status.
+Run it once per checkout and compare:
 
     PYTHONPATH=src python tests/differential.py 400 > new.txt
     PYTHONPATH=../other/src python tests/differential.py 400 > old.txt
@@ -144,19 +145,39 @@ def random_experiment(rng: random.Random):
     return experiment, MockScript.from_json(json.dumps(script)), limit
 
 
-def digest(seed: int) -> str:
+REPORT_FILES = ("events.jsonl", "report.json", "report.txt")
+
+
+def tree_digest(run_dir: Path) -> str:
+    """sha256 over every entry but the report files, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(run_dir.rglob("*")):
+        relative = path.relative_to(run_dir).as_posix()
+        if relative in REPORT_FILES:
+            continue
+        if path.is_dir():
+            digest.update(f"D {relative}\n".encode())
+        else:
+            data = path.read_bytes()
+            digest.update(f"F {relative} {len(data)}\n".encode())
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def digests(seed: int) -> tuple[str, str, str]:
+    """The seed's events.jsonl sha256, its tree digest and its overall status."""
     experiment, script, limit = random_experiment(random.Random(seed))
     with tempfile.TemporaryDirectory() as root:
         run_dir = Path(root) / "run"
         report = dry_run(experiment, script, limiter_config=limit, run_dir=run_dir)
-        events = (run_dir / "events.jsonl").read_bytes()
-    return f"{seed} {hashlib.sha256(events).hexdigest()} {report.overall.value}"
+        events = hashlib.sha256((run_dir / "events.jsonl").read_bytes()).hexdigest()
+        return events, tree_digest(run_dir), report.overall.value
 
 
 def main(argv: list[str]) -> int:
     count = int(argv[0]) if argv else 400
     for seed in range(count):
-        print(digest(seed), flush=True)
+        print(seed, *digests(seed), flush=True)
     return 0
 
 

@@ -25,9 +25,8 @@ import pytest
 from gplmt.scheduler import dry_run
 from gplmt.transport import RateLimiterConfig
 
+from .differential import REPORT_FILES, tree_digest
 from .test_acceptance import FIXTURE_SCRIPTS, load_fixture, script_for
-
-REPORT_FILES = ("events.jsonl", "report.json", "report.txt")
 
 GOLDEN = {
     "abort_step.xml": {
@@ -120,22 +119,6 @@ GOLDEN_RATE_LIMITED = {
         "tree": "2ac4f047c309892f6f1e153f438262a89681ea4966b762b53620275ac417dfcd",
     },
 }
-
-
-def tree_digest(run_dir: Path) -> str:
-    """sha256 over every entry but the report files, in sorted path order."""
-    digest = hashlib.sha256()
-    for path in sorted(run_dir.rglob("*")):
-        relative = path.relative_to(run_dir).as_posix()
-        if relative in REPORT_FILES:
-            continue
-        if path.is_dir():
-            digest.update(f"D {relative}\n".encode())
-        else:
-            data = path.read_bytes()
-            digest.update(f"F {relative} {len(data)}\n".encode())
-            digest.update(data)
-    return digest.hexdigest()
 
 
 def fixture_digests(
