@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .model import Experiment, OverallStatus, UnknownTargetError, resolve_group
-from .parser import load_experiment
+from .parser import ENV_NAME, load_experiment
 from .planetlab import (
     PlanetLabError,
     expand_experiment,
@@ -68,8 +68,8 @@ def _target_names(text: str) -> list[str]:
 
 def parse_env_override(text: str) -> tuple[str, str]:
     name, sep, value = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(f"expected VAR=VALUE, got {text!r}")
+    if not sep or not ENV_NAME.fullmatch(name):
+        raise argparse.ArgumentTypeError(f"expected VAR=VALUE with VAR a shell name, got {text!r}")
     return name, value
 
 

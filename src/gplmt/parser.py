@@ -341,6 +341,7 @@ _TARGET_TYPES = {
     "group": (_GROUP, frozenset({"target", "export-env"})),
 }
 _CONNECTION_TAGS = frozenset({"user", "username", "password", "host"})
+ENV_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # transports splice it into `export NAME=...`
 _ERROR_MODES = {mode.value: mode for mode in ErrorMode}
 _new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
 
@@ -579,7 +580,11 @@ class _Validator:
                 attrs = self._check_attrs(child, allowed=(), required=("var", "value"))
                 self._check_no_text(child)
                 self._check_no_children(child)
-                if "var" in attrs and "value" in attrs:
+                if "var" in attrs and not ENV_NAME.fullmatch(attrs["var"]):
+                    self.err(
+                        child, "BadAttributeValue", f"export-env var {attrs['var']!r} is not a shell name"
+                    )
+                elif "var" in attrs and "value" in attrs:
                     fields["env"].append((attrs["var"], attrs["value"]))
             elif child.tag == "target":
                 member = self._lower_target(child, inside_group=True)

@@ -16,6 +16,7 @@ import shlex
 import shutil
 import signal
 import tempfile
+from asyncio.subprocess import DEVNULL
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,14 +131,12 @@ class RateLimiter:
 
 
 class ExecOutput(NamedTuple):
-    """Raw transport result, before artifact capture and classification.
+    """Raw transport result, before classification.
 
     Immutable, so one output can be shared: the mock builds one per rule.
     """
 
     exit_code: int
-    stdout: bytes = b""
-    stderr: bytes = b""
     timed_out: bool = False
     connection_lost: bool = False
 
@@ -145,7 +144,7 @@ class ExecOutput(NamedTuple):
 class Session:
     """One control connection to a node; all commands tunnel through it."""
 
-    __slots__ = ("node", "state", "connect_count", "transport", "pool", "_artifact_dir")
+    __slots__ = ("node", "state", "connect_count", "transport", "pool")
 
     def __init__(self, node: str, transport, pool: SessionPool):
         self.node = node
@@ -153,12 +152,6 @@ class Session:
         self.connect_count = 0
         self.transport = transport
         self.pool = pool
-        self._artifact_dir: Path | None = None  # created on the first write
-
-    def _node_dir(self) -> Path:
-        if self._artifact_dir is None:
-            self._artifact_dir = node_artifact_dir(self.pool.artifact_root, self.node)
-        return self._artifact_dir
 
     def _require_connected(self) -> None:
         if self.state is not _CONNECTED:
@@ -176,21 +169,21 @@ class Session:
         deadline: float | None = None,
         artifact_label: str | None = None,
     ) -> TaskResult:
-        """Run a shell command on the node, capturing output to artifacts.
-
-        `deadline` is an instant of the running loop's time(); when it passes first
-        the process group is terminated and the outcome is TimedOut.
+        """Run a shell command on the node. With an artifact root and a label,
+        the transport writes its output to `<node>/stdout-<label>.log` and
+        `<node>/stderr-<label>.log` there. `deadline` is an instant of the
+        running loop's time(); when it passes first the process group is
+        terminated and the outcome is TimedOut.
         """
         self._require_connected()
-        output = await self.transport.exec(command, env, deadline)
-
         stdout_ref = stderr_ref = ""
-        if self.pool.artifact_root is not None and artifact_label is not None:
-            node_dir = self._node_dir()
+        outputs = None
+        root = self.pool.artifact_root
+        if root is not None and artifact_label is not None:
             stdout_ref = f"{self.node}/stdout-{artifact_label}.log"
             stderr_ref = f"{self.node}/stderr-{artifact_label}.log"
-            (node_dir / f"stdout-{artifact_label}.log").write_bytes(output.stdout)
-            (node_dir / f"stderr-{artifact_label}.log").write_bytes(output.stderr)
+            outputs = (root / stdout_ref, root / stderr_ref)
+        output = await self.transport.exec(command, env, deadline, outputs)
 
         if output.connection_lost:
             outcome = TaskOutcome.CONNECTION_LOST
@@ -208,7 +201,7 @@ class Session:
         self._require_connected()
         if self.pool.artifact_root is None:
             raise TransportError("no artifact directory configured for fetch")
-        self._node_dir()  # the destination's directory
+        node_artifact_dir(self.pool.artifact_root, self.node)  # the destination's directory
         try:
             destination = artifact_path(self.pool.artifact_root, self.node, remote_path)
         except ArtifactPathError:
@@ -339,43 +332,65 @@ class SessionPool:
 
 
 # --------------------------------------------------------------------------
-# local transport
+# child processes, and the local transport
 
 
-def _merged_env(env: tuple[tuple[str, str], ...]) -> dict[str, str]:
-    merged = dict(os.environ)
-    merged.update(env)
-    return merged
+def _shell_line(command: str, env: tuple[tuple[str, str], ...]) -> str:
+    """`export NAME='value'; ... command`; the parser admits only shell names."""
+    return "".join(f"export {name}={shlex.quote(value)}; " for name, value in env) + command
 
 
-async def _collect(proc, deadline: float | None) -> ExecOutput:
-    """Wait for a process's output; when `deadline` passes first, terminate
-    its process group and report TimedOut."""
+async def _run_child(
+    argv: list[str], deadline: float | None, stdin=DEVNULL, stdout=DEVNULL, stderr=DEVNULL
+) -> ExecOutput:
+    """Run argv in a process group of its own, awaiting only the child's
+    exit: a background job it leaves holds up nothing. When `deadline` (loop
+    time) passes first, or the awaiting task is cancelled, the group is
+    terminated; the output is then TimedOut, or the cancellation goes on."""
+    proc = await asyncio.create_subprocess_exec(
+        *argv, stdin=stdin, stdout=stdout, stderr=stderr, start_new_session=True
+    )
     timeout = None
     if deadline is not None:
         timeout = max(0.0, deadline - asyncio.get_running_loop().time())
     try:
-        stdout, stderr = await asyncio.wait_for(proc.communicate(), timeout)
+        return ExecOutput(await asyncio.wait_for(proc.wait(), timeout))
     except asyncio.TimeoutError:
         await _terminate_group(proc)
-        await proc.wait()
-        code = proc.returncode if proc.returncode is not None else -15
-        return ExecOutput(code, b"", b"", timed_out=True)
-    return ExecOutput(proc.returncode, stdout, stderr)
+        return ExecOutput(proc.returncode, timed_out=True)
+    except asyncio.CancelledError:
+        await _terminate_group(proc)
+        raise
+
+
+async def _run_logged(argv: list[str], deadline: float | None, outputs) -> ExecOutput:
+    """_run_child writing to the (stdout, stderr) `outputs` paths, if any."""
+    if outputs is None:
+        return await _run_child(argv, deadline)
+    outputs[0].parent.mkdir(parents=True, exist_ok=True)
+    with open(outputs[0], "wb") as stdout, open(outputs[1], "wb") as stderr:
+        return await _run_child(argv, deadline, stdout=stdout, stderr=stderr)
 
 
 async def _terminate_group(proc) -> None:
-    try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGTERM)
-    except (ProcessLookupError, PermissionError):
-        return
+    """SIGTERM the child's group, then SIGKILL it if the child has not
+    exited after KILL_GRACE_SECONDS or this wait is cancelled."""
+    _signal_group(proc, signal.SIGTERM)
     try:
         await asyncio.wait_for(proc.wait(), KILL_GRACE_SECONDS)
     except asyncio.TimeoutError:
-        try:
-            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
+        pass
+    finally:
+        if proc.returncode is None:
+            _signal_group(proc, signal.SIGKILL)
+    await proc.wait()
+
+
+def _signal_group(proc, signum: int) -> None:
+    try:
+        os.killpg(proc.pid, signum)  # a new session's group id is its leader's pid
+    except (ProcessLookupError, PermissionError):
+        pass  # the group is gone (its id may since name another user's group)
 
 
 class LocalTransport:
@@ -388,16 +403,9 @@ class LocalTransport:
         return None  # nothing to establish
 
     async def exec(
-        self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None
+        self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None, outputs
     ) -> ExecOutput:
-        proc = await asyncio.create_subprocess_shell(
-            command,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.PIPE,
-            env=_merged_env(env),
-            start_new_session=True,  # its own process group, so timeouts kill children too
-        )
-        return await _collect(proc, deadline)
+        return await _run_logged(["/bin/sh", "-c", _shell_line(command, env)], deadline, outputs)
 
     async def fetch(self, remote_path: str, destination: Path) -> None:
         source = Path(remote_path).expanduser()
@@ -443,11 +451,8 @@ class SshTransport:
 
     def __init__(self, target: TargetDef):
         self.target = target
+        self._destination = f"{target.ssh_user}@{target.ssh_host}"
         self._control_dir: str | None = None
-
-    @property
-    def _destination(self) -> str:
-        return f"{self.target.ssh_user}@{self.target.ssh_host}"
 
     def _base_argv(self) -> list[str]:
         assert self._control_dir is not None
@@ -487,63 +492,42 @@ class SshTransport:
             raise
 
     async def exec(
-        self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None
+        self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None, outputs
     ) -> ExecOutput:
-        exports = "".join(
-            f"export {name}={shlex.quote(value)}; " for name, value in env
-        )
-        argv = self._base_argv() + [self._destination, "--", exports + command]
-        proc = await asyncio.create_subprocess_exec(
-            *argv,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.PIPE,
-            start_new_session=True,
-        )
-        output = await _collect(proc, deadline)
+        argv = self._base_argv() + [self._destination, "--", _shell_line(command, env)]
+        output = await _run_logged(argv, deadline, outputs)
         if output.exit_code == 255 and not output.timed_out:
             return output._replace(connection_lost=True)  # the client's "connection failed" code
         return output
 
     async def fetch(self, remote_path: str, destination: Path) -> None:
-        argv = self._base_argv() + [
-            self._destination,
-            "--",
-            f"cat {shlex.quote(remote_path)}",
-        ]
-        proc = await asyncio.create_subprocess_exec(
-            *argv, stdout=asyncio.subprocess.PIPE, stderr=asyncio.subprocess.PIPE
-        )
-        stdout, stderr = await proc.communicate()
-        if proc.returncode != 0:
-            raise RemoteFileMissing(
-                f"{remote_path}: " + stderr.decode(errors="replace").strip()
-            )
-        _write_atomic(destination, stdout)
+        """Stream the file into `<destination>.part`; rename it on exit 0."""
+        argv = self._base_argv() + [self._destination, "--", f"cat {shlex.quote(remote_path)}"]
+        part = destination.with_name(destination.name + ".part")
+        try:
+            with open(part, "wb") as stdout:
+                code = (await _run_child(argv, None, stdout=stdout)).exit_code
+            if code != 0:
+                raise RemoteFileMissing(f"{remote_path}: cat exited {code}")
+            os.replace(part, destination)
+        finally:
+            part.unlink(missing_ok=True)
 
     async def push(self, local_path: Path, remote_path: str) -> None:
         quoted = shlex.quote(remote_path)
         script = f"cat > {quoted}.part && mv {quoted}.part {quoted}"
         argv = self._base_argv() + [self._destination, "--", script]
-        proc = await asyncio.create_subprocess_exec(
-            *argv,
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.PIPE,
-        )
-        _, stderr = await proc.communicate(local_path.read_bytes())
-        if proc.returncode != 0:
-            raise TransportError(
-                f"push to {remote_path} failed: " + stderr.decode(errors="replace").strip()
-            )
+        with open(local_path, "rb") as stdin:
+            code = (await _run_child(argv, None, stdin=stdin)).exit_code
+        if code != 0:
+            raise TransportError(f"push to {remote_path} failed: exit {code}")
 
     async def close(self) -> None:
         if self._control_dir is None:
             return
         argv = self._base_argv() + ["-O", "exit", self._destination]
         try:
-            proc = await asyncio.create_subprocess_exec(
-                *argv, stdout=asyncio.subprocess.DEVNULL, stderr=asyncio.subprocess.DEVNULL
-            )
+            proc = await asyncio.create_subprocess_exec(*argv, stdout=DEVNULL, stderr=DEVNULL)
             await proc.communicate()
         finally:
             self._remove_control_dir()
@@ -569,8 +553,9 @@ class MockRule:
 
 
 _NO_RULE = MockRule(pattern="*")  # what an unmatched command does
-_TIMED_OUT_OUTPUT = ExecOutput(-15, b"", b"", timed_out=True)
-_LOST_OUTPUT = ExecOutput(-1, b"", b"", connection_lost=True)
+_TIMED_OUT_OUTPUT = ExecOutput(-15, timed_out=True)
+_LOST_OUTPUT = ExecOutput(-1, connection_lost=True)
+_NO_BYTES = (b"", b"")  # what a timed-out or lost mock command wrote
 
 
 @dataclass
@@ -581,21 +566,21 @@ class MockNodeScript:
     connect_failures: int = 0
     lose_connection_at: tuple[float, ...] = ()
     files: dict[str, bytes] = field(default_factory=dict)
-    # Each command's first matching rule and the output it yields. The
-    # script is shared by every node it scripts, so each distinct command
-    # is matched, and its output encoded, only once.
-    _matches: dict[str, tuple[MockRule, ExecOutput]] = field(
+    # Each command's first matching rule, the output it yields and the
+    # bytes it writes. The script is shared by every node it scripts, so
+    # each distinct command is matched, and its bytes encoded, only once.
+    _matches: dict[str, tuple[MockRule, ExecOutput, tuple[bytes, bytes]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def rule_for(self, command: str) -> tuple[MockRule, ExecOutput]:
+    def rule_for(self, command: str) -> tuple[MockRule, ExecOutput, tuple[bytes, bytes]]:
         match = self._matches.get(command)
         if match is None:
             rule = next(
                 (r for r in self.rules if fnmatch.fnmatchcase(command, r.pattern)), _NO_RULE
             )
-            output = ExecOutput(rule.exit_code, rule.stdout.encode(), rule.stderr.encode())
-            match = self._matches[command] = (rule, output)
+            data = (rule.stdout.encode(), rule.stderr.encode())
+            match = self._matches[command] = (rule, ExecOutput(rule.exit_code), data)
         return match
 
 
@@ -688,9 +673,11 @@ class MockTransport:
         self._ever_connected = True
 
     async def exec(
-        self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None
+        self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None, outputs
     ) -> ExecOutput:
-        rule, output = self.script.rule_for(command)
+        """Sleep the scripted duration, then write the scripted bytes to
+        `outputs` (empty ones for a timed-out or lost command)."""
+        rule, output, data = self.script.rule_for(command)
         start = asyncio.get_running_loop().time()
         natural_end = start + rule.duration
 
@@ -703,12 +690,17 @@ class MockTransport:
 
         if deadline is not None and deadline < natural_end and (loss_at is None or deadline < loss_at):
             await asyncio.sleep(deadline - start)
-            return _TIMED_OUT_OUTPUT
-        if loss_at is not None:
+            output, data = _TIMED_OUT_OUTPUT, _NO_BYTES
+        elif loss_at is not None:
             self._next_loss += 1
             await asyncio.sleep(loss_at - start)
-            return _LOST_OUTPUT
-        await asyncio.sleep(rule.duration)
+            output, data = _LOST_OUTPUT, _NO_BYTES
+        else:
+            await asyncio.sleep(rule.duration)
+        if outputs is not None:
+            outputs[0].parent.mkdir(parents=True, exist_ok=True)
+            outputs[0].write_bytes(data[0])
+            outputs[1].write_bytes(data[1])
         return output
 
     async def fetch(self, remote_path: str, destination: Path) -> None:

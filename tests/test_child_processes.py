@@ -1,0 +1,168 @@
+"""Real commands on a local node: what a child writes, when its task ends,
+and that its process group ends with the task.
+
+Each test starts a few short-lived children. A command that may outlive
+its test writes its shell's pid (`$$`, also its process group id) to a
+file, and the test kills that group in a `finally`.
+"""
+from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import gplmt
+from gplmt.scheduler import run_experiment
+from gplmt.transport import make_transport_factory
+
+from .conftest import events_of
+
+SRC = Path(gplmt.__file__).resolve().parent.parent
+
+
+def document(tasklists: str, targets: str = '<target name="ctl" type="local" />',
+             step_targets: str = "ctl") -> str:
+    return f"""
+<experiment>
+ <targets>{targets}</targets>
+ <tasklists>{tasklists}</tasklists>
+ <steps><step tasklist="work" targets="{step_targets}" /></steps>
+</experiment>
+"""
+
+
+def kill_group(pid_file: Path) -> None:
+    pid = pid_file.read_text().strip() if pid_file.exists() else ""
+    if pid:
+        try:
+            os.killpg(int(pid), signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def live_members(pgid: int) -> list[int]:
+    """The pids in process group `pgid` that have not exited. A member whose
+    parent died first stays a zombie until init reaps it, and until then
+    `os.killpg(pgid, 0)` still finds the group, so zombies are left out."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, group = stat.read_text().rpartition(")")[2].split()[:3]
+        except OSError:
+            continue  # exited meanwhile
+        if int(group) == pgid and state != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
+def run_real(experiment, run_dir=None):
+    return run_experiment(experiment, make_transport_factory(), real_time=True, run_dir=run_dir)
+
+
+def task_ends(run_dir: Path) -> list[str]:
+    return [e["detail"] for e in events_of(run_dir) if e["kind"] == "TaskEnd"]
+
+
+def test_a_timed_out_command_keeps_what_it_wrote(load_xml, tmp_path):
+    pid_file, run_dir = tmp_path / "pid", tmp_path / "run"
+    experiment = load_xml(document(f"""
+   <tasklist name="work" timeout="PT1S">
+     <run>echo $$ > {pid_file}; echo progress-before-hang; echo err 1>&amp;2; sleep 5</run>
+   </tasklist>"""))
+    try:
+        run_real(experiment, run_dir)
+    finally:
+        kill_group(pid_file)
+    assert task_ends(run_dir)[0].startswith("TimedOut ")
+    (stdout,) = (run_dir / "ctl").glob("stdout-*.log")
+    (stderr,) = (run_dir / "ctl").glob("stderr-*.log")
+    assert stdout.read_text() == "progress-before-hang\n"
+    assert stderr.read_text() == "err\n"
+
+
+def test_an_aborted_step_ends_the_process_group_of_a_running_command(load_xml, tmp_path):
+    # a fails once b's command has written its pid; abort-step then cancels
+    # b, whose shell and sleep must both be gone when the run returns
+    pid_file = tmp_path / "pid"
+    experiment = load_xml(document(
+        f"""
+   <tasklist name="work" on-error="abort-step">
+     <run>if [ "$ROLE" = fail ]; then
+            while [ ! -s {pid_file} ]; do sleep 0.02; done; exit 1
+          fi; echo $$ > {pid_file}; sleep 6.789</run>
+   </tasklist>""",
+        targets="""
+   <target name="pair" type="group">
+     <target name="a" type="local"><export-env var="ROLE" value="fail" /></target>
+     <target name="b" type="local"><export-env var="ROLE" value="wait" /></target>
+   </target>""",
+        step_targets="pair",
+    ))
+    try:
+        report = run_real(experiment)
+        pgid = int(pid_file.read_text())
+        deadline = time.monotonic() + 1.0  # for the signals to be delivered
+        while live_members(pgid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_members(pgid) == []
+    finally:
+        kill_group(pid_file)
+    assert report.per_node_outcomes["b|work#s0"] == "Aborted"
+
+
+def test_a_background_job_does_not_hold_its_task(load_xml, tmp_path):
+    pid_file, run_dir = tmp_path / "pid", tmp_path / "run"
+    experiment = load_xml(document(f"""
+   <tasklist name="work"><run>echo $$ > {pid_file}; sleep 30 &amp;</run></tasklist>"""))
+    started = time.monotonic()
+    try:
+        run_real(experiment, run_dir)
+        elapsed = time.monotonic() - started
+    finally:
+        kill_group(pid_file)
+    assert task_ends(run_dir)[0].startswith("Success exit=0")
+    assert elapsed < 1.0
+
+
+CHILD = """
+import resource, sys
+from gplmt.parser import load_experiment
+from gplmt.scheduler import run_experiment
+from gplmt.transport import make_transport_factory
+experiment, _ = load_experiment(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run_experiment(experiment, make_transport_factory(), real_time=True, run_dir=sys.argv[2])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def run_in_child(xml: str, tmp_path: Path, stdin: bytes = b"") -> tuple[Path, int]:
+    """Run the document in a fresh controller process whose fd 0 is a pipe
+    holding `stdin`; returns the run directory and how many KiB the
+    controller's peak RSS grew during the run."""
+    path, run_dir = tmp_path / "exp.xml", tmp_path / "run"
+    path.write_text(xml, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", CHILD, str(path), str(run_dir)], input=stdin,
+                          capture_output=True, env=env, timeout=60, check=True)
+    return run_dir, int(done.stdout)
+
+
+def test_commands_read_dev_null_not_the_controllers_stdin(tmp_path):
+    xml = document('<tasklist name="work"><run>head -c 1</run></tasklist>')
+    run_dir, _ = run_in_child(xml, tmp_path, stdin=b"controller-bytes")
+    (stdout,) = (run_dir / "ctl").glob("stdout-*.log")
+    assert stdout.read_bytes() == b""
+
+
+def test_output_goes_to_disk_without_passing_through_the_controller(tmp_path):
+    size = 64_000_000
+    xml = document(f'<tasklist name="work"><run>head -c {size} /dev/zero</run></tasklist>')
+    run_dir, grown_kib = run_in_child(xml, tmp_path)
+    (stdout,) = (run_dir / "ctl").glob("stdout-*.log")
+    assert stdout.stat().st_size == size
+    stdout.unlink()
+    assert grown_kib < 16 * 1024

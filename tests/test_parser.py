@@ -310,6 +310,24 @@ def test_on_error_and_alias_together_rejected(tmp_path):
     assert "BadAttributeValue" in error_codes(diags)
 
 
+@pytest.mark.parametrize("name", ["X;echo INJECTED;Y", "1ABC", "A-B", "A B", ""])
+def test_export_env_var_must_be_a_shell_name(tmp_path, name):
+    # the ssh transport splices the name unquoted into `export NAME=...`
+    xml = VALID.replace('type="local" />',
+                        f'type="local"><export-env var="{name}" value="v"/></target>')
+    exp, diags = check(tmp_path, xml)
+    assert exp is None
+    assert error_codes(diags) == ["BadAttributeValue"]
+
+
+def test_export_env_shell_names_are_accepted(tmp_path):
+    xml = VALID.replace('type="local" />',
+                        'type="local"><export-env var="_Run_2" value="v"/></target>')
+    exp, diags = check(tmp_path, xml)
+    assert exp is not None, [str(d) for d in diags]
+    assert exp.target_map()["n"].env_exports == (("_Run_2", "v"),)
+
+
 def test_bad_error_mode_value(tmp_path):
     xml = VALID.replace('<tasklist name="t">', '<tasklist name="t" on-error="explode">')
     exp, diags = check(tmp_path, xml)

@@ -50,6 +50,15 @@ def now():
     return asyncio.get_running_loop().time()
 
 
+def log_paths(directory, label="x"):
+    """The (stdout, stderr) paths a session hands a transport's exec."""
+    return directory / f"stdout-{label}.log", directory / f"stderr-{label}.log"
+
+
+def read_logs(outputs):
+    return tuple(path.read_bytes() for path in outputs)
+
+
 # --- rate limiter ---
 
 
@@ -198,13 +207,13 @@ def test_mock_script_from_file(tmp_path):
 # --- mock transport semantics ---
 
 
-def exec_under_mock(script_json, command, deadline=None, node="alpha"):
+def exec_under_mock(script_json, command, deadline=None, node="alpha", outputs=None):
     script = MockScript.from_json(script_json)
     transport = MockTransport(mock_node(node), script)
 
     async def scenario():
         await transport.connect()
-        output = await transport.exec(command, (), deadline)
+        output = await transport.exec(command, (), deadline, outputs)
         return output, now()
 
     return run_virtual(scenario())
@@ -220,19 +229,20 @@ def test_mock_exec_first_matching_rule_wins():
     assert (output.exit_code, now) == (7, 0.0)
 
 
-def test_mock_exec_unmatched_command_succeeds_instantly():
-    output, now = exec_under_mock("{}", "anything at all")
+def test_mock_exec_unmatched_command_succeeds_instantly(tmp_path):
+    outputs = log_paths(tmp_path)
+    output, now = exec_under_mock("{}", "anything at all", outputs=outputs)
     assert output.exit_code == 0
-    assert output.stdout == b""
+    assert read_logs(outputs) == (b"", b"")
     assert now == 0.0
 
 
-def test_mock_exec_scripted_output():
+def test_mock_exec_scripted_output(tmp_path):
     script = ('{"nodes": {"alpha": {"rules": ['
               '{"pattern": "*", "stdout": "hello", "stderr": "oops"}]}}}')
-    output, _ = exec_under_mock(script, "run it")
-    assert output.stdout == b"hello"
-    assert output.stderr == b"oops"
+    outputs = log_paths(tmp_path)
+    exec_under_mock(script, "run it", outputs=outputs)
+    assert read_logs(outputs) == (b"hello", b"oops")
 
 
 def test_mock_exec_deadline_cuts_execution():
@@ -276,7 +286,7 @@ def test_mock_stale_loss_instants_are_discarded():
     async def scenario():
         await transport.connect()
         await asyncio.sleep(2.0)
-        return await transport.exec("late", (), None)
+        return await transport.exec("late", (), None, None)
 
     output = run_virtual(scenario())
     assert output.connection_lost is False
@@ -338,24 +348,27 @@ def test_mock_push_stays_on_its_node(tmp_path):
     assert script.node_script("n3").files == {"/seed": b"seed"}
 
 
-def test_mock_nodes_sharing_a_rule_keep_equal_outputs():
+def test_mock_nodes_sharing_a_rule_keep_equal_outputs(tmp_path):
     # n1 times out and n2 loses its connection on the rule both match;
     # the outputs that rule yields afterwards are still equal and intact
     script = MockScript.from_json(
         '{"nodes": {"*": {"rules": [{"pattern": "*", "exit": 3, "duration": 2,'
         ' "stdout": "out", "stderr": "err"}], "lose_connection_at": [1.0]}}}')
     n1, n2 = (MockTransport(mock_node(name), script) for name in ("n1", "n2"))
+    logs = [log_paths(tmp_path, label) for label in ("cut", "lost", "after-cut", "after-loss")]
 
     async def scenario():
-        cut = await n1.exec("job", (), 0.5)
-        lost = await n2.exec("job", (), None)
-        return cut, lost, await n1.exec("job", (), None), await n2.exec("job", (), None)
+        cut = await n1.exec("job", (), 0.5, logs[0])
+        lost = await n2.exec("job", (), None, logs[1])
+        return cut, lost, await n1.exec("job", (), None, logs[2]), await n2.exec("job", (), None, logs[3])
 
     cut, lost, after_cut, after_loss = run_virtual(scenario())
     assert (cut.timed_out, cut.connection_lost) == (True, False)
     assert (lost.timed_out, lost.connection_lost) == (False, True)
+    assert read_logs(logs[0]) == read_logs(logs[1]) == (b"", b"")
     assert after_cut == after_loss
-    assert (after_cut.exit_code, after_cut.stdout, after_cut.stderr) == (3, b"out", b"err")
+    assert after_cut.exit_code == 3
+    assert read_logs(logs[2]) == read_logs(logs[3]) == (b"out", b"err")
     assert (after_cut.timed_out, after_cut.connection_lost) == (False, False)
 
 
@@ -681,34 +694,36 @@ def local_target():
     return TargetDef(name="controller", kind=TargetKind.LOCAL)
 
 
-def test_local_exec_runs_real_processes():
+def test_local_exec_runs_real_processes(tmp_path):
     transport = LocalTransport(local_target())
+    outputs = log_paths(tmp_path)
 
     async def scenario():
         await transport.connect()
-        return await transport.exec("printf hello; printf oops >&2; exit 4", (), None)
+        return await transport.exec("printf hello; printf oops >&2; exit 4", (), None, outputs)
 
     output = asyncio.run(scenario())
-    assert output.stdout == b"hello"
-    assert output.stderr == b"oops"
+    assert read_logs(outputs) == (b"hello", b"oops")
     assert output.exit_code == 4
 
 
-def test_local_exec_exports_environment():
+def test_local_exec_exports_environment(tmp_path):
     transport = LocalTransport(local_target())
+    outputs = log_paths(tmp_path)
 
     async def scenario():
         return await transport.exec('printf "%s" "$GREETING"',
-                                    (("GREETING", "hi there"),), None)
+                                    (("GREETING", "hi there"),), None, outputs)
 
-    assert asyncio.run(scenario()).stdout == b"hi there"
+    asyncio.run(scenario())
+    assert read_logs(outputs)[0] == b"hi there"
 
 
 def test_local_exec_deadline_kills_process_group():
     transport = LocalTransport(local_target())
 
     async def scenario():
-        return await transport.exec("sleep 30", (), now() + 0.2)
+        return await transport.exec("sleep 30", (), now() + 0.2, None)
 
     started = time.monotonic()
     output = asyncio.run(scenario())
@@ -761,20 +776,21 @@ def test_ssh_connect_failure_surfaces_stderr(fake_ssh, monkeypatch):
         asyncio.run(transport.connect())
 
 
-def test_ssh_exec_round_trips_env_quoting(fake_ssh):
+def test_ssh_exec_round_trips_env_quoting(fake_ssh, tmp_path):
     transport = SshTransport(ssh_target())
     tricky = "s3 cr'et\"$x"
+    outputs = log_paths(tmp_path)
 
     async def scenario():
         await transport.connect()
         output = await transport.exec('printf "%s" "$SECRET"',
-                                      (("SECRET", tricky),), None)
+                                      (("SECRET", tricky),), None, outputs)
         await transport.close()
         return output
 
     output = asyncio.run(scenario())
     assert output.exit_code == 0
-    assert output.stdout.decode() == tricky
+    assert read_logs(outputs)[0].decode() == tricky
 
 
 def test_ssh_exit_255_means_connection_lost(fake_ssh):
@@ -782,7 +798,7 @@ def test_ssh_exit_255_means_connection_lost(fake_ssh):
 
     async def scenario():
         await transport.connect()
-        output = await transport.exec("exit 255", (), None)
+        output = await transport.exec("exit 255", (), None, None)
         await transport.close()
         return output
 
@@ -794,7 +810,7 @@ def test_ssh_exit_255_means_connection_lost(fake_ssh):
 def test_ssh_fetch_and_push_use_the_channel(fake_ssh, tmp_path):
     transport = SshTransport(ssh_target())
     remote = tmp_path / "remote.bin"
-    payload = os.urandom(2048)
+    payload = os.urandom(1 << 20)
     remote.write_bytes(payload)
     local = tmp_path / "local.bin"
     local.write_bytes(payload[::-1])
@@ -810,6 +826,52 @@ def test_ssh_fetch_and_push_use_the_channel(fake_ssh, tmp_path):
     asyncio.run(scenario())
     assert (tmp_path / "fetched.bin").read_bytes() == payload
     assert (tmp_path / "pushed.bin").read_bytes() == payload[::-1]
+    assert not (tmp_path / "x.bin").exists()
+    assert not list(tmp_path.glob("*.part"))  # a failed fetch removes its partial file
+
+
+def test_ssh_fetch_streams_into_a_part_file(fake_ssh, tmp_path):
+    # the remote file is a FIFO the test writes: its first bytes must reach
+    # <dest>.part while the transfer still runs
+    transport = SshTransport(ssh_target())
+    fifo, destination = tmp_path / "remote.fifo", tmp_path / "fetched.bin"
+    part = tmp_path / "fetched.bin.part"
+    os.mkfifo(fifo)
+    writer = None
+
+    async def scenario():
+        nonlocal writer
+        await transport.connect()
+        fetch = asyncio.create_task(transport.fetch(str(fifo), destination))
+        deadline = time.monotonic() + 10
+        while writer is None:  # opening a FIFO without a reader fails with ENXIO
+            try:
+                writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError:
+                assert time.monotonic() < deadline
+                await asyncio.sleep(0.01)
+        os.set_blocking(writer, True)
+        os.write(writer, b"first chunk")
+        while not (part.exists() and part.read_bytes() == b"first chunk"):
+            if time.monotonic() > deadline:
+                break
+            await asyncio.sleep(0.01)
+        streamed = part.exists() and part.read_bytes()
+        os.write(writer, b", last chunk")
+        os.close(writer)
+        writer = None
+        await fetch
+        await transport.close()
+        return streamed
+
+    try:
+        streamed = asyncio.run(scenario())
+    finally:
+        if writer is not None:
+            os.close(writer)  # the remote cat then ends
+    assert streamed == b"first chunk"
+    assert destination.read_bytes() == b"first chunk, last chunk"
+    assert not part.exists()
 
 
 @pytest.mark.parametrize("connect_exit", ["0", "1"])
