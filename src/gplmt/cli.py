@@ -1,7 +1,8 @@
 """Command-line front end: validate, dry-run, or run an experiment.
 
 Exit codes: 0 the experiment completed (validate: no errors), 2 completed
-with errors, 3 panicked, 1 usage or validation failure.
+with errors, 3 panicked, 1 usage or validation failure, 130 interrupted by
+Ctrl-C (SIGINT).
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ EXIT_COMPLETED = 0
 EXIT_USAGE = 1
 EXIT_ERRORS = 2
 EXIT_PANIC = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _EXIT_BY_STATUS = {
     OverallStatus.COMPLETED: EXIT_COMPLETED,
@@ -253,6 +255,10 @@ def main(argv: list[str] | None = None) -> int:
     except SinkIoError as exc:
         print(f"gplmt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # the run has ended its commands and run its teardowns
+        print(f"gplmt: run directory: {run_dir}", file=sys.stderr)
+        print("gplmt: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
     if offline:
         _print_timeline(event_log.events, sys.stdout)

@@ -251,7 +251,9 @@ class ExperimentReport:
     counts teardown executions from 0 in the order they ran.
     """
 
-    events: tuple = ()
+    # Not in repr(): asyncio.Runner's SIGINT handler, which holds the task that
+    # returns the report, is formatted with repr() twice per run (CPython 3.11).
+    events: tuple = field(default=(), repr=False)
     per_node_outcomes: Mapping[str, str] = field(default_factory=dict)
     overall: OverallStatus = OverallStatus.COMPLETED
     artifacts: tuple[str, ...] = ()

@@ -15,6 +15,7 @@ name order, and the ready queue is FIFO.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import math
 import selectors
@@ -148,7 +149,6 @@ _ABORT_TASKLIST, _ABORT_STEP = ErrorMode.ABORT_TASKLIST, ErrorMode.ABORT_STEP
 _NODE_SUCCEEDED, _NODE_FAILED = NodeState.SUCCEEDED, NodeState.FAILED
 _NODE_SKIPPED = NodeState.SKIPPED
 _TASK_START, _TASK_END = EventKind.TASK_START, EventKind.TASK_END
-_LEAF_TASKS = (RunTask, GetTask, PutTask)
 _new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
 
 
@@ -276,11 +276,10 @@ class ExperimentRunner:
             try:
                 await self.execute_steps_block(self.experiment.steps.items)
             except (_PanicSignal, asyncio.CancelledError):
-                pass
-            # After a panic the cancelled tasks must fully unwind (releasing
-            # their node locks) before any teardown work may start.
-            if self._all_step_tasks:
-                await asyncio.gather(*self._all_step_tasks, return_exceptions=True)
+                # The cancelled steps must fully unwind (releasing their node
+                # locks) before any teardown may start, also after a Ctrl-C.
+                with contextlib.suppress(asyncio.CancelledError):
+                    await asyncio.gather(*self._all_step_tasks, return_exceptions=True)
             await self.drain_teardowns()
         finally:
             await self.pool.close_all()  # also when a controller fault ends the run
@@ -292,6 +291,8 @@ class ExperimentRunner:
         report = replace(report, events=self.log.events)
         if self.run_dir is not None:
             write_report(self.run_dir, report, summary)
+        if asyncio.current_task().cancelling():
+            raise asyncio.CancelledError  # the run was interrupted; its report is written
         return report
 
     def trigger_panic(self, node: str, tasklist: str, detail: str, own_step: asyncio.Task | None) -> None:
@@ -424,7 +425,16 @@ class ExperimentRunner:
             ctx.node_tasks[leaf.name] = asyncio.create_task(
                 self.execute_tasklist(tasklist, leaf, env, ctx)
             )
-        results = await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
+        interrupted = False
+        try:
+            results = await asyncio.gather(*ctx.node_tasks.values(), return_exceptions=True)
+        except asyncio.CancelledError:
+            if self.panicked and not ctx.is_teardown:
+                raise
+            # The run was cancelled (Ctrl-C): the gather cancelled and awaited
+            # every node task, as abort-step would; the step ends, then unwinds.
+            interrupted = True
+            results = [None if t.cancelled() else t.exception() for t in ctx.node_tasks.values()]
         for node, result in zip(ctx.node_tasks, results):
             if isinstance(result, Exception):  # a controller fault outside execute_tasklist's try
                 ctx.outcomes[node] = _NODE_FAILED
@@ -435,6 +445,8 @@ class ExperimentRunner:
         self.emit(
             end, step_index=ctx.step_index, tasklist=tasklist.name, detail=detail, outcomes=outcomes
         )
+        if interrupted:
+            raise asyncio.CancelledError
 
     # -- per-node tasklist execution ----------------------------------------
 
@@ -603,9 +615,8 @@ class ExperimentRunner:
         """
         worst = _SUCCESS
         for index, task in enumerate(tasks):
-            child = self._run_leaf if isinstance(task, _LEAF_TASKS) else self._run_one
             try:
-                if await child(run, governing, task, deadline, self._share(path + (index,))) is not _SUCCESS:
+                if await self._run_task(run, governing, task, deadline, self._share(path + (index,))) is not _SUCCESS:
                     worst = _FAILED
             except _Abort as exc:
                 if (
@@ -618,34 +629,19 @@ class ExperimentRunner:
                 raise
         return worst
 
-    async def _run_one(
+    async def _run_task(
         self,
         run: _NodeRun,
         governing: Tasklist,
-        task: SeqTask | ParTask | CallTask,
+        task: Task,
         deadline: float | None,
         path: tuple[int, ...],
     ) -> TaskOutcome:
-        """Run a seq, par or call construct; leaves go to _run_leaf."""
-        if deadline is not None and self._now() >= deadline:
-            raise _Abort(_TIMED_OUT, _ABORT_TASKLIST)
-        if isinstance(task, SeqTask):
-            return await self._run_tasks(run, governing, task.children, deadline, path)
-        if isinstance(task, ParTask):
-            return await self._run_par(run, governing, task, deadline, path)
-        return await self._run_call(run, task, deadline, path)
+        """Run one task of any kind, unless its deadline has passed: a seq,
+        par or call construct through its children, a command or transfer
+        between its TaskStart and TaskEnd.
 
-    async def _run_leaf(
-        self,
-        run: _NodeRun,
-        governing: Tasklist,
-        task: RunTask | GetTask | PutTask,
-        deadline: float | None,
-        path: tuple[int, ...],
-    ) -> TaskOutcome:
-        """Run one command or transfer between its TaskStart and TaskEnd.
-
-        Whatever the session raises becomes the task's outcome here:
+        Whatever the session raises becomes a leaf's outcome here:
         ConnectionLost for a closed session, Failed for any other transport
         error, and Failed with a `controller:` detail for a fault of the
         controller itself (a failed artifact write, say). Any outcome but
@@ -653,35 +649,42 @@ class ExperimentRunner:
         """
         if deadline is not None and self._now() >= deadline:
             raise _Abort(_TIMED_OUT, _ABORT_TASKLIST)
-        node = run.leaf.name
-        step_index = run.ctx.step_index
         if isinstance(task, RunTask):
             verb, target = "run", task.command
         elif isinstance(task, GetTask):
             verb, target = "get", task.remote_path
-        else:
+        elif isinstance(task, PutTask):
             verb, target = "put", task.local_path
+        elif isinstance(task, SeqTask):
+            return await self._run_tasks(run, governing, task.children, deadline, path)
+        elif isinstance(task, ParTask):
+            return await self._run_par(run, governing, task, deadline, path)
+        else:
+            return await self._run_call(run, task, deadline, path)
+        node = run.leaf.name
+        step_index = run.ctx.step_index
         detail = self._share(f"{verb} {target}")
         self.emit(_TASK_START, node, step_index, governing.name, path, detail)
         artifacts: tuple[str, ...] = ()
         try:
-            if isinstance(task, RunTask):
+            if verb == "run":
                 label = None  # names the artifact files, so only a run directory needs one
                 if self.run_dir is not None:
                     label = artifact_label(f"{run.label_prefix}{run.ctx.exec_label}", path)
                 result = await run.session.exec(target, run.env, deadline, artifact_label=label)
-                outcome = result.outcome
-                detail = self._share(f"{outcome._value_} exit={result.exit_code}")
+                detail = self._share(f"{result.outcome._value_} exit={result.exit_code}")
                 if result.stdout_ref:
                     artifacts = (result.stdout_ref, result.stderr_ref)
                     detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
-            elif isinstance(task, GetTask):
-                destination = await run.session.fetch(target)
-                artifacts = (f"{node}/{destination.name}",)
-                outcome, detail = _SUCCESS, f"Success artifact={artifacts[0]}"
+            elif verb == "get":
+                result = await run.session.fetch(target, deadline)
+                artifacts, detail = (result.stdout_ref,), f"Success artifact={result.stdout_ref}"
             else:
-                await run.session.push(target, target)
-                outcome, detail = _SUCCESS, "Success"
+                result = await run.session.push(target, target, deadline)
+                detail = "Success"
+            outcome = result.outcome
+            if outcome is not _SUCCESS and verb != "run":  # a transfer's detail names its path
+                artifacts, detail = (), f"{outcome._value_} {verb}={target}"
         except SessionClosed:
             outcome = TaskOutcome.CONNECTION_LOST
             detail = outcome.value
@@ -715,9 +718,7 @@ class ExperimentRunner:
         """
         children = [
             asyncio.create_task(
-                (self._run_leaf if isinstance(child, _LEAF_TASKS) else self._run_one)(
-                    run, governing, child, deadline, self._share(path + (index,))
-                )
+                self._run_task(run, governing, child, deadline, self._share(path + (index,)))
             )
             for index, child in enumerate(task.children)
         ]
@@ -783,9 +784,10 @@ class ExperimentRunner:
         """
         for ordinal, registration in enumerate(reversed(self.registry)):
             ctx = _StepContext(step_index=None, exec_label=f"t{ordinal}", is_teardown=True)
-            await self._execute_on_nodes(
-                ctx, self.tasklists[registration.tasklist_ref], registration.targets_ref
-            )
+            with contextlib.suppress(asyncio.CancelledError):  # a Ctrl-C ends only this teardown
+                await self._execute_on_nodes(
+                    ctx, self.tasklists[registration.tasklist_ref], registration.targets_ref
+                )
 
 
 # --------------------------------------------------------------------------
@@ -805,7 +807,8 @@ def run_experiment(
     The run gets a loop of its own: a RealTimeEventLoop with `real_time`,
     else a VirtualTimeEventLoop (and, with no transport factory, an empty
     mock deployment): a dry run. Operational failures are data in the
-    report, never exceptions.
+    report, never exceptions. A first SIGINT (Ctrl-C) ends the steps as
+    abort-step does, runs the teardowns and then raises KeyboardInterrupt.
     """
     if transport_factory is None:
         transport_factory = make_transport_factory(MockScript())
@@ -818,11 +821,11 @@ def run_experiment(
     runner = ExperimentRunner(
         experiment, transport_factory, limiter_config, event_log, run_dir=run_dir
     )
-    loop = RealTimeEventLoop() if real_time else VirtualTimeEventLoop()
+    loop_factory = RealTimeEventLoop if real_time else VirtualTimeEventLoop
     try:
-        return loop.run_until_complete(runner.run())
+        with asyncio.Runner(loop_factory=loop_factory) as loop_runner:
+            return loop_runner.run(runner.run())
     finally:
-        loop.close()
         if own_log:
             event_log.close()
 

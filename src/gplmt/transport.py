@@ -12,6 +12,8 @@ import enum
 import fnmatch
 import json
 import os
+import posixpath
+import re
 import shlex
 import shutil
 import signal
@@ -55,10 +57,6 @@ class AuthUnsupported(ConnectFailed):
 
 
 class SessionClosed(TransportError):
-    pass
-
-
-class RemoteFileMissing(TransportError):
     pass
 
 
@@ -162,6 +160,19 @@ class Session:
             self.state = SessionState.LOST
             self.pool.emit(EventKind.CONNECT_LOST, self.node, detail="")
 
+    def _result(self, output: ExecOutput, stdout_ref: str = "", stderr_ref: str = "") -> TaskResult:
+        """The one classifier of a child's exit (exec, fetch and push)."""
+        if output.connection_lost:
+            outcome = TaskOutcome.CONNECTION_LOST
+            self.mark_lost()
+        elif output.timed_out:
+            outcome = TaskOutcome.TIMED_OUT
+        elif output.exit_code == 0:
+            outcome = _SUCCESS
+        else:
+            outcome = _FAILED
+        return _new_tuple(TaskResult, (output.exit_code, stdout_ref, stderr_ref, outcome))
+
     async def exec(
         self,
         command: str,
@@ -184,20 +195,11 @@ class Session:
             stderr_ref = f"{self.node}/stderr-{artifact_label}.log"
             outputs = (root / stdout_ref, root / stderr_ref)
         output = await self.transport.exec(command, env, deadline, outputs)
+        return self._result(output, stdout_ref, stderr_ref)
 
-        if output.connection_lost:
-            outcome = TaskOutcome.CONNECTION_LOST
-            self.mark_lost()
-        elif output.timed_out:
-            outcome = TaskOutcome.TIMED_OUT
-        elif output.exit_code == 0:
-            outcome = _SUCCESS
-        else:
-            outcome = _FAILED
-        return _new_tuple(TaskResult, (output.exit_code, stdout_ref, stderr_ref, outcome))
-
-    async def fetch(self, remote_path: str) -> Path:
-        """Copy a node-side file into `<artifact_root>/<node>/<basename>`."""
+    async def fetch(self, remote_path: str, deadline=None) -> TaskResult:
+        """Copy a node-side file to `<artifact_root>/<node>/<basename>` under
+        `deadline`, as exec; stdout_ref names that file, there on Success."""
         self._require_connected()
         if self.pool.artifact_root is None:
             raise TransportError("no artifact directory configured for fetch")
@@ -205,17 +207,17 @@ class Session:
         try:
             destination = artifact_path(self.pool.artifact_root, self.node, remote_path)
         except ArtifactPathError:
-            raise RemoteFileMissing(f"not a file path: {remote_path!r}") from None
-        await self.transport.fetch(remote_path, destination)
-        return destination
+            raise TransportError(f"not a file path: {remote_path!r}") from None
+        output = await self.transport.fetch(remote_path, destination, deadline)
+        return self._result(output, f"{self.node}/{destination.name}")
 
-    async def push(self, local_path: str | Path, remote_path: str) -> None:
+    async def push(self, local_path: str | Path, remote_path: str, deadline=None) -> TaskResult:
         """Copy a controller-side file to the node, atomically at the name."""
         self._require_connected()
         local_path = Path(local_path)
         if not local_path.is_file():
             raise LocalFileMissing(str(local_path))
-        await self.transport.push(local_path, remote_path)
+        return self._result(await self.transport.push(local_path, remote_path, deadline))
 
     async def close(self) -> None:
         if self.state is not SessionState.CLOSED:
@@ -332,12 +334,23 @@ class SessionPool:
 
 
 # --------------------------------------------------------------------------
-# child processes, and the local transport
+# child processes: the shell transports
 
 
 def _shell_line(command: str, env: tuple[tuple[str, str], ...]) -> str:
     """`export NAME='value'; ... command`; the parser admits only shell names."""
     return "".join(f"export {name}={shlex.quote(value)}; " for name, value in env) + command
+
+
+def _shell_path(path: str) -> str:
+    """`path` as one shell word. A leading `~/` or `~name/` stays unquoted, so
+    the node's shell expands it, and the rest is quoted; any other `~` is
+    quoted with the rest."""
+    prefix = re.match(r"~[A-Za-z0-9._-]*(?:/|$)", path)
+    if prefix is None:
+        return shlex.quote(path)
+    rest = path[prefix.end():]
+    return prefix.group() + (shlex.quote(rest) if rest else "")
 
 
 async def _run_child(
@@ -363,15 +376,6 @@ async def _run_child(
         raise
 
 
-async def _run_logged(argv: list[str], deadline: float | None, outputs) -> ExecOutput:
-    """_run_child writing to the (stdout, stderr) `outputs` paths, if any."""
-    if outputs is None:
-        return await _run_child(argv, deadline)
-    outputs[0].parent.mkdir(parents=True, exist_ok=True)
-    with open(outputs[0], "wb") as stdout, open(outputs[1], "wb") as stderr:
-        return await _run_child(argv, deadline, stdout=stdout, stderr=stderr)
-
-
 async def _terminate_group(proc) -> None:
     """SIGTERM the child's group, then SIGKILL it if the child has not
     exited after KILL_GRACE_SECONDS or this wait is cancelled."""
@@ -394,7 +398,10 @@ def _signal_group(proc, signum: int) -> None:
 
 
 class LocalTransport:
-    """Runs commands on the controller under its default shell."""
+    """Runs every command and transfer as a `/bin/sh -c` child under its
+    deadline; SshTransport runs the same scripts through its ssh client.
+    `fetch` streams `cat` into `<destination>.part`, renamed on exit 0;
+    `push` is `cat` on the node, reading the local file."""
 
     def __init__(self, target: TargetDef):
         self.target = target
@@ -402,46 +409,50 @@ class LocalTransport:
     async def connect(self) -> None:
         return None  # nothing to establish
 
+    async def _run(self, script: str, deadline: float | None, **files) -> ExecOutput:
+        """Run a shell script on the node; `files` are _run_child's."""
+        return await _run_child(["/bin/sh", "-c", script], deadline, **files)
+
     async def exec(
         self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None, outputs
     ) -> ExecOutput:
-        return await _run_logged(["/bin/sh", "-c", _shell_line(command, env)], deadline, outputs)
+        """Run the command, writing to the (stdout, stderr) `outputs` paths, if any."""
+        script = _shell_line(command, env)
+        if outputs is None:
+            return await self._run(script, deadline)
+        outputs[0].parent.mkdir(parents=True, exist_ok=True)
+        with open(outputs[0], "wb") as stdout, open(outputs[1], "wb") as stderr:
+            return await self._run(script, deadline, stdout=stdout, stderr=stderr)
 
-    async def fetch(self, remote_path: str, destination: Path) -> None:
-        source = Path(remote_path).expanduser()
-        if not source.is_file():
-            raise RemoteFileMissing(remote_path)
-        await asyncio.to_thread(_copy_atomic, source, destination)
+    async def fetch(self, remote_path: str, destination: Path, deadline=None) -> ExecOutput:
+        part = destination.with_name(destination.name + ".part")
+        try:
+            with open(part, "wb") as stdout:
+                output = await self._run(f"cat -- {_shell_path(remote_path)}", deadline, stdout=stdout)
+            if output.exit_code == 0 and not output.timed_out:
+                os.replace(part, destination)
+            return output
+        finally:
+            part.unlink(missing_ok=True)
 
-    async def push(self, local_path: Path, remote_path: str) -> None:
-        destination = Path(remote_path).expanduser()
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        await asyncio.to_thread(_copy_atomic, local_path, destination)
+    async def push(self, local_path: Path, remote_path: str, deadline=None) -> ExecOutput:
+        path, part = _shell_path(remote_path), _shell_path(remote_path + ".part")
+        parent = _shell_path(posixpath.dirname(remote_path) or ".")
+        script = f"mkdir -p -- {parent} && cat > {part} && mv -- {part} {path}"
+        with open(local_path, "rb") as stdin:
+            return await self._run(script, deadline, stdin=stdin)
 
     async def close(self) -> None:
         return None
-
-
-def _write_atomic(destination: Path, data: bytes) -> None:
-    temp = destination.with_name(destination.name + ".part")
-    temp.write_bytes(data)
-    os.replace(temp, destination)
-
-
-def _copy_atomic(source: Path, destination: Path) -> None:
-    _write_atomic(destination, source.read_bytes())
-
-
-# --------------------------------------------------------------------------
-# ssh transport (external client)
 
 
 def ssh_client_executable() -> str:
     return os.environ.get("GPLMT_SSH_CLIENT", "ssh")
 
 
-class SshTransport:
-    """Drives an external ssh client; one multiplexed master per node.
+class SshTransport(LocalTransport):
+    """LocalTransport's scripts, run through an external ssh client; one
+    multiplexed master per node.
 
     Connection reuse comes from the client's control-socket facility, so
     every exec/fetch/push rides the single established connection. Key
@@ -450,7 +461,7 @@ class SshTransport:
     """
 
     def __init__(self, target: TargetDef):
-        self.target = target
+        super().__init__(target)
         self._destination = f"{target.ssh_user}@{target.ssh_host}"
         self._control_dir: str | None = None
 
@@ -491,44 +502,18 @@ class SshTransport:
             self._remove_control_dir()  # a failed session is never closed
             raise
 
-    async def exec(
-        self, command: str, env: tuple[tuple[str, str], ...], deadline: float | None, outputs
-    ) -> ExecOutput:
-        argv = self._base_argv() + [self._destination, "--", _shell_line(command, env)]
-        output = await _run_logged(argv, deadline, outputs)
+    async def _run(self, script: str, deadline: float | None, **files) -> ExecOutput:
+        argv = self._base_argv() + [self._destination, "--", script]
+        output = await _run_child(argv, deadline, **files)
         if output.exit_code == 255 and not output.timed_out:
             return output._replace(connection_lost=True)  # the client's "connection failed" code
         return output
 
-    async def fetch(self, remote_path: str, destination: Path) -> None:
-        """Stream the file into `<destination>.part`; rename it on exit 0."""
-        argv = self._base_argv() + [self._destination, "--", f"cat {shlex.quote(remote_path)}"]
-        part = destination.with_name(destination.name + ".part")
-        try:
-            with open(part, "wb") as stdout:
-                code = (await _run_child(argv, None, stdout=stdout)).exit_code
-            if code != 0:
-                raise RemoteFileMissing(f"{remote_path}: cat exited {code}")
-            os.replace(part, destination)
-        finally:
-            part.unlink(missing_ok=True)
-
-    async def push(self, local_path: Path, remote_path: str) -> None:
-        quoted = shlex.quote(remote_path)
-        script = f"cat > {quoted}.part && mv {quoted}.part {quoted}"
-        argv = self._base_argv() + [self._destination, "--", script]
-        with open(local_path, "rb") as stdin:
-            code = (await _run_child(argv, None, stdin=stdin)).exit_code
-        if code != 0:
-            raise TransportError(f"push to {remote_path} failed: exit {code}")
-
     async def close(self) -> None:
         if self._control_dir is None:
             return
-        argv = self._base_argv() + ["-O", "exit", self._destination]
         try:
-            proc = await asyncio.create_subprocess_exec(*argv, stdout=DEVNULL, stderr=DEVNULL)
-            await proc.communicate()
+            await _run_child(self._base_argv() + ["-O", "exit", self._destination], None)
         finally:
             self._remove_control_dir()
 
@@ -556,6 +541,7 @@ _NO_RULE = MockRule(pattern="*")  # what an unmatched command does
 _TIMED_OUT_OUTPUT = ExecOutput(-15, timed_out=True)
 _LOST_OUTPUT = ExecOutput(-1, connection_lost=True)
 _NO_BYTES = (b"", b"")  # what a timed-out or lost mock command wrote
+_EXIT_0, _EXIT_1 = ExecOutput(0), ExecOutput(1)  # what a mock transfer returns
 
 
 @dataclass
@@ -703,19 +689,21 @@ class MockTransport:
             outputs[1].write_bytes(data[1])
         return output
 
-    async def fetch(self, remote_path: str, destination: Path) -> None:
-        if remote_path in self.files:
-            data = self.files[remote_path]
-        elif self.strict_files:
-            raise RemoteFileMissing(remote_path)
-        else:
-            data = b""
-        _write_atomic(destination, data)
+    async def fetch(self, remote_path: str, destination: Path, deadline=None) -> ExecOutput:
+        """Write the scripted file; a missing one exits 1 under strict_files."""
+        data = self.files.get(remote_path, None if self.strict_files else b"")
+        if data is None:
+            return _EXIT_1
+        part = destination.with_name(destination.name + ".part")
+        part.write_bytes(data)
+        os.replace(part, destination)
+        return _EXIT_0
 
-    async def push(self, local_path: Path, remote_path: str) -> None:
+    async def push(self, local_path: Path, remote_path: str, deadline=None) -> ExecOutput:
         if self.files is self.script.files:
             self.files = dict(self.files)  # this node's first push
         self.files[remote_path] = local_path.read_bytes()
+        return _EXIT_0
 
     async def close(self) -> None:
         return None

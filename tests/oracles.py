@@ -124,14 +124,35 @@ def resolve_leaf_names(defs: dict[str, object], root: str) -> list[str]:
     return order
 
 
-def report_from_log_lines(lines: list[str]) -> tuple[dict[str, str], str]:
+_NODE_STATES = ("Succeeded", "Failed", "Aborted", "Skipped")
+
+
+def _node_states(detail: str, nodes: list[str]):
+    """(node, state) of a StepEnd or TeardownEnd detail, which joins
+    "node=State" for `nodes` in name order with spaces. A node name may
+    hold spaces and "=" ("a=Failed b"), so the names come from the caller
+    and only the states are read from between them."""
+    rest = detail
+    for node in sorted(nodes):
+        assert rest.startswith(f"{node}="), (detail, node)
+        rest = rest[len(node) + 1:]
+        (state,) = [s for s in _NODE_STATES if rest == s or rest.startswith(f"{s} ")]
+        yield node, state
+        rest = rest[len(state) + 1:]
+    assert rest == "", detail
+
+
+def report_from_log_lines(lines: list[str], members: dict[str, list[str]]) -> tuple[dict[str, str], str]:
     """(per-node outcomes, overall status) folded from events.jsonl lines.
 
-    Reads the logged prose: a StepEnd or TeardownEnd detail is a
-    space-separated list of "node=State" pairs. That split holds only for
-    plain node names without spaces or "=", such as "n0".
+    Reads the logged prose. A StepStart or TeardownStart detail reads
+    "targets=<name> nodes=<count>", and `members` maps each targets name
+    to the node names it resolves to, as the generator built them; the
+    matching StepEnd or TeardownEnd detail gives each of those nodes its
+    state.
     """
     outcomes: dict[str, str] = {}
+    nodes: dict[str, list[str]] = {}  # per execution suffix: the nodes its start named
     teardowns = 0
     panicked = False
     for line in lines:
@@ -139,15 +160,18 @@ def report_from_log_lines(lines: list[str]) -> tuple[dict[str, str], str]:
         kind = record["kind"]
         if kind == "Panic":
             panicked = True
-        if kind == "StepEnd":
+        if kind in ("StepStart", "StepEnd"):
             suffix = f"s{record['step']}"
-        elif kind == "TeardownEnd":
-            suffix = f"t{teardowns}"
-            teardowns += 1
+        elif kind in ("TeardownStart", "TeardownEnd"):
+            suffix = f"t{teardowns}"  # teardowns run one at a time
+            teardowns += kind == "TeardownEnd"
         else:
             continue
-        for pair in record["detail"].split():
-            node, state = pair.split("=")
+        if kind.endswith("Start"):
+            targets = record["detail"].removeprefix("targets=").rpartition(" nodes=")[0]
+            nodes[suffix] = members[targets]
+            continue
+        for node, state in _node_states(record["detail"], nodes[suffix]):
             outcomes[f"{node}|{record['tasklist']}#{suffix}"] = state
     if panicked:
         overall = "Panicked"

@@ -241,10 +241,11 @@ def test_file_round_trip(tmp_path):
         return fetched, round_tripped
 
     fetched, round_tripped = run_virtual(mock_side())
-    assert round_tripped.read_bytes() == payload
-    assert fetched["n1"] != fetched["n2"]  # distinct per-node artifact paths
-    assert fetched["n1"].read_bytes() == b"from n1"
-    assert fetched["n2"].read_bytes() == b"from n2"
+    artifacts = tmp_path / "mock-artifacts"
+    assert (artifacts / round_tripped.stdout_ref).read_bytes() == payload
+    assert fetched["n1"].stdout_ref != fetched["n2"].stdout_ref  # distinct per-node artifact paths
+    assert (artifacts / fetched["n1"].stdout_ref).read_bytes() == b"from n1"
+    assert (artifacts / fetched["n2"].stdout_ref).read_bytes() == b"from n2"
 
     # local transport: the same round trip through real files
     from gplmt.transport import LocalTransport

@@ -1,5 +1,6 @@
-"""Real commands on a local node: what a child writes, when its task ends,
-and that its process group ends with the task.
+"""Real commands and transfers on local and (fake) ssh nodes: what a child
+writes, when its task ends, and that its process group ends with the task,
+also when Ctrl-C interrupts the run.
 
 Each test starts a few short-lived children. A command that may outlive
 its test writes its shell's pid (`$$`, also its process group id) to a
@@ -7,6 +8,7 @@ file, and the test kills that group in a `finally`.
 """
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import gplmt
 from gplmt.scheduler import run_experiment
-from gplmt.transport import make_transport_factory
+from gplmt.transport import KILL_GRACE_SECONDS, make_transport_factory
 
 from .conftest import events_of
 
@@ -24,14 +26,19 @@ SRC = Path(gplmt.__file__).resolve().parent.parent
 
 
 def document(tasklists: str, targets: str = '<target name="ctl" type="local" />',
-             step_targets: str = "ctl") -> str:
+             step_targets: str = "ctl", steps: str = "") -> str:
     return f"""
 <experiment>
  <targets>{targets}</targets>
  <tasklists>{tasklists}</tasklists>
- <steps><step tasklist="work" targets="{step_targets}" /></steps>
+ <steps>{steps}<step tasklist="work" targets="{step_targets}" /></steps>
 </experiment>
 """
+
+
+SSH_AND_LOCAL = """
+   <target name="alpha" type="ssh"><user>u</user><host>alpha.example.org</host></target>
+   <target name="ctl" type="local" />"""
 
 
 def kill_group(pid_file: Path) -> None:
@@ -166,3 +173,114 @@ def test_output_goes_to_disk_without_passing_through_the_controller(tmp_path):
     assert stdout.stat().st_size == size
     stdout.unlink()
     assert grown_kib < 16 * 1024
+
+
+def test_a_local_get_streams_without_passing_through_the_controller(tmp_path):
+    size = 64_000_000
+    source = tmp_path / "big.bin"
+    with open(source, "wb") as handle:
+        handle.truncate(size)  # sparse: costs no disk blocks
+    xml = document(f'<tasklist name="work"><get>{source}</get></tasklist>')
+    run_dir, grown_kib = run_in_child(xml, tmp_path)
+    fetched = run_dir / "ctl" / "big.bin"
+    assert fetched.stat().st_size == size
+    fetched.unlink()
+    assert grown_kib < 16 * 1024
+
+
+def unblock_after(seconds: float, fifo: Path) -> str:
+    """A tasklist that opens `fifo` read-write after `seconds` and closes it
+    again: a reader or writer blocked on it then goes on. On Linux this open
+    never blocks, whether or not the transfer is still there."""
+    return f"""
+   <tasklist name="unblock"><run>sleep {seconds}; : 3&lt;&gt; {fifo}</run></tasklist>"""
+
+
+def transfer_end(run_dir: Path) -> dict:
+    (end,) = [e for e in events_of(run_dir) if e["kind"] == "TaskEnd" and e["node"] == "alpha"]
+    return end
+
+
+def test_an_ssh_get_that_hangs_ends_at_its_tasklist_timeout(load_xml, tmp_path, fake_ssh):
+    # `cat` of a FIFO without a writer blocks until the other step opens it
+    fifo, run_dir = tmp_path / "remote.fifo", tmp_path / "run"
+    os.mkfifo(fifo)
+    experiment = load_xml(document(
+        f'<tasklist name="work" timeout="PT1S"><get>{fifo}</get></tasklist>'
+        + unblock_after(2.5, fifo),
+        targets=SSH_AND_LOCAL, step_targets="alpha",
+        steps='<step tasklist="unblock" targets="ctl" />',
+    ))
+    run_real(experiment, run_dir)
+    end = transfer_end(run_dir)
+    assert end["detail"] == f"TimedOut get={fifo}"
+    assert 1.0 <= end["ts"] < 1.0 + KILL_GRACE_SECONDS
+    assert list((run_dir / "alpha").iterdir()) == []  # no .part file is left
+
+
+def test_an_ssh_put_that_hangs_ends_at_its_steps_stop_time(load_xml, tmp_path, fake_ssh):
+    # the put writes `<path>.part` first; as a FIFO without a reader, its
+    # open blocks until the other step opens it
+    local, run_dir = tmp_path / "payload.bin", tmp_path / "run"
+    local.write_bytes(b"payload")
+    os.mkfifo(tmp_path / "payload.bin.part")
+    experiment = load_xml(document(
+        f'<tasklist name="work"><put>{local}</put></tasklist>'
+        + unblock_after(2.5, tmp_path / "payload.bin.part"),
+        targets=SSH_AND_LOCAL, step_targets="alpha",
+        steps='<step tasklist="unblock" targets="ctl" />',
+    ).replace('<step tasklist="work" targets="alpha" />',
+              '<step tasklist="work" targets="alpha" stop="PT1S" />'))
+    run_real(experiment, run_dir)
+    end = transfer_end(run_dir)
+    assert end["detail"] == f"TimedOut put={local}"
+    assert 1.0 <= end["ts"] < 1.0 + KILL_GRACE_SECONDS
+
+
+def test_ctrl_c_ends_the_commands_runs_the_teardowns_and_exits_130(tmp_path):
+    pid_file, torn_down, logs = tmp_path / "pid", tmp_path / "torn-down", tmp_path / "logs"
+    xml = f"""
+<experiment>
+ <targets><target name="ctl" type="local" /></targets>
+ <tasklists>
+   <tasklist name="work"><run>echo $$ > {pid_file}; sleep 30</run></tasklist>
+   <tasklist name="fin"><run>touch {torn_down}</run></tasklist>
+ </tasklists>
+ <steps>
+   <register-teardown ref="fin" targets="ctl" />
+   <step tasklist="work" targets="ctl" />
+ </steps>
+</experiment>
+"""
+    path = tmp_path / "exp.xml"
+    path.write_text(xml, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    gplmt_cli = subprocess.Popen(
+        [sys.executable, "-m", "gplmt.cli", str(path), "--log-dir", str(logs)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        deadline = time.monotonic() + 20
+        while not (pid_file.exists() and pid_file.read_text().strip()):
+            assert gplmt_cli.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        gplmt_cli.send_signal(signal.SIGINT)
+        _, stderr = gplmt_cli.communicate(timeout=20)
+        pgid = int(pid_file.read_text())
+        deadline = time.monotonic() + 1.0  # for the signals to be delivered
+        while live_members(pgid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_members(pgid) == []
+    finally:
+        if gplmt_cli.poll() is None:
+            gplmt_cli.kill()
+            gplmt_cli.communicate()
+        kill_group(pid_file)
+    assert gplmt_cli.returncode == 130
+    assert b"Traceback" not in stderr
+    assert stderr.decode().endswith("gplmt: interrupted\n")
+    assert torn_down.exists()
+    (report,) = logs.glob("*/report.json")
+    outcomes = json.loads(report.read_text())["per_node_outcomes"]
+    assert outcomes["ctl|work#s0"] == "Aborted"
+    assert outcomes["ctl|fin#t0"] == "Succeeded"

@@ -7,6 +7,7 @@ from gplmt.model import (
     CallTask,
     ErrorMode,
     Experiment,
+    ExperimentReport,
     ParTask,
     RegisterTeardown,
     Repeat,
@@ -322,3 +323,10 @@ def test_a_long_call_chain_walks_without_recursion():
     assert depth_first(chain)[0] is None
     chain["t5000"] = ["t4000"]
     assert depth_first(chain)[0] == [f"t{i}" for i in range(4000, 5001)] + ["t4000"]
+
+
+def test_a_reports_repr_does_not_grow_with_its_event_log():
+    # asyncio.Runner formats the task that returns the report twice per run
+    report = ExperimentReport(events=tuple(range(10_000)))
+    assert "events" not in repr(report)
+    assert len(repr(report)) < 200

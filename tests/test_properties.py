@@ -42,11 +42,14 @@ from .conftest import full_disk_log
 from .oracles import report_from_log_lines
 
 CLEANUP = "cl"
+# Odd names among plain ones: the prose "a=Failed b=Succeeded" reads the
+# same for nodes "a" and "b" as for node "a=Failed b" alone.
+NODE_NAMES = ("n0", "n1", "n 2", "x=y", "a", "b", "a=Failed b")
 
 
 @st.composite
 def experiments(draw):
-    nodes = [f"n{i}" for i in range(draw(st.integers(1, 4)))]
+    nodes = draw(st.lists(st.sampled_from(NODE_NAMES), min_size=1, max_size=4, unique=True))
     leaves = tuple(TargetDef(name, TargetKind.LOCAL) for name in nodes)
     targets = leaves + (TargetDef("all", TargetKind.GROUP, members=leaves),)
     target_names = st.sampled_from(nodes + ["all"])
@@ -194,4 +197,5 @@ def test_generated_experiments_keep_the_engine_invariants(case):
     assert (report.overall is OverallStatus.PANICKED) == ("Panic" in kinds)
 
     # the report, read from typed fields, equals a fold of the logged prose
-    assert (dict(report.per_node_outcomes), report.overall.value) == report_from_log_lines(lines)
+    members = {t.name: [m.name for m in t.members] or [t.name] for t in experiment.targets}
+    assert (dict(report.per_node_outcomes), report.overall.value) == report_from_log_lines(lines, members)

@@ -31,6 +31,7 @@ from gplmt.model import (
 )
 from gplmt.parser import load_experiment
 from gplmt.scheduler import (
+    ExperimentRunner,
     RealTimeEventLoop,
     VirtualTimeEventLoop,
     dry_run,
@@ -1611,3 +1612,65 @@ def test_a_finished_run_frees_its_transports_without_the_collector(monkeypatch):
         assert [ref() for ref in built] == [None, None]
     finally:
         gc.enable()
+
+
+# --- cancellation of the whole run (what a Ctrl-C does) ---
+
+
+def cancelled_run(experiment, script, instant):
+    """Dry-run `experiment`, cancel the run's task at virtual `instant` as the
+    first SIGINT does, and return its events; the run must end cancelled."""
+    log = EventLog()
+    runner = ExperimentRunner(experiment, make_transport_factory(script), None, log)
+    loop = VirtualTimeEventLoop()
+    try:
+        task = loop.create_task(runner.run())
+        loop.call_at(instant, task.cancel)
+        with pytest.raises(asyncio.CancelledError):
+            loop.run_until_complete(task)
+    finally:
+        loop.close()
+    return [(e.timestamp, e.kind.value, e.tasklist, e.detail) for e in log.events]
+
+
+CANCELLED_DOC = """
+<experiment>
+ <targets><target name="n" type="local" /></targets>
+ <tasklists>
+   <tasklist name="work" cleanup="mop"><run>long</run></tasklist>
+   <tasklist name="mop"><run>mop</run></tasklist>
+   <tasklist name="fin1"><run>fin1</run></tasklist>
+   <tasklist name="fin2"><run>fin2</run></tasklist>
+ </tasklists>
+ <steps>
+   <register-teardown ref="fin1" targets="n" />
+   <register-teardown ref="fin2" targets="n" />
+   <step tasklist="work" targets="n" />
+ </steps>
+</experiment>
+"""
+
+
+def ended(events, kind):
+    return [(ts, tasklist, detail) for ts, k, tasklist, detail in events if k == kind]
+
+
+def test_a_cancelled_run_aborts_its_steps_then_runs_every_teardown(load_xml):
+    script = MockScript.from_json(json.dumps({"nodes": {"n": {"rules": [
+        {"pattern": "long", "duration": 10}, {"pattern": "fin*", "duration": 1},
+    ]}}}))
+    events = cancelled_run(load_xml(CANCELLED_DOC), script, 2.0)
+    assert ended(events, "StepEnd") == [(2.0, "work", "n=Aborted")]
+    assert ended(events, "TaskEnd")[0] == (2.0, "mop", "Success exit=0")  # the cleanup ran
+    assert ended(events, "TeardownEnd") == [(3.0, "fin2", "n=Succeeded"), (4.0, "fin1", "n=Succeeded")]
+    assert events[-1] == (4.0, "ExperimentEnd", None, "CompletedWithErrors")
+
+
+def test_a_run_cancelled_in_a_teardown_ends_that_teardown_and_runs_the_next(load_xml):
+    script = MockScript.from_json(json.dumps({"nodes": {"n": {"rules": [
+        {"pattern": "fin2", "duration": 10}, {"pattern": "fin1", "duration": 1},
+    ]}}}))
+    events = cancelled_run(load_xml(CANCELLED_DOC), script, 2.0)
+    assert ended(events, "StepEnd") == [(0.0, "work", "n=Succeeded")]
+    assert ended(events, "TeardownEnd") == [(2.0, "fin2", "n=Aborted"), (3.0, "fin1", "n=Succeeded")]
+    assert events[-1][1] == "ExperimentEnd"

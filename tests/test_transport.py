@@ -20,7 +20,6 @@ from gplmt.transport import (
     MockTransport,
     RateLimiter,
     RateLimiterConfig,
-    RemoteFileMissing,
     RetriesExhausted,
     SessionClosed,
     SessionPool,
@@ -28,6 +27,7 @@ from gplmt.transport import (
     SshTransport,
     TransportError,
     Unreachable,
+    _shell_path,
     make_transport_factory,
     ssh_client_executable,
 )
@@ -301,15 +301,15 @@ def test_mock_unavailable_node_refuses_connect():
 
 
 def test_mock_fetch_unscripted_path_depends_on_strict_files(tmp_path):
-    async def fetch_with(script_text):
+    async def fetch_with(script_text, destination):
         transport = MockTransport(mock_node(), MockScript.from_json(script_text))
         await transport.connect()
-        await transport.fetch("/var/log/missing", tmp_path / "out.bin")
-        return (tmp_path / "out.bin").read_bytes()
+        output = await transport.fetch("/var/log/missing", destination)
+        return output.exit_code, destination.exists() and destination.read_bytes()
 
-    assert run_virtual(fetch_with("{}")) == b""
-    with pytest.raises(RemoteFileMissing):
-        run_virtual(fetch_with('{"strict_files": true}'))
+    assert run_virtual(fetch_with("{}", tmp_path / "lax.bin")) == (0, b"")
+    strict = run_virtual(fetch_with('{"strict_files": true}', tmp_path / "strict.bin"))
+    assert strict == (1, False)  # as `cat` exits
 
 
 def test_mock_push_then_fetch_round_trip(tmp_path):
@@ -339,8 +339,7 @@ def test_mock_push_stays_on_its_node(tmp_path):
         await n1.push(source, "/remote/data.bin")
         await n1.fetch("/remote/data.bin", tmp_path / "n1.bin")
         await n2.fetch("/seed", tmp_path / "n2-seed.bin")
-        with pytest.raises(RemoteFileMissing):
-            await n2.fetch("/remote/data.bin", tmp_path / "n2.bin")
+        assert (await n2.fetch("/remote/data.bin", tmp_path / "n2.bin")).exit_code == 1
 
     run_virtual(scenario())
     assert (tmp_path / "n1.bin").read_bytes() == b"from n1"
@@ -456,9 +455,10 @@ def test_session_fetch_lands_in_node_directory(tmp_path):
         session = await pool.acquire(mock_node())
         return await session.fetch("/var/log/out.pcap")
 
-    destination = run_virtual(scenario())
-    assert destination == tmp_path / "alpha" / "out.pcap"
-    assert destination.read_bytes() == b"bytes!"
+    result = run_virtual(scenario())
+    assert result.outcome is TaskOutcome.SUCCESS
+    assert result.stdout_ref == "alpha/out.pcap"
+    assert (tmp_path / "alpha" / "out.pcap").read_bytes() == b"bytes!"
 
 
 @pytest.mark.parametrize("path", ["/", ".", "..", "logs/.."])
@@ -467,7 +467,7 @@ def test_session_fetch_rejects_non_file_paths(tmp_path, path):
 
     async def scenario():
         session = await pool.acquire(mock_node())
-        with pytest.raises(RemoteFileMissing):
+        with pytest.raises(TransportError, match="not a file path"):
             await session.fetch(path)
 
     run_virtual(scenario())
@@ -737,15 +737,58 @@ def test_local_fetch_and_push_copy_files(tmp_path):
     source.write_bytes(b"x" * 4096)
 
     async def scenario():
-        await transport.fetch(str(source), tmp_path / "fetched.bin")
-        await transport.push(tmp_path / "fetched.bin", str(tmp_path / "deep" / "pushed.bin"))
-        with pytest.raises(RemoteFileMissing):
-            await transport.fetch(str(tmp_path / "nope"), tmp_path / "x")
+        assert (await transport.fetch(str(source), tmp_path / "fetched.bin")).exit_code == 0
+        pushed = str(tmp_path / "deep" / "pushed.bin")
+        assert (await transport.push(tmp_path / "fetched.bin", pushed)).exit_code == 0
+        assert (await transport.fetch(str(tmp_path / "nope"), tmp_path / "x")).exit_code != 0
 
     asyncio.run(scenario())
+    assert not (tmp_path / "x").exists()
     assert (tmp_path / "fetched.bin").read_bytes() == b"x" * 4096
     assert (tmp_path / "deep" / "pushed.bin").read_bytes() == b"x" * 4096
     assert not list(tmp_path.glob("*.part"))  # no stray temp files
+
+
+@pytest.mark.parametrize("path, word", [
+    ("~", "~"),
+    ("~/logs/run 1.pcap", "~/'logs/run 1.pcap'"),
+    ("~deploy/x", "~deploy/x"),
+    ("/var/log/a b", "'/var/log/a b'"),
+    ("~$(touch x)/y", "'~$(touch x)/y'"),
+    ("~;touch x", "'~;touch x'"),
+    ("logs/~/x", "'logs/~/x'"),
+])
+def test_shell_path_leaves_only_a_home_prefix_unquoted(path, word):
+    assert _shell_path(path) == word
+
+
+def test_a_tilde_path_names_the_same_home_file_on_local_and_ssh_nodes(
+    fake_ssh, tmp_path, monkeypatch
+):
+    home = tmp_path / "home"
+    home.mkdir()
+    (home / "f").write_bytes(b"from home")
+    monkeypatch.setenv("HOME", str(home))
+    local, ssh = LocalTransport(local_target()), SshTransport(ssh_target())
+
+    async def scenario():
+        await ssh.connect()
+        codes = [
+            (await local.fetch("~/f", tmp_path / "local.bin")).exit_code,
+            (await ssh.fetch("~/f", tmp_path / "ssh.bin")).exit_code,
+            (await local.push(tmp_path / "local.bin", "~/in/local.bin")).exit_code,
+            (await ssh.push(tmp_path / "ssh.bin", "~/in/ssh.bin")).exit_code,
+            (await local.fetch(f"~;touch {tmp_path / 'injected'}", tmp_path / "x")).exit_code,
+        ]
+        await ssh.close()
+        return codes
+
+    assert asyncio.run(scenario())[:4] == [0, 0, 0, 0]
+    assert (tmp_path / "local.bin").read_bytes() == b"from home"
+    assert (tmp_path / "ssh.bin").read_bytes() == b"from home"
+    assert (home / "in" / "local.bin").read_bytes() == b"from home"
+    assert (home / "in" / "ssh.bin").read_bytes() == b"from home"
+    assert not (tmp_path / "injected").exists()
 
 
 # --- ssh transport (external client stand-in) ---
@@ -807,6 +850,35 @@ def test_ssh_exit_255_means_connection_lost(fake_ssh):
     assert output.exit_code == 255
 
 
+def test_an_ssh_transfer_whose_client_exits_255_loses_the_session(tmp_path, monkeypatch):
+    # a client that sets up and closes its master but loses every channel
+    client = tmp_path / "lossy-ssh"
+    client.write_text('#!/bin/sh\ncase "$*" in *ControlMaster=yes*|*"-O exit"*) exit 0;; esac\nexit 255\n')
+    client.chmod(0o755)
+    monkeypatch.setenv("GPLMT_SSH_CLIENT", str(client))
+    (tmp_path / "local.bin").write_bytes(b"x")
+    events = []
+    pool = SessionPool(make_transport_factory(), lambda kind, node, detail: events.append(kind.value),
+                       artifact_root=tmp_path / "run")
+
+    async def scenario():
+        outcomes = []
+        for transfer in ("fetch", "push"):
+            session = await pool.acquire(ssh_target())
+            if transfer == "fetch":
+                result = await session.fetch("/var/log/x")
+            else:
+                result = await session.push(tmp_path / "local.bin", "/tmp/x")
+            outcomes.append((result.outcome, session.state))
+        await pool.close_all()
+        return outcomes
+
+    lost = (TaskOutcome.CONNECTION_LOST, SessionState.LOST)
+    assert asyncio.run(scenario()) == [lost, lost]
+    assert events.count("ConnectLost") == 2
+    assert list((tmp_path / "run" / "alpha").iterdir()) == []  # no .part file is left
+
+
 def test_ssh_fetch_and_push_use_the_channel(fake_ssh, tmp_path):
     transport = SshTransport(ssh_target())
     remote = tmp_path / "remote.bin"
@@ -817,10 +889,10 @@ def test_ssh_fetch_and_push_use_the_channel(fake_ssh, tmp_path):
 
     async def scenario():
         await transport.connect()
-        await transport.fetch(str(remote), tmp_path / "fetched.bin")
-        await transport.push(local, str(tmp_path / "pushed.bin"))
-        with pytest.raises(RemoteFileMissing):
-            await transport.fetch(str(tmp_path / "missing.bin"), tmp_path / "x.bin")
+        assert (await transport.fetch(str(remote), tmp_path / "fetched.bin")).exit_code == 0
+        assert (await transport.push(local, str(tmp_path / "pushed.bin"))).exit_code == 0
+        missing = await transport.fetch(str(tmp_path / "missing.bin"), tmp_path / "x.bin")
+        assert missing.exit_code != 0 and not missing.connection_lost
         await transport.close()
 
     asyncio.run(scenario())
