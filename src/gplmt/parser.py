@@ -167,6 +167,12 @@ def parse_document(path: str | Path) -> XmlNode:
                 (document, exc.lineno, exc.offset + 1),
             )
         ) from exc
+    except (LookupError, ValueError) as exc:
+        # pyexpat looks the declared encoding up among Python's codecs, and
+        # the codec's own error (unknown, multi-byte or failing) comes through.
+        raise ParseFailure(
+            Diagnostic(Severity.ERROR, "XmlSyntax", f"unusable encoding: {exc}", (document, 1, 1))
+        ) from exc
     finally:
         # The handlers close over the parser, which holds them: break the
         # cycle so that refcounting frees the tree, not the collector.

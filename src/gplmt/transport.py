@@ -11,6 +11,7 @@ import asyncio
 import enum
 import fnmatch
 import json
+import math
 import os
 import posixpath
 import re
@@ -526,9 +527,11 @@ class SshTransport(LocalTransport):
 # mock transport
 
 
-@dataclass(frozen=True)
-class MockRule:
-    """First-match rule: command pattern (fnmatch) to scripted behavior."""
+class MockRule(NamedTuple):
+    """First-match rule: command pattern (fnmatch) to scripted behavior.
+
+    A named tuple, cheap to build: a script holds one per rule and node.
+    """
 
     pattern: str
     exit_code: int = 0
@@ -570,6 +573,50 @@ class MockNodeScript:
         return match
 
 
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean",
+}
+_MISSING = object()  # a required field the script leaves out
+
+
+def _bad(expected: str, value, where: tuple) -> ValueError:
+    """The error for `value` at the JSON path `where`, such as
+    ("nodes", "n 2", "rules", 0) for `$.nodes["n 2"].rules[0]`."""
+    path = "$" + "".join(
+        f"[{key}]" if type(key) is int else f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
+        for key in where
+    )
+    if value is _MISSING:
+        got = "nothing"
+    elif type(value) in (dict, list):
+        got = _JSON_TYPES[type(value)]
+    else:
+        got = json.dumps(value)
+    return ValueError(f"{path}: expected {expected}, got {got}")
+
+
+def _typed(value, kind: type, where: tuple):
+    """`value` if its type is exactly `kind` (so true is no integer)."""
+    if type(value) is not kind:
+        raise _bad(_JSON_TYPES[kind], value, where)
+    return value
+
+
+def _field(obj: dict, key: str, kind: type, default, where: tuple):
+    """obj[key] if it is a `kind`, `default` if obj has no `key`."""
+    value = obj.get(key, default)
+    if value is not default and type(value) is not kind:
+        raise _bad(_JSON_TYPES[kind], value, where + (key,))
+    return value
+
+
+def _seconds(value, where: tuple) -> float:
+    """A finite number of seconds >= 0; NaN fails the comparison too."""
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise _bad("a finite number >= 0", value, where)
+    return float(value)
+
+
 @dataclass
 class MockScript:
     """Deterministic behavior script for a whole mock deployment.
@@ -591,28 +638,43 @@ class MockScript:
 
     @classmethod
     def from_json(cls, text: str) -> MockScript:
-        raw = json.loads(text)
+        """Raises ValueError naming the JSON path of the first bad field:
+        each field has one JSON type, and every time is a finite number of
+        seconds >= 0."""
+        try:
+            raw = _typed(json.loads(text), dict, ())
+        except RecursionError:  # json's decoder recurses once per nested array or object
+            raise ValueError("$: nested too deep to decode") from None
         nodes = {}
-        for name, entry in raw.get("nodes", {}).items():
-            rules = tuple(
-                MockRule(
-                    pattern=rule["pattern"],
-                    exit_code=int(rule.get("exit", 0)),
-                    duration=float(rule.get("duration", 0.0)),
-                    stdout=rule.get("stdout", ""),
-                    stderr=rule.get("stderr", ""),
-                )
-                for rule in entry.get("rules", [])
-            )
+        for name, entry in _field(raw, "nodes", dict, {}, ()).items():
+            at = ("nodes", name)
+            _typed(entry, dict, at)
+            rules = []
+            for index, rule in enumerate(_field(entry, "rules", list, (), at)):
+                where = at + ("rules", index)
+                _typed(rule, dict, where)
+                rules.append(MockRule(
+                    _typed(rule.get("pattern", _MISSING), str, where + ("pattern",)),
+                    _field(rule, "exit", int, 0, where),
+                    _seconds(rule.get("duration", 0), where + ("duration",)),
+                    _field(rule, "stdout", str, "", where),
+                    _field(rule, "stderr", str, "", where),
+                ))
+            files = {}
+            for path, data in _field(entry, "files", dict, {}, at).items():
+                files[path] = _typed(data, str, at + ("files", path)).encode()
+            losses = _field(entry, "lose_connection_at", list, (), at)
             nodes[name] = MockNodeScript(
-                rules=rules,
-                available=bool(entry.get("available", True)),
-                reconnectable=bool(entry.get("reconnectable", True)),
-                connect_failures=int(entry.get("connect_failures", 0)),
-                lose_connection_at=tuple(float(t) for t in entry.get("lose_connection_at", [])),
-                files={k: v.encode() for k, v in entry.get("files", {}).items()},
+                rules=tuple(rules),
+                available=_field(entry, "available", bool, True, at),
+                reconnectable=_field(entry, "reconnectable", bool, True, at),
+                connect_failures=_field(entry, "connect_failures", int, 0, at),
+                lose_connection_at=tuple(
+                    _seconds(t, at + ("lose_connection_at", k)) for k, t in enumerate(losses)
+                ),
+                files=files,
             )
-        return cls(nodes=nodes, strict_files=bool(raw.get("strict_files", False)))
+        return cls(nodes=nodes, strict_files=_field(raw, "strict_files", bool, False, ()))
 
     @classmethod
     def from_file(cls, path: str | Path) -> MockScript:

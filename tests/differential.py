@@ -17,6 +17,13 @@ It calls only `dry_run` with `limiter_config` and `run_dir`, so older
 checkouts run it too. A generated experiment always passes validation:
 call and cleanup edges only point to later tasklists, so they form no
 cycle.
+
+`random_experiment` is the project's one experiment generator. Its other
+users are tests/test_golden_generated.py, which pins the digests of seeds
+0-199, and tests/test_properties.py, which runs its experiments under odd
+node names and injected faults. Node names come from its `names`
+argument, n0 to n4 by default: the names decide no draw of the
+generator, so a seed builds the same experiment under any five names.
 """
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ import json
 import random
 import sys
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 from gplmt.model import (
@@ -70,9 +78,16 @@ def _tasks(rng: random.Random, later: list[str], depth: int) -> tuple:
     return tuple(tasks)
 
 
-def random_experiment(rng: random.Random):
-    """One experiment, its mock script and its rate limit."""
-    nodes = [f"n{i}" for i in range(rng.randint(1, 5))]
+NAMES = tuple(f"n{i}" for i in range(5))
+
+
+def random_experiment(rng: random.Random, names: Sequence[str] = NAMES):
+    """One experiment, its mock script and its rate limit.
+
+    Its nodes are the first one to five of `names`: at least five
+    distinct names, none of them "all" or "some", its group names.
+    """
+    nodes = list(names[:rng.randint(1, 5)])
     leaves = tuple(
         TargetDef(name, TargetKind.SSH, ssh_user="u", ssh_host=f"{name}.example") for name in nodes
     )
@@ -81,10 +96,10 @@ def random_experiment(rng: random.Random):
         groups += (TargetDef("some", TargetKind.GROUP, members=leaves[: len(leaves) // 2]),)
     target_names = nodes + [g.name for g in groups]
 
-    names = [f"tl{i}" for i in range(rng.randint(2, 6))]
+    tasklist_names = [f"tl{i}" for i in range(rng.randint(2, 6))]
     tasklists = []
-    for index, name in enumerate(names):
-        later = names[index + 1:]
+    for index, name in enumerate(tasklist_names):
+        later = tasklist_names[index + 1:]
         tasklists.append(Tasklist(
             name,
             _tasks(rng, later, 0),
@@ -98,7 +113,7 @@ def random_experiment(rng: random.Random):
         stop = None
         if rng.random() < 0.35:
             stop = RelativeTime((start.offset if start else 0.0) + rng.choice([0.5, 1.0, 3.0, 8.0]))
-        return Step(rng.choice(names), rng.choice(target_names), start=start, stop=stop)
+        return Step(rng.choice(tasklist_names), rng.choice(target_names), start=start, stop=stop)
 
     items = []
     for _ in range(rng.randint(1, 5)):
@@ -108,7 +123,7 @@ def random_experiment(rng: random.Random):
         elif roll < 0.75:
             items.append(Synchronize())
         elif roll < 0.88:
-            items.append(RegisterTeardown(rng.choice(names), rng.choice(target_names)))
+            items.append(RegisterTeardown(rng.choice(tasklist_names), rng.choice(target_names)))
         else:
             body = tuple(step() for _ in range(rng.randint(1, 2)))
             if rng.random() < 0.5:

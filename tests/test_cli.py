@@ -259,6 +259,18 @@ def test_bad_mock_script_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("mock script") == 2
 
 
+
+@pytest.mark.parametrize("script", ["[]", '{"nodes": {"*": {"rules": [{"pattern": 5}]}}}'])
+def test_a_mock_script_field_of_the_wrong_type_is_a_usage_error(tmp_path, capsys, script):
+    path = write_doc(tmp_path, SMALL_DOC)
+    (tmp_path / "mock.json").write_text(script, encoding="utf-8")
+    code = main([str(path), "--dry-run", "--mock-script", str(tmp_path / "mock.json"),
+                 "--log-dir", str(tmp_path / "logs")])
+    assert code == EXIT_USAGE
+    assert "gplmt: error: mock script: $" in capsys.readouterr().err
+    assert not (tmp_path / "logs").exists()
+
+
 def test_max_connects_throttles_a_dry_run(tmp_path):
     code = main([
         str(FIXTURES / "fanout_rate_limit.xml"), "--dry-run",

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import gc
 import json
+import random
+import re
+import shutil
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -886,3 +889,69 @@ def test_corpus_documents_all_rejected():
         exp, diags = load_experiment(CORPUS / name)
         assert exp is None, f"{name} was accepted"
         assert code in error_codes(diags), f"{name}: {code} not in {error_codes(diags)}"
+
+
+# -- hostile documents ------------------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["top-level", "included"])
+@pytest.mark.parametrize("encoding", ["x", "rot13", "utf-32", "idna", "punycode"])
+def test_an_unusable_declared_encoding_is_a_syntax_error_at_line_1(tmp_path, encoding, where):
+    # pyexpat resolves the declared name through Python's codecs, whose
+    # LookupError, ValueError or UnicodeError used to escape the loader.
+    declared = f'<?xml version="1.0" encoding="{encoding}"?>\n<experiment/>\n'
+    bad = tmp_path / "bad.xml"
+    bad.write_text(declared, encoding="utf-8")
+    path = bad
+    if where == "included":
+        path = tmp_path / "doc.xml"
+        path.write_text(VALID.replace("<targets>", '<include file="bad.xml" /><targets>'), encoding="utf-8")
+    exp, diags = load_experiment(path)
+    assert exp is None
+    assert [(d.code, d.location[:2]) for d in diags] == [("XmlSyntax", (str(bad), 1))]
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "gplmt" / "fixtures"
+ATTRIBUTE = re.compile(r'([\w:-]+)="([^"]*)"')  # the XML declaration's too
+EMPTY_ELEMENT = re.compile(r"<[\w-]+[^<>]*/>")
+ODD_VALUES = (
+    "", "x", "0", "-1", "1e309", "nan", "PT0S", "P9999Y", "../up", "a=b c", "all", "*",
+    "x" * 300, "rot13", "utf-32", "idna", "2038-01-19T03:14:08Z",
+)
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One to three edits: an attribute value replaced by an odd value or by
+    another attribute's value, an attribute deleted, or an empty element
+    duplicated or deleted."""
+    for _ in range(rng.randint(1, 3)):
+        attributes = list(ATTRIBUTE.finditer(text))
+        elements = list(EMPTY_ELEMENT.finditer(text))
+        roll = rng.random()
+        if roll < 0.6 and attributes:
+            match = rng.choice(attributes)
+            value = rng.choice(ODD_VALUES + tuple(m.group(2) for m in attributes))
+            text = f'{text[:match.start(2)]}{value}{text[match.end(2):]}'
+        elif roll < 0.75 and attributes:
+            match = rng.choice(attributes)
+            text = text[:match.start()] + text[match.end():]
+        elif elements:
+            match = rng.choice(elements)
+            copy = match.group() if roll < 0.9 else ""
+            text = text[:match.start()] + copy + text[match.end():]
+    return text
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_mutated_fixtures_load_to_an_experiment_or_diagnostics(tmp_path, seed):
+    shutil.copytree(FIXTURE_DIR, tmp_path, dirs_exist_ok=True)
+    documents = sorted(tmp_path.rglob("*.xml"))
+    rng = random.Random(seed)
+    for _ in range(10):
+        target = rng.choice(documents)
+        original = target.read_text(encoding="utf-8")
+        target.write_text(mutate(original, rng), encoding="utf-8")
+        try:
+            load_experiment(tmp_path / "listing1.xml" if "include" in target.parts else target)
+        finally:
+            target.write_text(original, encoding="utf-8")

@@ -1,104 +1,48 @@
 """Engine invariants checked over generated experiments.
 
-Hypothesis builds small experiments (local targets, tasklists of run tasks
-with random error modes and optional cleanups, steps with optional
-barriers, teardown registrations) plus a mock script with per-node exit
-codes and durations, and two faults to inject: the k-th artifact write of
-the run fails with ENOSPC, or none does, and the j-th events.jsonl record
-fails with ENOSPC, or none does. Every dry run, into a run directory of its
-own, must keep the invariants below.
+The one generator is tests/differential.py's `random_experiment`, over the
+whole language: start and stop times, rate limits, connection losses and
+reconnect failures, timeouts, cleanups, calls, seq and par, gets, repeats,
+barriers and teardowns. Hypothesis draws a seed for it, an order of the
+odd node names below (the experiment takes the first one to five), and
+two faults to inject: the k-th artifact write of the run fails with
+ENOSPC, or none does, and the j-th events.jsonl record fails with ENOSPC,
+or none does. Every dry run, under the experiment's own rate limit and
+into a run directory of its own, must keep the invariants below.
 """
 from __future__ import annotations
 
 import collections
 import errno
-import json
 import os
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from gplmt.model import (
-    ErrorMode,
-    Experiment,
-    NodeState,
-    OverallStatus,
-    RegisterTeardown,
-    RunTask,
-    Step,
-    StepsProgram,
-    Synchronize,
-    TargetDef,
-    TargetKind,
-    Tasklist,
-)
+from gplmt.model import NodeState, OverallStatus, RegisterTeardown, resolve_group
 from gplmt.scheduler import dry_run
 from gplmt.telemetry import SinkIoError
-from gplmt.transport import MockScript
 
 from .conftest import full_disk_log
+from .differential import random_experiment
 from .oracles import report_from_log_lines
 
-CLEANUP = "cl"
 # Odd names among plain ones: the prose "a=Failed b=Succeeded" reads the
 # same for nodes "a" and "b" as for node "a=Failed b" alone.
 NODE_NAMES = ("n0", "n1", "n 2", "x=y", "a", "b", "a=Failed b")
 
 
-@st.composite
-def experiments(draw):
-    nodes = draw(st.lists(st.sampled_from(NODE_NAMES), min_size=1, max_size=4, unique=True))
-    leaves = tuple(TargetDef(name, TargetKind.LOCAL) for name in nodes)
-    targets = leaves + (TargetDef("all", TargetKind.GROUP, members=leaves),)
-    target_names = st.sampled_from(nodes + ["all"])
-
-    cleanup_tasks = tuple(RunTask(f"{CLEANUP}_{j}") for j in range(draw(st.integers(1, 2))))
-    tasklists = [Tasklist(CLEANUP, cleanup_tasks)]
-    commands = [task.command for task in cleanup_tasks]
-    for t in range(draw(st.integers(1, 3))):
-        tasks = tuple(RunTask(f"c{t}_{j}") for j in range(draw(st.integers(1, 3))))
-        commands += [task.command for task in tasks]
-        tasklists.append(Tasklist(
-            f"tl{t}", tasks,
-            on_error=draw(st.sampled_from(list(ErrorMode))),
-            cleanup=draw(st.sampled_from([None, CLEANUP])),
-        ))
-    tasklist_names = st.sampled_from([tl.name for tl in tasklists[1:]])
-
-    items = []
-    for _ in range(draw(st.integers(1, 4))):
-        items.append(Step(draw(tasklist_names), draw(target_names)))
-        if draw(st.booleans()):
-            items.append(Synchronize())
-    for _ in range(draw(st.integers(0, 2))):
-        registration = RegisterTeardown(draw(tasklist_names), draw(target_names))
-        items.insert(draw(st.integers(0, len(items))), registration)
-
-    script = {
-        name: {"rules": [
-            {"pattern": command, "exit": draw(st.sampled_from([0, 0, 1])),
-             "duration": draw(st.sampled_from([0, 1, 2]))}
-            for command in commands
-        ]}
-        for name in nodes
-    }
-    experiment = Experiment(
-        targets=targets, tasklists=tuple(tasklists), steps=StepsProgram(tuple(items))
-    )
-    fault = draw(st.one_of(st.none(), st.integers(0, 24)))
-    sink_fault = draw(st.one_of(st.none(), st.integers(0, 40)))
-    return experiment, MockScript.from_json(json.dumps({"nodes": script})), fault, sink_fault
-
-
-def _run(experiment, script, fault, sink_fault=None):
-    """Dry-run into a fresh run directory whose `fault`-th artifact write
-    and `sink_fault`-th events.jsonl write raise ENOSPC. Returns the report,
-    the lines events.jsonl would hold without the sink fault, whether the
-    artifact fault struck, and what was written outside the run directory.
-    Checks that the sink fault left exactly its line out of the file, and
-    that only it makes closing the log fail."""
+def _run(experiment, script, limit, fault, sink_fault=None):
+    """Dry-run under the rate limit `limit` into a fresh run directory
+    whose `fault`-th artifact write and `sink_fault`-th events.jsonl write
+    raise ENOSPC. Returns the report, the lines events.jsonl would hold
+    without the sink fault, whether the artifact fault struck, and what was
+    written outside the run directory. Checks that the sink fault left
+    exactly its line out of the file, and that only it makes closing the
+    log fail."""
     real_write_bytes = Path.write_bytes
     written: list[Path] = []
 
@@ -114,7 +58,9 @@ def _run(experiment, script, fault, sink_fault=None):
         log = full_disk_log(run_dir / "events.jsonl", lambda k: k == sink_fault)
         try:
             with mock.patch.object(Path, "write_bytes", write_bytes):
-                report = dry_run(experiment, script, event_log=log, run_dir=run_dir)
+                report = dry_run(
+                    experiment, script, limiter_config=limit, event_log=log, run_dir=run_dir
+                )
         finally:
             try:
                 log.close()
@@ -131,12 +77,17 @@ def _run(experiment, script, fault, sink_fault=None):
 
 
 @settings(max_examples=50, deadline=None)
-@given(experiments())
-def test_generated_experiments_keep_the_engine_invariants(case):
-    experiment, script, fault, sink_fault = case
-    report, lines, struck, outside = _run(experiment, script, fault, sink_fault)  # on the virtual loop
+@given(
+    st.integers(0, 2**32 - 1),
+    st.permutations(NODE_NAMES),
+    st.one_of(st.none(), st.integers(0, 24)),
+    st.one_of(st.none(), st.integers(0, 40)),
+)
+def test_generated_experiments_keep_the_engine_invariants(seed, names, fault, sink_fault):
+    experiment, script, limit = random_experiment(random.Random(seed), names)
+    report, lines, struck, outside = _run(experiment, script, limit, fault, sink_fault)
     # two runs give identical logs, and a failed record changes no event
-    assert _run(experiment, script, fault)[1] == lines
+    assert _run(experiment, script, limit, fault)[1] == lines
     assert outside == []  # no file lands outside the run directory
     events = report.events
     kinds = [e.kind.value for e in events]
@@ -196,6 +147,15 @@ def test_generated_experiments_keep_the_engine_invariants(case):
 
     assert (report.overall is OverallStatus.PANICKED) == ("Panic" in kinds)
 
+    # the limiter's bound, with its own comparison: at most max_attempts
+    # connect attempts fall in the window (t - interval, t] ending at each
+    if limit is not None:
+        attempts = [e.timestamp for e in events if e.kind.value == "ConnectAttempt"]
+        for t in attempts:
+            window = [s for s in attempts if t - limit.interval < s <= t]
+            assert len(window) <= limit.max_attempts, (t, window, limit)
+
     # the report, read from typed fields, equals a fold of the logged prose
-    members = {t.name: [m.name for m in t.members] or [t.name] for t in experiment.targets}
+    targets = experiment.target_map()
+    members = {name: [leaf.name for leaf, _ in resolve_group(name, targets)] for name in targets}
     assert (dict(report.per_node_outcomes), report.overall.value) == report_from_log_lines(lines, members)

@@ -204,6 +204,54 @@ def test_mock_script_from_file(tmp_path):
     assert MockScript.from_file(path).node_script("n").connect_failures == 2
 
 
+
+@pytest.mark.parametrize("text, path", [
+    ("[]", "$"),
+    ('{"nodes": []}', "$.nodes"),
+    ('{"nodes": {"n0": 5}}', "$.nodes.n0"),
+    ('{"nodes": {"n0": {"rules": {}}}}', "$.nodes.n0.rules"),
+    ('{"nodes": {"n0": {"rules": [5]}}}', "$.nodes.n0.rules[0]"),
+    ('{"nodes": {"n0": {"rules": [{}]}}}', "$.nodes.n0.rules[0].pattern"),
+    ('{"nodes": {"n 2": {"rules": [{"pattern": 5}]}}}', '$.nodes["n 2"].rules[0].pattern'),
+    ('{"nodes": {"*": {"rules": [{"pattern": "x", "stdout": 5}]}}}', '$.nodes["*"].rules[0].stdout'),
+    ('{"nodes": {"n0": {"rules": [{"pattern": "x", "stderr": null}]}}}', "$.nodes.n0.rules[0].stderr"),
+    ('{"nodes": {"n0": {"rules": [{"pattern": "x", "exit": true}]}}}', "$.nodes.n0.rules[0].exit"),
+    ('{"nodes": {"n0": {"rules": [{"pattern": "x", "exit": 1.5}]}}}', "$.nodes.n0.rules[0].exit"),
+    ('{"nodes": {"n0": {"rules": [{"pattern": "x", "duration": 1e309}]}}}',
+     "$.nodes.n0.rules[0].duration"),
+    ('{"nodes": {"n0": {"rules": [{"pattern": "x", "duration": NaN}]}}}',
+     "$.nodes.n0.rules[0].duration"),
+    ('{"nodes": {"n0": {"rules": [{"pattern": "x", "duration": -1}]}}}',
+     "$.nodes.n0.rules[0].duration"),
+    ('{"nodes": {"n0": {"rules": [{"pattern": "x", "duration": "1"}]}}}',
+     "$.nodes.n0.rules[0].duration"),
+    ('{"nodes": {"n0": {"lose_connection_at": [1, NaN]}}}', "$.nodes.n0.lose_connection_at[1]"),
+    ('{"nodes": {"n0": {"lose_connection_at": 3}}}', "$.nodes.n0.lose_connection_at"),
+    ('{"nodes": {"n0": {"files": {"data.bin": 5}}}}', '$.nodes.n0.files["data.bin"]'),
+    ('{"nodes": {"n0": {"files": []}}}', "$.nodes.n0.files"),
+    ('{"nodes": {"n0": {"available": "no"}}}', "$.nodes.n0.available"),
+    ('{"nodes": {"n0": {"reconnectable": 0}}}', "$.nodes.n0.reconnectable"),
+    ('{"nodes": {"n0": {"connect_failures": "2"}}}', "$.nodes.n0.connect_failures"),
+    ('{"strict_files": 1}', "$.strict_files"),
+])
+def test_a_bad_mock_script_field_is_named_by_its_json_path(text, path):
+    # An infinite duration used to make a dry run sleep forever; a number
+    # as a pattern or as output failed every node as a controller fault.
+    with pytest.raises(ValueError) as raised:
+        MockScript.from_json(text)
+    assert str(raised.value).startswith(f"{path}: expected ")
+
+
+def test_a_bad_mock_script_field_says_what_it_got():
+    text = '{"nodes": {"n0": {"rules": [{"pattern": "x", "duration": 1e309}, 5]}}}'
+    with pytest.raises(ValueError, match=r"rules\[0\]\.duration: expected a finite number >= 0, got Infinity$"):
+        MockScript.from_json(text)
+    with pytest.raises(ValueError, match=r"^\$: expected an object, got an array$"):
+        MockScript.from_json("[1]")
+    with pytest.raises(ValueError, match=r"^\$: nested too deep"):
+        MockScript.from_json('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
 # --- mock transport semantics ---
 
 
