@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import json
-import threading
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
 from typing import NamedTuple
@@ -108,15 +107,14 @@ def load_events(path: str | Path) -> list[ExecutionEvent]:
 class EventLog:
     """In-memory event list, optionally mirrored to an events.jsonl file.
 
-    record() is safe under concurrent callers; each event is written as one
-    whole line and flushed before the call returns. A failed write does
-    not raise: the log keeps the first SinkIoError, tries every later
-    write, and close() raises it once the run, teardowns included, is over.
+    record() writes each event as one whole line and flushes it before the
+    call returns. A failed write does not raise: the log keeps the first
+    SinkIoError, tries every later write, and close() raises it once the
+    run, teardowns included, is over.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._events: list[ExecutionEvent] = []
-        self._lock = threading.Lock()
         self._handle = None
         self._error: SinkIoError | None = None
         if path is not None:
@@ -126,35 +124,27 @@ class EventLog:
                 raise SinkIoError(str(exc)) from exc
 
     def record(self, event: ExecutionEvent) -> None:
-        if self._handle is None:
-            # No lock: a log without a file never gains one, and a single
-            # list append is atomic.
-            self._events.append(event)
-            return
-        with self._lock:
-            self._events.append(event)
-            if self._handle is not None:
-                try:
-                    self._handle.write(event.to_json_line() + "\n")
-                    self._handle.flush()
-                except OSError as exc:
-                    self._error = self._error or SinkIoError(str(exc))
+        self._events.append(event)
+        if self._handle is not None:
+            try:
+                self._handle.write(event.to_json_line() + "\n")
+                self._handle.flush()
+            except OSError as exc:
+                self._error = self._error or SinkIoError(str(exc))
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                handle, self._handle = self._handle, None
-                try:
-                    handle.close()  # flushes again what a failed write left buffered
-                except OSError as exc:
-                    self._error = self._error or SinkIoError(str(exc))
-            if self._error is not None:
-                raise self._error
+        if self._handle is not None:
+            handle, self._handle = self._handle, None
+            try:
+                handle.close()  # flushes again what a failed write left buffered
+            except OSError as exc:
+                self._error = self._error or SinkIoError(str(exc))
+        if self._error is not None:
+            raise self._error
 
     @property
     def events(self) -> tuple[ExecutionEvent, ...]:
-        with self._lock:
-            return tuple(self._events)
+        return tuple(self._events)
 
 
 def create_run_dir(base: str | Path, experiment_name: str, wall_time: float) -> Path:

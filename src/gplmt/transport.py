@@ -19,10 +19,10 @@ import shlex
 import shutil
 import signal
 import tempfile
-from asyncio.subprocess import DEVNULL
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from subprocess import DEVNULL, Popen
 from typing import NamedTuple
 
 from .model import TargetDef, TargetKind, TaskOutcome, TaskResult
@@ -358,37 +358,45 @@ async def _run_child(
     argv: list[str], deadline: float | None, stdin=DEVNULL, stdout=DEVNULL, stderr=DEVNULL
 ) -> ExecOutput:
     """Run argv in a process group of its own, awaiting only the child's
-    exit: a background job it leaves holds up nothing. When `deadline` (loop
-    time) passes first, or the awaiting task is cancelled, the group is
+    exit, which its pidfd reports to the loop: a background job it leaves
+    holds up nothing, and no thread waits. When `deadline` (loop time)
+    passes first, or the awaiting task is cancelled, the group is
     terminated; the output is then TimedOut, or the cancellation goes on."""
-    proc = await asyncio.create_subprocess_exec(
-        *argv, stdin=stdin, stdout=stdout, stderr=stderr, start_new_session=True
-    )
-    timeout = None
-    if deadline is not None:
-        timeout = max(0.0, deadline - asyncio.get_running_loop().time())
+    proc = Popen(argv, stdin=stdin, stdout=stdout, stderr=stderr, start_new_session=True)
+    loop = asyncio.get_running_loop()
+    exited = loop.create_future()
+    pidfd = os.pidfd_open(proc.pid)
+
+    def reap() -> None:
+        loop.remove_reader(pidfd)
+        os.close(pidfd)
+        exited.set_result(proc.wait())
+
+    loop.add_reader(pidfd, reap)
     try:
-        return ExecOutput(await asyncio.wait_for(proc.wait(), timeout))
-    except asyncio.TimeoutError:
-        await _terminate_group(proc)
+        async with asyncio.timeout_at(deadline):
+            return ExecOutput(await asyncio.shield(exited))
+    except TimeoutError:
+        await _terminate_group(proc, exited)
         return ExecOutput(proc.returncode, timed_out=True)
     except asyncio.CancelledError:
-        await _terminate_group(proc)
+        await _terminate_group(proc, exited)
         raise
 
 
-async def _terminate_group(proc) -> None:
+async def _terminate_group(proc, exited: asyncio.Future) -> None:
     """SIGTERM the child's group, then SIGKILL it if the child has not
     exited after KILL_GRACE_SECONDS or this wait is cancelled."""
     _signal_group(proc, signal.SIGTERM)
     try:
-        await asyncio.wait_for(proc.wait(), KILL_GRACE_SECONDS)
-    except asyncio.TimeoutError:
+        async with asyncio.timeout(KILL_GRACE_SECONDS):
+            await asyncio.shield(exited)
+    except TimeoutError:
         pass
     finally:
-        if proc.returncode is None:
+        if not exited.done():
             _signal_group(proc, signal.SIGKILL)
-    await proc.wait()
+    await exited
 
 
 def _signal_group(proc, signum: int) -> None:
@@ -490,15 +498,14 @@ class SshTransport(LocalTransport):
             self._destination,
         ]
         try:
-            proc = await asyncio.create_subprocess_exec(
-                *argv, stdout=asyncio.subprocess.PIPE, stderr=asyncio.subprocess.PIPE
-            )
-            _, stderr = await proc.communicate()
-            if proc.returncode != 0:
-                raise ConnectFailed(
-                    f"ssh master for {self._destination} exited {proc.returncode}: "
-                    + stderr.decode(errors="replace").strip()
-                )
+            with tempfile.TemporaryFile() as stderr:
+                output = await _run_child(argv, None, stderr=stderr)
+                if output.exit_code != 0:
+                    stderr.seek(0)
+                    raise ConnectFailed(
+                        f"ssh master for {self._destination} exited {output.exit_code}: "
+                        + stderr.read().decode(errors="replace").strip()
+                    )
         except BaseException:
             self._remove_control_dir()  # a failed session is never closed
             raise
@@ -669,9 +676,9 @@ class MockScript:
                 available=_field(entry, "available", bool, True, at),
                 reconnectable=_field(entry, "reconnectable", bool, True, at),
                 connect_failures=_field(entry, "connect_failures", int, 0, at),
-                lose_connection_at=tuple(
+                lose_connection_at=tuple(sorted(
                     _seconds(t, at + ("lose_connection_at", k)) for k, t in enumerate(losses)
-                ),
+                )),
                 files=files,
             )
         return cls(nodes=nodes, strict_files=_field(raw, "strict_files", bool, False, ()))

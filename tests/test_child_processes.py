@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -63,6 +64,14 @@ def live_members(pgid: int) -> list[int]:
         if int(group) == pgid and state != "Z":
             live.append(int(stat.parent.name))
     return live
+
+
+def alive(pid: int) -> bool:
+    """Whether process `pid` exists and is no zombie."""
+    try:
+        return (Path("/proc") / str(pid) / "stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def run_real(experiment, run_dir=None):
@@ -132,6 +141,66 @@ def test_a_background_job_does_not_hold_its_task(load_xml, tmp_path):
         kill_group(pid_file)
     assert task_ends(run_dir)[0].startswith("Success exit=0")
     assert elapsed < 1.0
+
+
+def test_a_local_fan_out_adds_no_thread(load_xml):
+    # 48 commands run at once; the controller learns of each exit on its
+    # own thread, so the run adds none (the sampler's is not counted)
+    nodes = "".join(f'<target name="n{i}" type="local" />' for i in range(48))
+    experiment = load_xml(document(
+        '<tasklist name="work"><run>sleep 0.5</run></tasklist>',
+        targets=f'<target name="all" type="group">{nodes}</target>', step_targets="all",
+    ))
+    before = peak = threading.active_count()
+    done = threading.Event()
+
+    def sample():
+        nonlocal peak
+        while not done.wait(0.002):
+            peak = max(peak, threading.active_count() - 1)  # less the sampler itself
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        report = run_real(experiment)
+    finally:
+        done.set()
+        sampler.join(10)
+    assert not sampler.is_alive()
+    assert set(report.per_node_outcomes.values()) == {"Succeeded"}
+    assert peak == before
+
+
+def test_a_cancelled_ssh_connect_ends_its_client(load_xml, tmp_path, monkeypatch):
+    # a client whose master never comes up: it waits on a job of its own
+    # until its step's stop time cancels the connect
+    pid_file, client = tmp_path / "pid", tmp_path / "hanging-ssh"
+    client.write_text(
+        "#!/bin/sh\n"
+        f'case "$*" in *ControlMaster=yes*) sleep 30 & echo $$ $! > {pid_file}; wait;; esac\n'
+    )
+    client.chmod(0o755)
+    monkeypatch.setenv("GPLMT_SSH_CLIENT", str(client))
+    experiment = load_xml(document(
+        '<tasklist name="work"><run>true</run></tasklist>',
+        targets=SSH_AND_LOCAL, step_targets="alpha",
+    ).replace('targets="alpha" />', 'targets="alpha" stop="PT1S" />'))
+    pids: list[int] = []
+    try:
+        report = run_real(experiment)
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        deadline = time.monotonic() + KILL_GRACE_SECONDS
+        while live_members(pids[0]) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert [pid for pid in pids if alive(pid)] == []
+        assert live_members(pids[0]) == []
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert report.per_node_outcomes["alpha|work#s0"] == "Failed"
 
 
 CHILD = """

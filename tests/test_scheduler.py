@@ -289,6 +289,23 @@ def test_steps_on_the_same_node_serialize(load_xml):
     assert len(all_indices(events, "ConnectAttempt")) == 1
 
 
+@pytest.mark.parametrize("losses", [[1, 5], [5, 1]])
+def test_connection_loss_instants_strike_in_time_order_whatever_their_order(load_xml, losses):
+    experiment = load_xml("""
+<experiment>
+ <targets><target name="alpha" type="local" /></targets>
+ <tasklists><tasklist name="work"><run>sleep 3</run></tasklist></tasklists>
+ <steps><step tasklist="work" targets="alpha" /></steps>
+</experiment>
+""")
+    script = MockScript.from_json(json.dumps({"nodes": {"alpha": {
+        "rules": [{"pattern": "sleep 3", "duration": 3}], "lose_connection_at": losses}}}))
+    report, events = dry_events(experiment, script)
+    end = first_index(events, "TaskEnd")
+    assert (at(events, end), events[end]["detail"]) == (1.0, "ConnectionLost exit=-1")
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
 def test_a_step_queued_behind_a_lost_session_reconnects(load_xml):
     """The second step waits for the node, not for the first step's session:
     once the first has lost the connection, the second's use reconnects."""

@@ -867,6 +867,17 @@ def test_ssh_connect_failure_surfaces_stderr(fake_ssh, monkeypatch):
         asyncio.run(transport.connect())
 
 
+def test_ssh_connect_failure_names_the_exit_and_the_clients_words(tmp_path, monkeypatch):
+    client = tmp_path / "refused-ssh"
+    client.write_text("#!/bin/sh\necho 'Permission denied (publickey).' >&2\nexit 255\n")
+    client.chmod(0o755)
+    monkeypatch.setenv("GPLMT_SSH_CLIENT", str(client))
+    with pytest.raises(ConnectFailed) as failed:
+        asyncio.run(SshTransport(ssh_target()).connect())
+    assert str(failed.value) == (
+        "ssh master for deploy@alpha.example.org exited 255: Permission denied (publickey).")
+
+
 def test_ssh_exec_round_trips_env_quoting(fake_ssh, tmp_path):
     transport = SshTransport(ssh_target())
     tricky = "s3 cr'et\"$x"
