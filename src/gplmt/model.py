@@ -294,20 +294,24 @@ def resolve_group(
             raise UnknownTargetError(target) from None
 
     leaves: list[tuple[TargetDef, EnvPairs]] = []
-    seen: set[str] = set()
-
-    def walk(t: TargetDef, env: EnvPairs) -> None:
-        env = _merge_env(env, t.env_exports)
-        if t.is_leaf():
-            if t.name not in seen:
-                seen.add(t.name)
-                leaves.append((t, env))
-            return
-        for member in t.members:
-            walk(member, env)
-
-    walk(target, ())
+    _collect_leaves(target, (), set(), leaves)
     return leaves
+
+
+def _collect_leaves(
+    t: TargetDef, env: EnvPairs, seen: set[str], leaves: list[tuple[TargetDef, EnvPairs]]
+) -> None:
+    """resolve_group's walk. A module function, not a closure: a closure
+    that calls itself holds its own cell, and so keeps `leaves` alive in a
+    reference cycle that only the collector frees."""
+    env = _merge_env(env, t.env_exports)
+    if t.is_leaf():
+        if t.name not in seen:
+            seen.add(t.name)
+            leaves.append((t, env))
+        return
+    for member in t.members:
+        _collect_leaves(member, env, seen, leaves)
 
 
 def depth_first(graph: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str]]:

@@ -180,23 +180,29 @@ def expand_experiment(
     changed is kept as it is.
     """
     slices: dict[str, TargetDef] = {}
+    targets = tuple([_rebuild(t, slices, fetch, include_non_boot) for t in experiment.targets])
+    return replace(experiment, targets=targets)
 
-    def rebuild(t: TargetDef) -> TargetDef:
-        if t.kind is TargetKind.PLANETLAB:
-            expansion = slices.get(t.name)
-            if expansion is None:
-                records = [] if fetch is None else fetch(
-                    t.planetlab_api_url, t.planetlab_user, t.ssh_password or "", t.planetlab_slice
-                )
-                expansion = slices[t.name] = expand_planetlab_target(t, records, include_non_boot)
-            return expansion
-        if t.members:
-            members = tuple(map(rebuild, t.members))
-            if any(map(operator.is_not, members, t.members)):
-                return t._replace(members=members)
-        return t
 
-    return replace(experiment, targets=tuple(rebuild(t) for t in experiment.targets))
+def _rebuild(
+    t: TargetDef, slices: dict[str, TargetDef], fetch: FetchFn | None, include_non_boot: bool
+) -> TargetDef:
+    """`t` with its planetlab targets expanded; `slices` holds each
+    expansion made so far. A module function, not a closure that calls
+    itself: such a closure would keep `slices` in a reference cycle."""
+    if t.kind is TargetKind.PLANETLAB:
+        expansion = slices.get(t.name)
+        if expansion is None:
+            records = [] if fetch is None else fetch(
+                t.planetlab_api_url, t.planetlab_user, t.ssh_password or "", t.planetlab_slice
+            )
+            expansion = slices[t.name] = expand_planetlab_target(t, records, include_non_boot)
+        return expansion
+    if t.members:
+        members = tuple([_rebuild(m, slices, fetch, include_non_boot) for m in t.members])
+        if any(map(operator.is_not, members, t.members)):
+            return t._replace(members=members)
+    return t
 
 
 def planetlab_target_names(experiment: Experiment) -> list[str]:

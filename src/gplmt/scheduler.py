@@ -214,7 +214,15 @@ class _NodeRun:
 
 
 class ExperimentRunner:
-    """Single-run executor; create one per experiment execution."""
+    """Single-run executor; create one per experiment execution.
+
+    Once run() has ended, nothing the runner built is in a reference cycle,
+    so reference counting alone frees the runner, its pool, its maps and
+    its tasks; the caller keeps only the report and the log it passed in.
+    run() drops the pool's `emit` and its step tasks, each step drops its
+    node tasks, and no frame keeps an exception whose traceback leads back
+    to that frame.
+    """
 
     def __init__(
         self,
@@ -280,9 +288,13 @@ class ExperimentRunner:
                 # locks) before any teardown may start, also after a Ctrl-C.
                 with contextlib.suppress(asyncio.CancelledError):
                     await asyncio.gather(*self._all_step_tasks, return_exceptions=True)
+            # Every step has ended. A step's exception holds frames that
+            # hold this runner, so the runner lets go of the step tasks.
+            self._all_step_tasks = []
             await self.drain_teardowns()
         finally:
             await self.pool.close_all()  # also when a controller fault ends the run
+            self.pool.emit = None  # the pool's one reference back to this runner
 
         # ExperimentEnd changes neither the status nor the summary, so the
         # report is rendered once and only its event tuple is replaced.
@@ -310,21 +322,23 @@ class ExperimentRunner:
         """Run one block: launch steps concurrently, honor barriers, record
         teardowns, loop repeats. Returns when every launched step finished."""
         pending: list[asyncio.Task] = []
-        for item in items:
-            if self.panicked:
-                raise _PanicSignal()
-            if isinstance(item, Step):
-                task = asyncio.create_task(self.execute_step(item))
-                pending.append(task)
-                self._all_step_tasks.append(task)
-            elif isinstance(item, RegisterTeardown):
-                self.registry.append(item)
-            elif isinstance(item, Repeat):
-                await self.execute_repeat(item)
-            else:  # Synchronize
-                await self._barrier(pending)
-        if pending:
-            await asyncio.gather(*pending)
+        try:
+            for item in items:
+                if self.panicked:
+                    raise _PanicSignal()
+                if isinstance(item, Step):
+                    pending.append(asyncio.create_task(self.execute_step(item)))
+                    self._all_step_tasks.append(pending[-1])
+                elif isinstance(item, RegisterTeardown):
+                    self.registry.append(item)
+                elif isinstance(item, Repeat):
+                    await self.execute_repeat(item)
+                else:  # Synchronize
+                    await self._barrier(pending)
+            if pending:
+                await asyncio.gather(*pending)
+        finally:
+            pending.clear()  # a step's exception, raised through here, holds this frame
 
     async def _barrier(self, pending: list[asyncio.Task]) -> None:
         if pending:
@@ -391,7 +405,10 @@ class ExperimentRunner:
             stop_instant=self._instant(step.stop) if step.stop is not None else None,
             step_task=asyncio.current_task(),
         )
-        await self._execute_on_nodes(ctx, self.tasklists[step.tasklist_ref], step.targets_ref)
+        try:
+            await self._execute_on_nodes(ctx, self.tasklists[step.tasklist_ref], step.targets_ref)
+        finally:
+            ctx.step_task = None  # the step's exception holds this frame, which holds ctx
         if self.panicked:
             raise _PanicSignal()
 
@@ -435,7 +452,11 @@ class ExperimentRunner:
             # every node task, as abort-step would; the step ends, then unwinds.
             interrupted = True
             results = [None if t.cancelled() else t.exception() for t in ctx.node_tasks.values()]
-        for node, result in zip(ctx.node_tasks, results):
+        finally:
+            # Every node task has ended. Their exceptions hold frames that
+            # hold ctx, so ctx lets go of the tasks.
+            ctx.node_tasks = {}
+        for node, result in zip(ctx.outcomes, results):
             if isinstance(result, Exception):  # a controller fault outside execute_tasklist's try
                 ctx.outcomes[node] = _NODE_FAILED
                 detail = f"controller: {type(result).__name__}: {result}"
@@ -498,6 +519,10 @@ class ExperimentRunner:
                 if run is None or (self.panicked and not ctx.is_teardown):
                     raise
             except Exception as exc:
+                # Only its words are kept. Raised through a stop time's
+                # wait_for, it stays held by the inner task, while its
+                # traceback holds wait_for's frame, which holds that task.
+                exc.__traceback__ = None
                 if run is not None:
                     # a fault of the controller itself, outside any one task
                     warning = f"controller: {type(exc).__name__}: {exc}"
@@ -606,15 +631,17 @@ class ExperimentRunner:
         tasks: tuple[Task, ...],
         deadline: float | None,
         path: tuple[int, ...],
+        first: int = 0,
     ) -> TaskOutcome:
-        """Run a task sequence under one governing tasklist.
+        """Run a task sequence under one governing tasklist; its tasks have
+        the indices `first`, `first + 1`, ... below `path`.
 
         A failure of a task in it takes the governing error mode here, but
         a passed deadline stays abort-tasklist, and so does every failure
         of a contained run (teardown or cleanup).
         """
         worst = _SUCCESS
-        for index, task in enumerate(tasks):
+        for index, task in enumerate(tasks, first):
             try:
                 if await self._run_task(run, governing, task, deadline, self._share(path + (index,))) is not _SUCCESS:
                     worst = _FAILED
@@ -710,19 +737,20 @@ class ExperimentRunner:
     ) -> TaskOutcome:
         """All children start at once; the construct ends with the last one.
 
-        Failures are applied only after every started child has been
-        collected, so parallel work is never torn down halfway by a sibling:
-        a fault of the controller first, then the first escalation or
-        passed deadline in tree order, else an abort-tasklist _Abort with
-        the worst outcome of all children.
+        Each child runs as a one-task sequence at its own index, so a
+        failing leaf takes the governing error mode as it would in a
+        `<seq>`. Failures are applied only after every started child has
+        been collected, so parallel work is never torn down halfway by a
+        sibling: a fault of the controller first, then the first escalation
+        or passed deadline in tree order, else an abort-tasklist _Abort
+        with the worst outcome of all children. A child's escalation is
+        raised as a new _Abort: raising the child's own would put this
+        frame, which holds it, into its traceback.
         """
-        children = [
-            asyncio.create_task(
-                self._run_task(run, governing, child, deadline, self._share(path + (index,)))
-            )
+        results = await asyncio.gather(*[
+            asyncio.create_task(self._run_tasks(run, governing, (child,), deadline, path, index))
             for index, child in enumerate(task.children)
-        ]
-        results = await asyncio.gather(*children, return_exceptions=True)
+        ], return_exceptions=True)
         worst = _SUCCESS
         aborts = []
         for result in results:
@@ -736,7 +764,7 @@ class ExperimentRunner:
             return worst
         for abort in aborts:
             if abort.mode is not _ABORT_TASKLIST or abort.outcome is _TIMED_OUT:
-                raise abort
+                raise _Abort(abort.outcome, abort.mode)
         raise _Abort(worst, _ABORT_TASKLIST)
 
     async def _run_call(
@@ -757,7 +785,7 @@ class ExperimentRunner:
         """
         callee = self.tasklists[task.ref]
         callee_deadline = self._deadline(callee.timeout, deadline)
-        reraise: _Abort | None = None
+        reraise: tuple[TaskOutcome, ErrorMode] | None = None  # not the _Abort: see _run_par
         try:
             if await self._run_tasks(run, callee, callee.tasks, callee_deadline, path) is _SUCCESS:
                 return _SUCCESS
@@ -767,11 +795,11 @@ class ExperimentRunner:
             if exc.mode is _ABORT_STEP or (
                 exc.outcome is _TIMED_OUT and deadline is not None and self._now() >= deadline
             ):
-                reraise = exc
+                reraise = (exc.outcome, exc.mode)
         if callee.cleanup is not None and await self._run_cleanup(run, callee.cleanup):
             run.faulted = True
         if reraise is not None:
-            raise reraise
+            raise _Abort(*reraise)
         return _FAILED
 
     # -- teardowns ------------------------------------------------------

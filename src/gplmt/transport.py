@@ -230,7 +230,8 @@ class SessionPool:
     """Registry of live sessions, at most one per node at any instant, and
     of the locks that serialize the executions on each node. It owns the
     connection policy: its RateLimiter gates every attempt (see acquire),
-    and events go to `emit`, the runner's."""
+    and events go to `emit`, the runner's, which the runner drops once its
+    run has closed the pool."""
 
     def __init__(
         self,
@@ -324,9 +325,9 @@ class SessionPool:
                 reconnect_lock.release()
 
     async def close_all(self) -> None:
-        """Close every session, then forget them and their locks: sessions
-        point back at the pool, which the runner holds in a cycle, so only
-        this lets refcounting free them when the run ends."""
+        """Close every session, then forget them and their locks: a session
+        points back at the pool, so only this lets reference counting free
+        them. The pool stays usable: a later acquire connects afresh."""
         for session in self._sessions.values():
             await session.close()
         self._sessions = {}

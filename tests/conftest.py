@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import errno
+import gc
 import itertools
 import json
 import stat
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from gplmt.parser import load_experiment
-from gplmt.scheduler import VirtualTimeEventLoop
+from gplmt.scheduler import ExperimentRunner, VirtualTimeEventLoop
 from gplmt.telemetry import EventLog
 
 
@@ -41,6 +45,28 @@ class _FullDiskHandle:
 
     def close(self):
         self._handle.close()
+
+
+@contextlib.contextmanager
+def without_collector():
+    """Run the body with the cyclic collector off. Yields a list that gets
+    a weak reference to every ExperimentRunner built in the body: a run
+    that leaves no reference cycle has its runner dead once it returns."""
+    runners = []
+    init = ExperimentRunner.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runners.append(weakref.ref(self))
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with mock.patch.object(ExperimentRunner, "__init__", recorded):
+            yield runners
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def full_disk_log(path, fails) -> EventLog:

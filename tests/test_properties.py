@@ -8,7 +8,8 @@ odd node names below (the experiment takes the first one to five), and
 two faults to inject: the k-th artifact write of the run fails with
 ENOSPC, or none does, and the j-th events.jsonl record fails with ENOSPC,
 or none does. Every dry run, under the experiment's own rate limit and
-into a run directory of its own, must keep the invariants below.
+into a run directory of its own, must keep the invariants below, and
+with the cyclic collector off it must free its runner as it returns.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from gplmt.model import NodeState, OverallStatus, RegisterTeardown, resolve_grou
 from gplmt.scheduler import dry_run
 from gplmt.telemetry import SinkIoError
 
-from .conftest import full_disk_log
+from .conftest import full_disk_log, without_collector
 from .differential import random_experiment
 from .oracles import report_from_log_lines
 
@@ -40,9 +41,9 @@ def _run(experiment, script, limit, fault, sink_fault=None):
     whose `fault`-th artifact write and `sink_fault`-th events.jsonl write
     raise ENOSPC. Returns the report, the lines events.jsonl would hold
     without the sink fault, whether the artifact fault struck, and what was
-    written outside the run directory. Checks that the sink fault left
-    exactly its line out of the file, and that only it makes closing the
-    log fail."""
+    written outside the run directory. Checks that the run freed its
+    runner without the collector, that the sink fault left exactly its
+    line out of the file, and that only it makes closing the log fail."""
     real_write_bytes = Path.write_bytes
     written: list[Path] = []
 
@@ -57,10 +58,11 @@ def _run(experiment, script, limit, fault, sink_fault=None):
         run_dir.mkdir()
         log = full_disk_log(run_dir / "events.jsonl", lambda k: k == sink_fault)
         try:
-            with mock.patch.object(Path, "write_bytes", write_bytes):
+            with mock.patch.object(Path, "write_bytes", write_bytes), without_collector() as runners:
                 report = dry_run(
                     experiment, script, limiter_config=limit, event_log=log, run_dir=run_dir
                 )
+                assert [runner() for runner in runners] == [None]
         finally:
             try:
                 log.close()

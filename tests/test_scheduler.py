@@ -650,6 +650,53 @@ def test_panic_skips_cleanups(load_xml):
     assert first_index(events, "TaskStart", tasklist="mop") == -1
 
 
+# A leaf directly in a <par> fails as it would in a one-task <seq>: under the
+# governing mode, even when a sibling's deadline passes before the <par> ends.
+PAR_LEAF_DOC = """
+<experiment>
+ <targets>
+   <target name="pair" type="group">
+     <target name="a" type="local" />
+     <target name="b" type="local" />
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="work" on-error="{mode}" timeout="PT1S">
+     <par><run>fail</run><run>slow</run></par>
+   </tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="work" targets="pair" />
+ </steps>
+</experiment>
+"""
+PAR_LEAF_SCRIPT = json.dumps({"nodes": {"a": {"rules": [
+    {"pattern": "fail", "exit": 1}, {"pattern": "slow", "duration": 5},
+]}}})
+
+
+def test_a_failing_leaf_in_a_par_panics_under_panic(load_xml):
+    report, events = dry_events(
+        load_xml(PAR_LEAF_DOC.format(mode="panic")), MockScript.from_json(PAR_LEAF_SCRIPT)
+    )
+    panic = first_index(events, "Panic")
+    assert (at(events, panic), events[panic]["node"], events[panic]["detail"]) == (1.0, "a", "on-error=panic")
+    assert report.overall is OverallStatus.PANICKED
+
+
+def test_a_failing_leaf_in_a_par_aborts_the_step_under_abort_step(load_xml):
+    """One connect per 2 s keeps b parked when a's <par> ends at t=1, so
+    abort-step finds b still running and aborts it."""
+    report, events = dry_events(
+        load_xml(PAR_LEAF_DOC.format(mode="abort-step")), MockScript.from_json(PAR_LEAF_SCRIPT),
+        limiter_config=RateLimiterConfig(1, 2.0),
+    )
+    end = first_index(events, "StepEnd")
+    assert (at(events, end), events[end]["detail"]) == (1.0, "a=Failed b=Aborted")
+    assert all_indices(events, "ConnectAttempt", node="b") == []
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
 # --- calls ---
 
 
@@ -1594,8 +1641,8 @@ def test_a_failing_transport_factory_costs_no_connect_permit():
 
 
 def test_a_finished_run_frees_its_transports_without_the_collector(monkeypatch):
-    """Sessions point back at the pool, which the runner holds in a cycle;
-    closing the pool must let refcounting free them as the run returns."""
+    """Sessions point back at the pool; closing the pool must let
+    refcounting free them as the run returns."""
     import weakref
 
     from gplmt import transport
