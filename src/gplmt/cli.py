@@ -65,7 +65,10 @@ def parse_max_connects(text: str) -> RateLimiterConfig:
 
 
 def _target_names(text: str) -> list[str]:
-    return [name for name in text.split(",") if name]
+    names = [name for name in text.split(",") if name]
+    if not names:  # an empty shell variable must not mean "every node"
+        raise argparse.ArgumentTypeError(f"expected TARGET[,TARGET...], got {text!r}")
+    return names
 
 
 def parse_env_override(text: str) -> tuple[str, str]:

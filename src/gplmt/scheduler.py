@@ -150,6 +150,7 @@ _NODE_SUCCEEDED, _NODE_FAILED = NodeState.SUCCEEDED, NodeState.FAILED
 _NODE_SKIPPED = NodeState.SKIPPED
 _TASK_START, _TASK_END = EventKind.TASK_START, EventKind.TASK_END
 _new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
+_NOT_ASKED = object()  # an execution that has not asked for its node's turn
 
 
 class _PanicSignal(Exception):
@@ -285,7 +286,7 @@ class ExperimentRunner:
                 await self.execute_steps_block(self.experiment.steps.items)
             except (_PanicSignal, asyncio.CancelledError):
                 # The cancelled steps must fully unwind (releasing their node
-                # locks) before any teardown may start, also after a Ctrl-C.
+                # turns) before any teardown may start, also after a Ctrl-C.
                 with contextlib.suppress(asyncio.CancelledError):
                     await asyncio.gather(*self._all_step_tasks, return_exceptions=True)
             # Every step has ended. A step's exception holds frames that
@@ -480,7 +481,7 @@ class ExperimentRunner:
     ) -> None:
         """Run one tasklist on one node; outcome lands in ctx.outcomes.
 
-        The node's lock is taken before its session and held through the
+        The node's turn is taken before its session and held through the
         tasklist and its cleanup, so executions on one node serialize and
         each acquires the session afresh: one that an earlier execution lost
         is reconnected. One try turns whatever the node's execution raised
@@ -489,8 +490,8 @@ class ExperimentRunner:
         abort-tasklist.
         """
         node = leaf.name
-        lock = self.pool.node_lock(node)
-        locked = False
+        turns = self.pool.node_turns
+        taken = _NOT_ASKED  # what turns.take returned, once this execution asked
         run: _NodeRun | None = None
         state = _NODE_FAILED
         warning = reason = ""
@@ -498,15 +499,16 @@ class ExperimentRunner:
         try:
             try:
                 if ctx.stop_instant is None:
-                    await lock.acquire()
-                    locked = True
+                    taken = turns.take(node)
+                    if taken is not None:
+                        await taken
                     session = await self.pool.acquire(leaf)
                 else:
                     remaining = ctx.stop_instant - self._now()
                     if remaining <= 0:
                         raise asyncio.TimeoutError()
-                    session = await asyncio.wait_for(self._acquire_node(leaf, lock), remaining)
-                    locked = True
+                    session = await asyncio.wait_for(self._acquire_node(leaf), remaining)
+                    taken = None  # the turn _acquire_node took is this execution's
                 run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
                 deadline = self._deadline(tasklist.timeout, ctx.stop_instant)
                 if await self._run_tasks(run, tasklist, tasklist.tasks, deadline, ()) is _SUCCESS:
@@ -549,19 +551,21 @@ class ExperimentRunner:
                 # the controller faulted in the cleanup; an aborted node stays Aborted
                 ctx.outcomes[node] = _NODE_FAILED
         finally:
-            if locked:
-                lock.release()
+            if taken is not _NOT_ASKED:
+                turns.release(node, taken)
 
-    async def _acquire_node(self, leaf: TargetDef, lock: asyncio.Lock) -> Session:
-        """Take the node's lock, then its session, as one awaitable for a
-        stop time's wait_for; the lock is released again if no session
+    async def _acquire_node(self, leaf: TargetDef) -> Session:
+        """Take the node's turn, then its session, as one awaitable for a
+        stop time's wait_for; the turn is released again if no session
         comes of it. Without a stop time execute_tasklist awaits both
         itself: one frame fewer per parked node."""
-        await lock.acquire()
+        taken = self.pool.node_turns.take(leaf.name)
         try:
+            if taken is not None:
+                await taken
             return await self.pool.acquire(leaf)
         except BaseException:
-            lock.release()
+            self.pool.node_turns.release(leaf.name, taken)
             raise
 
     def _deadline(self, timeout: float | None, outer: float | None) -> float | None:

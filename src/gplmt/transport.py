@@ -96,6 +96,50 @@ class RateLimiterConfig:
             raise ValueError("max_attempts and interval must be positive")
 
 
+class Turns:
+    """One turn per key, handed from holder to holder in FIFO order as
+    asyncio.Lock hands on its lock, but a waiter awaits a bare future, not
+    a coroutine of its own, and a key holds nothing once its turn is free.
+
+    `take(key)` returns None when the turn was free and is now the caller's,
+    else a future queued behind the holder and the earlier waiters; the
+    caller awaits it and then holds the turn. Either way the caller ends
+    with `release(key, taken)`, passing what take returned. A release wakes
+    one waiter, skipping those cancelled while queued: they never held the
+    turn, and their release passes nothing on. The woken waiter holds the
+    turn from then on, so newcomers queue behind it, and if it is cancelled
+    before it runs, its release passes the turn on.
+    """
+
+    __slots__ = ("_waiters",)
+
+    def __init__(self):
+        # key -> None while held with no waiter, else its deque of waiters
+        self._waiters: dict = {}
+
+    def take(self, key) -> asyncio.Future | None:
+        if key not in self._waiters:
+            self._waiters[key] = None
+            return None
+        waiters = self._waiters[key]
+        if waiters is None:
+            waiters = self._waiters[key] = deque()
+        waiter = asyncio.get_running_loop().create_future()
+        waiters.append(waiter)
+        return waiter
+
+    def release(self, key, taken: asyncio.Future | None) -> None:
+        if taken is not None and taken.cancelled():
+            return  # cancelled while queued: the turn was never this caller's
+        waiters = self._waiters[key]
+        while waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+        del self._waiters[key]
+
+
 class RateLimiter:
     """Sliding-window permit source; None config means unlimited.
 
@@ -106,16 +150,17 @@ class RateLimiter:
     def __init__(self, config: RateLimiterConfig | None):
         self._config = config
         self._grants: deque[float] = deque()
-        self._lock = asyncio.Lock()
+        self._turns = Turns()  # one turn, under the key None
 
     async def wait(self) -> None:
         if self._config is None:
             return
-        # acquire/release rather than `async with`: no __aenter__ coroutine
-        # stays on the stack of every queued waiter. A waiter cancelled in
-        # acquire() never holds the lock.
-        await self._lock.acquire()
+        # The head waiter holds the turn and sleeps until a permit is due;
+        # every waiter behind it awaits its bare future.
+        taken = self._turns.take(None)
         try:
+            if taken is not None:
+                await taken
             loop_time = asyncio.get_running_loop().time
             while True:
                 now = loop_time()
@@ -126,7 +171,7 @@ class RateLimiter:
                     return
                 await asyncio.sleep(self._grants[0] + self._config.interval - now)
         finally:
-            self._lock.release()
+            self._turns.release(None, taken)
 
 
 class ExecOutput(NamedTuple):
@@ -228,10 +273,10 @@ class Session:
 
 class SessionPool:
     """Registry of live sessions, at most one per node at any instant, and
-    of the locks that serialize the executions on each node. It owns the
-    connection policy: its RateLimiter gates every attempt (see acquire),
-    and events go to `emit`, the runner's, which the runner drops once its
-    run has closed the pool."""
+    of the turns that serialize the executions on each node (node_turns).
+    It owns the connection policy: its RateLimiter gates every attempt (see
+    acquire), and events go to `emit`, the runner's, which the runner drops
+    once its run has closed the pool."""
 
     def __init__(
         self,
@@ -244,9 +289,10 @@ class SessionPool:
         self.emit = emit
         self.artifact_root = Path(artifact_root) if artifact_root is not None else None
         self.limiter = RateLimiter(limiter_config)
+        # Only the holder of a node's turn may acquire and use its session.
+        self.node_turns = Turns()
         self._sessions: dict[str, Session] = {}
-        self._node_locks: dict[str, asyncio.Lock] = {}
-        self._reconnect_locks: dict[str, asyncio.Lock] = {}
+        self._reconnects = Turns()
         self._attempt_details: dict[str, str] = {}  # one "attempt=N" per N and run
 
     def _next_attempt(self, session: Session) -> str:
@@ -254,13 +300,6 @@ class SessionPool:
         session.connect_count += 1
         detail = f"attempt={session.connect_count}"
         return self._attempt_details.setdefault(detail, detail)
-
-    def node_lock(self, node: str) -> asyncio.Lock:
-        """The lock whose holder alone may acquire and use `node`'s session."""
-        lock = self._node_locks.get(node)
-        if lock is None:
-            lock = self._node_locks[node] = asyncio.Lock()
-        return lock
 
     async def acquire(self, target: TargetDef) -> Session:
         """Return the node's live session, establishing one if needed.
@@ -272,15 +311,15 @@ class SessionPool:
         With an artifact root, a node name that cannot serve as one path
         component raises ArtifactPathError before any connection attempt.
 
-        The caller holds the node's lock (see node_lock). Only the branches
-        of one `<par>` can then ask at once, each to run a callee's cleanup:
-        they reconnect one at a time, so the first reconnects the session
-        and the others take it as it then is.
+        The caller holds the node's turn (see node_turns). Only the
+        branches of one `<par>` can then ask at once, each to run a callee's
+        cleanup: they reconnect one at a time, so the first reconnects the
+        session and the others take it as it then is.
         """
         if target.kind is TargetKind.GROUP:
             raise ValueError(f"cannot open a session to group {target.name!r}")
         session = self._sessions.get(target.name)
-        reconnect_lock = None
+        reconnecting = taken = None
         if session is None:
             if self.artifact_root is not None:
                 _safe_component(target.name)
@@ -290,9 +329,11 @@ class SessionPool:
         elif session.state is _CONNECTED:
             return session
         else:
-            reconnect_lock = self._reconnect_locks.setdefault(target.name, asyncio.Lock())
-            await reconnect_lock.acquire()
+            reconnecting = target.name
+            taken = self._reconnects.take(reconnecting)
         try:
+            if taken is not None:
+                await taken
             if session is not None and session.state is _CONNECTED:
                 return session  # reconnected while this waited
             lost = session is not None and session.state is _LOST
@@ -321,18 +362,16 @@ class SessionPool:
                 f"gave up reconnecting to {target.name} after {DEFAULT_RECONNECT_BUDGET} attempts"
             )
         finally:
-            if reconnect_lock is not None:
-                reconnect_lock.release()
+            if reconnecting is not None:
+                self._reconnects.release(reconnecting, taken)
 
     async def close_all(self) -> None:
-        """Close every session, then forget them and their locks: a session
-        points back at the pool, so only this lets reference counting free
-        them. The pool stays usable: a later acquire connects afresh."""
+        """Close every session, then forget them: a session points back at
+        the pool, so only this lets reference counting free them. The pool
+        stays usable: a later acquire connects afresh."""
         for session in self._sessions.values():
             await session.close()
         self._sessions = {}
-        self._node_locks = {}
-        self._reconnect_locks = {}
 
 
 # --------------------------------------------------------------------------

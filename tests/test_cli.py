@@ -125,6 +125,17 @@ def test_config_collects_repeated_and_comma_separated_only():
     assert parser.parse_args(["exp.xml"]).only == []  # the default list is not shared
 
 
+@pytest.mark.parametrize("text", ["", ",", ",,"])
+def test_only_naming_no_target_is_a_usage_error(tmp_path, capsys, text):
+    """An --only from an empty shell variable names no target: it must not
+    run the experiment on every node."""
+    code = main([str(FIXTURES / "listing1.xml"), "--dry-run", "--only", text,
+                 "--log-dir", str(tmp_path / "logs")])
+    assert code == EXIT_USAGE
+    assert "gplmt: error: argument --only" in capsys.readouterr().err
+    assert not (tmp_path / "logs").exists()
+
+
 def test_mode_flags_are_mutually_exclusive(capsys):
     assert main(["exp.xml", "--validate", "--dry-run"]) == EXIT_USAGE
     assert "not allowed" in capsys.readouterr().err

@@ -453,6 +453,73 @@ def test_stop_expiring_while_waiting_for_the_node_lock(load_xml):
     assert events[hold_end]["detail"] == "alpha=Succeeded"
 
 
+NODE_TURN_DOC = """
+<experiment>
+ <targets>
+   <target name="pair" type="group">
+     <target name="alpha" type="local" />
+     <target name="beta" type="local" />
+   </target>
+ </targets>
+ <tasklists>
+   <tasklist name="hold"><run>hold</run></tasklist>
+   <tasklist name="quick" on-error="abort-step"><run>quick</run></tasklist>
+   <tasklist name="after"><run>true</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="hold" targets="alpha" />
+   <step tasklist="quick" targets="pair" />
+   <step tasklist="after" targets="alpha" />
+ </steps>
+</experiment>
+"""
+
+
+def node_turn_events(load_xml, fail_at: float):
+    """alpha runs `hold` from 0 to 1 s while `quick` and then `after` queue
+    for its turn in that order. beta's `quick` fails at `fail_at` and aborts
+    its step, cancelling alpha's queued `quick`."""
+    script = MockScript.from_json(json.dumps({"nodes": {
+        "alpha": {"rules": [{"pattern": "hold", "duration": 1}]},
+        "beta": {"rules": [{"pattern": "quick", "exit": 1, "duration": fail_at}]},
+    }}))
+    _, events = dry_events(load_xml(NODE_TURN_DOC), script)
+    quick_end = first_index(events, "StepEnd", tasklist="quick")
+    assert events[quick_end]["detail"] == "alpha=Aborted beta=Failed"
+    assert first_index(events, "TaskStart", node="alpha", tasklist="quick") == -1
+    return events
+
+
+def test_node_turn_cancelled_after_the_hand_off_passes_on_at_once(load_xml):
+    """beta fails at 1 s, just after hold's release handed alpha's turn to
+    quick and before quick ran: quick passes the turn on to `after`."""
+    events = node_turn_events(load_xml, 1.0)
+    hold_end = first_index(events, "TaskEnd", tasklist="hold")
+    assert hold_end < first_index(events, "TaskEnd", node="beta", tasklist="quick")
+    assert at(events, first_index(events, "TaskStart", tasklist="after")) == 1.0
+
+
+def test_node_turn_cancelled_while_queued_is_skipped(load_xml):
+    events = node_turn_events(load_xml, 0.5)
+    assert at(events, first_index(events, "TaskStart", tasklist="after")) == 1.0
+
+
+def test_node_turn_is_taken_in_fifo_order(load_xml):
+    steps = "".join(f'<step tasklist="t{i}" targets="alpha" />' for i in range(4))
+    tasklists = "".join(f'<tasklist name="t{i}"><run>hold</run></tasklist>' for i in range(4))
+    experiment = load_xml(f"""
+<experiment>
+ <targets><target name="alpha" type="local" /></targets>
+ <tasklists>{tasklists}</tasklists>
+ <steps>{steps}</steps>
+</experiment>
+""")
+    script = MockScript.from_json('{"nodes": {"*": {"rules": [{"pattern": "hold", "duration": 1}]}}}')
+    _, events = dry_events(experiment, script)
+    starts = [(events[i]["tasklist"], at(events, i)) for i in all_indices(events, "TaskStart")]
+    assert starts == [("t0", 0.0), ("t1", 1.0), ("t2", 2.0), ("t3", 3.0)]
+
+
 def test_stop_already_passed_at_step_entry(load_xml):
     experiment = load_xml("""
 <experiment>
@@ -1562,12 +1629,14 @@ def _traced_peak_of_parked_fanout(nodes: int) -> int:
 def test_memory_per_node_parked_on_the_rate_limiter():
     """While one node per second connects, nearly every other node of the
     fan-out waits for a permit, so the traced peak grows with the number
-    of parked nodes. Measured on CPython 3.11: 2,182-2,313 B per parked
-    node since a node builds its session only after its permit, against
-    2,815-2,947 B before that and 4,639-4,742 B before the waiting path was
-    first slimmed down. The bound keeps the earlier headroom of about 19%."""
+    of parked nodes. Measured on CPython 3.11: 1,917-2,049 B per parked
+    node since a queued node awaits a bare future and holds no lock of its
+    own, against 2,182-2,337 B with an asyncio.Lock on the limiter and per
+    node, 2,815-2,947 B before a node built its session only after its
+    permit and 4,639-4,742 B before the waiting path was first slimmed
+    down. The bound keeps the earlier headroom of about 19%."""
     per_node = (_traced_peak_of_parked_fanout(1000) - _traced_peak_of_parked_fanout(500)) / 500
-    assert per_node < 2750
+    assert per_node < 2440
 
 
 def _coroutine_frames(task: asyncio.Task) -> list[str]:
@@ -1580,9 +1649,10 @@ def _coroutine_frames(task: asyncio.Task) -> list[str]:
     return names
 
 
-def test_a_parked_node_holds_four_coroutine_frames():
-    """A node waiting for a connect permit is suspended in execute_tasklist,
-    SessionPool.acquire, RateLimiter.wait and the limiter's lock or sleep."""
+def test_a_parked_node_holds_three_coroutine_frames():
+    """A node queued for a connect permit is suspended in execute_tasklist,
+    SessionPool.acquire and RateLimiter.wait, which awaits a bare future;
+    only the head waiter sleeps in a fourth."""
     parked: list[list[str]] = []
 
     class ParkedFrames(EventLog):
@@ -1607,7 +1677,7 @@ def test_a_parked_node_holds_four_coroutine_frames():
     report = dry_run(experiment, limiter_config=RateLimiterConfig(1, 1.0), event_log=ParkedFrames())
     assert report.overall is OverallStatus.COMPLETED
     assert len(parked) == 3  # n2, n3 and n4 wait while n1 connects
-    assert max(len(frames) for frames in parked) <= 4, parked
+    assert max(len(frames) for frames in parked) <= 3, parked
 
 
 def test_a_failing_transport_factory_costs_no_connect_permit():

@@ -149,6 +149,44 @@ def test_limiter_serves_waiters_in_fifo_order():
     assert run_virtual(scenario()) == [0, 1, 2, 3, 4]
 
 
+def grants_with_c_cancelled(limiter, cancel_c_at=None):
+    """Waiters a, b, c and d ask `limiter` (one permit per second) at 0 s:
+    a is granted at once and b, the head, sleeps until 1 s. c is cancelled
+    at `cancel_c_at` while queued, or else by b the moment b's release
+    hands c the turn. Returns each waiter's grant instant."""
+
+    async def scenario():
+        grants, tasks = {}, {}
+
+        async def one(tag):
+            await limiter.wait()
+            grants[tag] = now()
+            if tag == "b" and cancel_c_at is None:
+                tasks["c"].cancel()
+
+        for tag in "abcd":
+            tasks[tag] = asyncio.create_task(one(tag))
+        if cancel_c_at is not None:
+            await asyncio.sleep(cancel_c_at)
+            tasks["c"].cancel()
+        await asyncio.gather(*tasks.values(), return_exceptions=True)
+        assert tasks["c"].cancelled()
+        return grants
+
+    return run_virtual(scenario())
+
+
+def test_limiter_waiter_cancelled_after_the_hand_off_passes_the_turn_on():
+    # d is granted at 2 s, the instant c would have been
+    grants = grants_with_c_cancelled(RateLimiter(RateLimiterConfig(1, 1.0)))
+    assert grants == {"a": 0.0, "b": 1.0, "d": 2.0}
+
+
+def test_limiter_waiter_cancelled_while_queued_takes_no_permit():
+    grants = grants_with_c_cancelled(RateLimiter(RateLimiterConfig(1, 1.0)), cancel_c_at=0.5)
+    assert grants == {"a": 0.0, "b": 1.0, "d": 2.0}
+
+
 # --- mock script parsing ---
 
 
@@ -733,6 +771,72 @@ def test_a_first_connect_is_tried_once_and_raises_its_own_error():
 
     assert run_virtual(scenario()) == 0.0  # no backoff between the two
     assert attempts == ["attempt=1", "attempt=2"]
+
+
+def reconnect_branches(cancel_b_at=None):
+    """alpha's session is lost and three branches a, b and c ask for it at
+    0 s. a reconnects: one refused attempt, then one after the 1 s backoff.
+    b is cancelled at `cancel_b_at` while queued for the reconnect turn, or
+    else by a the moment a's release hands b the turn. Returns the order in
+    which the branches got the session and when, and the attempts' details."""
+    script = MockScript.from_json('{"nodes": {"alpha": {"connect_failures": 1}}}')
+    attempts = []
+    pool = mock_pool(script)
+    pool.emit = lambda kind, node, detail: (
+        attempts.append(detail) if kind == "ConnectAttempt" else None)
+
+    async def scenario():
+        session = await pool.acquire(mock_node())
+        session.mark_lost()
+        got, tasks = [], {}
+
+        async def branch(tag):
+            assert await pool.acquire(mock_node()) is session
+            got.append((tag, now()))
+            if tag == "a" and cancel_b_at is None:
+                tasks["b"].cancel()
+
+        for tag in "abc":
+            tasks[tag] = asyncio.create_task(branch(tag))
+        if cancel_b_at is not None:
+            await asyncio.sleep(cancel_b_at)
+            tasks["b"].cancel()
+        await asyncio.gather(*tasks.values(), return_exceptions=True)
+        assert tasks["b"].cancelled()
+        return got
+
+    return run_virtual(scenario()), attempts
+
+
+def test_reconnect_turn_cancelled_after_the_hand_off_passes_on_at_once():
+    got, attempts = reconnect_branches()
+    assert got == [("a", 1.0), ("c", 1.0)]
+    assert attempts == ["attempt=1", "attempt=2", "attempt=3"]
+
+
+def test_reconnect_turn_cancelled_while_queued_makes_no_attempt():
+    got, attempts = reconnect_branches(cancel_b_at=0.5)
+    assert got == [("a", 1.0), ("c", 1.0)]
+    assert attempts == ["attempt=1", "attempt=2", "attempt=3"]
+
+
+def test_reconnect_turn_is_taken_in_fifo_order():
+    script = MockScript.from_json('{"nodes": {"alpha": {"connect_failures": 1}}}')
+    pool = mock_pool(script)
+
+    async def scenario():
+        session = await pool.acquire(mock_node())
+        session.mark_lost()
+        order = []
+
+        async def branch(tag):
+            await pool.acquire(mock_node())
+            order.append((tag, now()))
+
+        await asyncio.gather(*[branch(tag) for tag in range(5)])
+        return order, session.connect_count
+
+    assert run_virtual(scenario()) == ([(tag, 1.0) for tag in range(5)], 3)
 
 
 # --- local transport ---
