@@ -149,11 +149,12 @@ def test_limiter_serves_waiters_in_fifo_order():
     assert run_virtual(scenario()) == [0, 1, 2, 3, 4]
 
 
-def grants_with_c_cancelled(limiter, cancel_c_at=None):
-    """Waiters a, b, c and d ask `limiter` (one permit per second) at 0 s:
+def grants_with_c_cancelled(cancel_c_at=None):
+    """Waiters a, b, c and d ask a limiter of one permit per second at 0 s:
     a is granted at once and b, the head, sleeps until 1 s. c is cancelled
     at `cancel_c_at` while queued, or else by b the moment b's release
     hands c the turn. Returns each waiter's grant instant."""
+    limiter = RateLimiter(RateLimiterConfig(1, 1.0))
 
     async def scenario():
         grants, tasks = {}, {}
@@ -178,13 +179,11 @@ def grants_with_c_cancelled(limiter, cancel_c_at=None):
 
 def test_limiter_waiter_cancelled_after_the_hand_off_passes_the_turn_on():
     # d is granted at 2 s, the instant c would have been
-    grants = grants_with_c_cancelled(RateLimiter(RateLimiterConfig(1, 1.0)))
-    assert grants == {"a": 0.0, "b": 1.0, "d": 2.0}
+    assert grants_with_c_cancelled() == {"a": 0.0, "b": 1.0, "d": 2.0}
 
 
 def test_limiter_waiter_cancelled_while_queued_takes_no_permit():
-    grants = grants_with_c_cancelled(RateLimiter(RateLimiterConfig(1, 1.0)), cancel_c_at=0.5)
-    assert grants == {"a": 0.0, "b": 1.0, "d": 2.0}
+    assert grants_with_c_cancelled(cancel_c_at=0.5) == {"a": 0.0, "b": 1.0, "d": 2.0}
 
 
 # --- mock script parsing ---
