@@ -3,23 +3,21 @@
 A planetlab target names a slice on a central XML-RPC API. Before
 execution the target is expanded into an ordinary group of ssh leaves,
 one per live node allocated to the slice, so the engine never needs to
-know the API exists. A small in-process fake of the API ships here too,
-for tests and demos without a real federation.
+know the API exists.
 """
 from __future__ import annotations
 
 import operator
 import re
 import socket
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .model import Experiment, TargetDef, TargetKind
 
-# The XML-RPC and HTTP modules (the server pulls in http.server, socketserver
-# and pydoc) are imported where they are used: a run that never contacts a
-# slice API does not load them. asyncio loads socket and threading anyway.
+# The XML-RPC and HTTP client modules are imported where they are used: a
+# run that never contacts a slice API does not load them. asyncio loads
+# socket anyway.
 
 BOOT_STATE_LIVE = "boot"
 
@@ -216,82 +214,3 @@ def planetlab_target_names(experiment: Experiment) -> list[str]:
                 names.append(t.name)
     return names
 
-
-class FakePlanetLabApi:
-    """In-process XML-RPC server speaking just enough of the slice API.
-
-    Serves GetSlices and GetNodes on a loopback port with password
-    authentication, for tests and offline demos:
-
-        with FakePlanetLabApi("myslice", "sekrit",
-                              [("a.example.org", "boot")]) as api:
-            records = list_slice_nodes(api.url, api.user, "sekrit", "myslice")
-    """
-
-    def __init__(
-        self,
-        slice_name: str,
-        password: str,
-        nodes: Iterable[tuple[str, str]],
-        user: str = "user@example.org",
-    ):
-        from xmlrpc.server import SimpleXMLRPCServer
-
-        self.slice_name = slice_name
-        self.password = password
-        self.user = user
-        self._nodes = {
-            node_id: {"node_id": node_id, "hostname": hostname, "boot_state": boot_state}
-            for node_id, (hostname, boot_state) in enumerate(nodes, start=1)
-        }
-        self._server = SimpleXMLRPCServer(
-            ("127.0.0.1", 0), allow_none=True, logRequests=False
-        )
-        self._server.register_function(self._get_slices, "GetSlices")
-        self._server.register_function(self._get_nodes, "GetNodes")
-        self._thread: threading.Thread | None = None
-
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address
-        return f"http://{host}:{port}/"
-
-    def start(self) -> FakePlanetLabApi:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def __enter__(self) -> FakePlanetLabApi:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _check_auth(self, auth) -> None:
-        import xmlrpc.client
-
-        ok = (
-            isinstance(auth, dict)
-            and auth.get("AuthMethod") == "password"
-            and auth.get("Username") == self.user
-            and auth.get("AuthString") == self.password
-        )
-        if not ok:
-            raise xmlrpc.client.Fault(_FAULT_AUTH, "authentication failed")
-
-    def _get_slices(self, auth, names, fields):
-        self._check_auth(auth)
-        if self.slice_name not in names:
-            return []
-        return [{"name": self.slice_name, "node_ids": sorted(self._nodes)}]
-
-    def _get_nodes(self, auth, node_ids, fields):
-        self._check_auth(auth)
-        return [dict(self._nodes[i]) for i in node_ids if i in self._nodes]

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
+import heapq
 import itertools
 import math
 import selectors
@@ -67,6 +69,84 @@ from .transport import (
 
 
 # --------------------------------------------------------------------------
+# the engine's loops
+
+
+class _Handle(asyncio.Handle):
+    """asyncio.Handle as a loop with debug mode off builds it: the same
+    slots, set without a get_debug() call or a source traceback."""
+
+    __slots__ = ()
+
+    def __init__(self, callback, args, loop, context):
+        self._context = contextvars.copy_context() if context is None else context
+        self._loop = loop
+        self._callback = callback
+        self._args = args
+        self._cancelled = False
+        self._repr = None
+        self._source_traceback = None
+
+
+class _TimerHandle(asyncio.TimerHandle):
+    """asyncio.TimerHandle as _Handle is asyncio.Handle; built only on the
+    heap, so it is scheduled from the start. Its cancel() tells the loop,
+    which counts cancelled timers to purge them, as asyncio's does."""
+
+    __slots__ = ()
+
+    def __init__(self, when, callback, args, loop, context):
+        self._context = contextvars.copy_context() if context is None else context
+        self._loop = loop
+        self._callback = callback
+        self._args = args
+        self._cancelled = False
+        self._repr = None
+        self._source_traceback = None
+        self._when = when
+        self._scheduled = True
+
+    def cancel(self):
+        if not self._cancelled:
+            self._loop._timer_handle_cancelled(self)
+            self._cancelled = True
+            self._callback = None
+            self._args = None
+
+
+class _EngineLoop(asyncio.SelectorEventLoop):
+    """Base of both engine loops. With debug mode off, call_soon and
+    call_at build lean handles and queue them as asyncio does: the ready
+    queue and the timer heap get the same entries in the same order.
+    With debug mode on they are asyncio's own, with every check.
+
+    `run_context` is the context of the run on this loop, which its tasks
+    and the mock transport's timers share (see ExperimentRunner.run)."""
+
+    run_context: contextvars.Context | None = None
+
+    def call_soon(self, callback, *args, context=None):
+        if self._debug:
+            return super().call_soon(callback, *args, context=context)
+        if self._closed:
+            raise RuntimeError("Event loop is closed")
+        handle = _Handle(callback, args, self, context)
+        self._ready.append(handle)
+        return handle
+
+    def call_at(self, when, callback, *args, context=None):
+        if self._debug:
+            return super().call_at(when, callback, *args, context=context)
+        if when is None:
+            raise TypeError("when cannot be None")
+        if self._closed:
+            raise RuntimeError("Event loop is closed")
+        timer = _TimerHandle(when, callback, args, self, context)
+        heapq.heappush(self._scheduled, timer)
+        return timer
+
+
+# --------------------------------------------------------------------------
 # virtual time
 
 
@@ -91,7 +171,7 @@ class _VirtualSelector(selectors.DefaultSelector):
         return []
 
 
-class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
+class VirtualTimeEventLoop(_EngineLoop):
     """Event loop whose clock jumps straight to the next scheduled timer.
 
     Sleeps cost no wall time and timers fire at exact instants, which makes
@@ -123,7 +203,7 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
         self._clock_resolution = max(1e-9, 4.0 * math.ulp(self._vtime))
 
 
-class RealTimeEventLoop(asyncio.SelectorEventLoop):
+class RealTimeEventLoop(_EngineLoop):
     """Event loop whose time() counts wall seconds from its creation, as
     VirtualTimeEventLoop's counts virtual ones: the engine reads every
     instant of a run from the running loop, whichever it is."""
@@ -247,6 +327,7 @@ class ExperimentRunner:
         self._step_counter = itertools.count()
         self._all_step_tasks: list[asyncio.Task] = []
         self._shared: dict = {}  # see _share
+        self._context: contextvars.Context | None = None  # see run
 
     # -- event helpers ------------------------------------------------------
 
@@ -280,6 +361,9 @@ class ExperimentRunner:
         loop = asyncio.get_running_loop()
         self._now = loop.time
         self._wall_zero = loop.wall_zero
+        # Nothing in a run reads a context variable, so its tasks and timers
+        # share one copy of the context instead of each taking its own.
+        self._context = loop.run_context = contextvars.copy_context()
         try:
             self.emit(EventKind.EXPERIMENT_START)
             try:
@@ -296,6 +380,7 @@ class ExperimentRunner:
         finally:
             await self.pool.close_all()  # also when a controller fault ends the run
             self.pool.emit = None  # the pool's one reference back to this runner
+            loop.run_context = None
 
         # ExperimentEnd changes neither the status nor the summary, so the
         # report is rendered once and only its event tuple is replaced.
@@ -328,7 +413,7 @@ class ExperimentRunner:
                 if self.panicked:
                     raise _PanicSignal()
                 if isinstance(item, Step):
-                    pending.append(asyncio.create_task(self.execute_step(item)))
+                    pending.append(asyncio.create_task(self.execute_step(item), context=self._context))
                     self._all_step_tasks.append(pending[-1])
                 elif isinstance(item, RegisterTeardown):
                     self.registry.append(item)
@@ -441,7 +526,7 @@ class ExperimentRunner:
         ctx.outcomes = {leaf.name: _NODE_SKIPPED for leaf, _ in leaves}
         for leaf, env in leaves:
             ctx.node_tasks[leaf.name] = asyncio.create_task(
-                self.execute_tasklist(tasklist, leaf, env, ctx)
+                self.execute_tasklist(tasklist, leaf, env, ctx), name=leaf.name, context=self._context
             )
         interrupted = False
         try:
@@ -638,17 +723,74 @@ class ExperimentRunner:
         first: int = 0,
     ) -> TaskOutcome:
         """Run a task sequence under one governing tasklist; its tasks have
-        the indices `first`, `first + 1`, ... below `path`.
+        the indices `first`, `first + 1`, ... below `path`. A task whose
+        deadline has passed does not start. A command or transfer runs here,
+        between its TaskStart and TaskEnd, and costs no coroutine of its
+        own; a seq, par or call construct runs through _run_task.
 
-        A failure of a task in it takes the governing error mode here, but
-        a passed deadline stays abort-tasklist, and so does every failure
-        of a contained run (teardown or cleanup).
+        Whatever the session raises becomes a leaf's outcome:
+        ConnectionLost for a closed session, Failed for any other transport
+        error, and Failed with a `controller:` detail for a fault of the
+        controller itself (a failed artifact write, say). Any outcome but
+        Success raises it as an abort-tasklist _Abort.
+
+        A failure of a task in the sequence takes the governing error mode
+        here, but a passed deadline stays abort-tasklist, and so does every
+        failure of a contained run (teardown or cleanup).
         """
         worst = _SUCCESS
         for index, task in enumerate(tasks, first):
+            task_path = self._share(path + (index,))
             try:
-                if await self._run_task(run, governing, task, deadline, self._share(path + (index,))) is not _SUCCESS:
-                    worst = _FAILED
+                if deadline is not None and self._now() >= deadline:
+                    raise _Abort(_TIMED_OUT, _ABORT_TASKLIST)
+                if isinstance(task, RunTask):
+                    verb, target = "run", task.command
+                elif isinstance(task, GetTask):
+                    verb, target = "get", task.remote_path
+                elif isinstance(task, PutTask):
+                    verb, target = "put", task.local_path
+                else:
+                    if await self._run_task(run, governing, task, deadline, task_path) is not _SUCCESS:
+                        worst = _FAILED
+                    continue
+                node = run.leaf.name
+                step_index = run.ctx.step_index
+                detail = self._share(f"{verb} {target}")
+                self.emit(_TASK_START, node, step_index, governing.name, task_path, detail)
+                artifacts: tuple[str, ...] = ()
+                try:
+                    if verb == "run":
+                        label = None  # names the artifact files, so only a run directory needs one
+                        if self.run_dir is not None:
+                            label = artifact_label(f"{run.label_prefix}{run.ctx.exec_label}", task_path)
+                        result = await run.session.exec(target, run.env, deadline, artifact_label=label)
+                        detail = self._share(f"{result.outcome._value_} exit={result.exit_code}")
+                        if result.stdout_ref:
+                            artifacts = (result.stdout_ref, result.stderr_ref)
+                            detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
+                    elif verb == "get":
+                        result = await run.session.fetch(target, deadline)
+                        artifacts, detail = (result.stdout_ref,), f"Success artifact={result.stdout_ref}"
+                    else:
+                        result = await run.session.push(target, target, deadline)
+                        detail = "Success"
+                    outcome = result.outcome
+                    if outcome is not _SUCCESS and verb != "run":  # a transfer's detail names its path
+                        artifacts, detail = (), f"{outcome._value_} {verb}={target}"
+                except SessionClosed:
+                    outcome = TaskOutcome.CONNECTION_LOST
+                    detail = outcome.value
+                except TransportError:
+                    outcome = _FAILED
+                    detail = f"Failed {verb}={target}"
+                except Exception as exc:
+                    outcome = _FAILED
+                    detail = f"Failed controller: {type(exc).__name__}: {exc}"
+                    run.faulted = True
+                self.emit(_TASK_END, node, step_index, governing.name, task_path, detail, artifacts=artifacts)
+                if outcome is not _SUCCESS:
+                    raise _Abort(outcome, _ABORT_TASKLIST)
             except _Abort as exc:
                 if (
                     exc.mode is _ABORT_TASKLIST
@@ -664,72 +806,16 @@ class ExperimentRunner:
         self,
         run: _NodeRun,
         governing: Tasklist,
-        task: Task,
+        task: SeqTask | ParTask | CallTask,
         deadline: float | None,
         path: tuple[int, ...],
     ) -> TaskOutcome:
-        """Run one task of any kind, unless its deadline has passed: a seq,
-        par or call construct through its children, a command or transfer
-        between its TaskStart and TaskEnd.
-
-        Whatever the session raises becomes a leaf's outcome here:
-        ConnectionLost for a closed session, Failed for any other transport
-        error, and Failed with a `controller:` detail for a fault of the
-        controller itself (a failed artifact write, say). Any outcome but
-        Success raises it as an abort-tasklist _Abort.
-        """
-        if deadline is not None and self._now() >= deadline:
-            raise _Abort(_TIMED_OUT, _ABORT_TASKLIST)
-        if isinstance(task, RunTask):
-            verb, target = "run", task.command
-        elif isinstance(task, GetTask):
-            verb, target = "get", task.remote_path
-        elif isinstance(task, PutTask):
-            verb, target = "put", task.local_path
-        elif isinstance(task, SeqTask):
+        """Run a seq, par or call construct through its children."""
+        if isinstance(task, SeqTask):
             return await self._run_tasks(run, governing, task.children, deadline, path)
-        elif isinstance(task, ParTask):
+        if isinstance(task, ParTask):
             return await self._run_par(run, governing, task, deadline, path)
-        else:
-            return await self._run_call(run, task, deadline, path)
-        node = run.leaf.name
-        step_index = run.ctx.step_index
-        detail = self._share(f"{verb} {target}")
-        self.emit(_TASK_START, node, step_index, governing.name, path, detail)
-        artifacts: tuple[str, ...] = ()
-        try:
-            if verb == "run":
-                label = None  # names the artifact files, so only a run directory needs one
-                if self.run_dir is not None:
-                    label = artifact_label(f"{run.label_prefix}{run.ctx.exec_label}", path)
-                result = await run.session.exec(target, run.env, deadline, artifact_label=label)
-                detail = self._share(f"{result.outcome._value_} exit={result.exit_code}")
-                if result.stdout_ref:
-                    artifacts = (result.stdout_ref, result.stderr_ref)
-                    detail += f" stdout={result.stdout_ref} stderr={result.stderr_ref}"
-            elif verb == "get":
-                result = await run.session.fetch(target, deadline)
-                artifacts, detail = (result.stdout_ref,), f"Success artifact={result.stdout_ref}"
-            else:
-                result = await run.session.push(target, target, deadline)
-                detail = "Success"
-            outcome = result.outcome
-            if outcome is not _SUCCESS and verb != "run":  # a transfer's detail names its path
-                artifacts, detail = (), f"{outcome._value_} {verb}={target}"
-        except SessionClosed:
-            outcome = TaskOutcome.CONNECTION_LOST
-            detail = outcome.value
-        except TransportError:
-            outcome = _FAILED
-            detail = f"Failed {verb}={target}"
-        except Exception as exc:
-            outcome = _FAILED
-            detail = f"Failed controller: {type(exc).__name__}: {exc}"
-            run.faulted = True
-        self.emit(_TASK_END, node, step_index, governing.name, path, detail, artifacts=artifacts)
-        if outcome is not _SUCCESS:
-            raise _Abort(outcome, _ABORT_TASKLIST)
-        return outcome
+        return await self._run_call(run, task, deadline, path)
 
     async def _run_par(
         self,
@@ -752,7 +838,9 @@ class ExperimentRunner:
         frame, which holds it, into its traceback.
         """
         results = await asyncio.gather(*[
-            asyncio.create_task(self._run_tasks(run, governing, (child,), deadline, path, index))
+            asyncio.create_task(
+                self._run_tasks(run, governing, (child,), deadline, path, index), context=self._context
+            )
             for index, child in enumerate(task.children)
         ], return_exceptions=True)
         worst = _SUCCESS

@@ -8,6 +8,7 @@ lost connections with exponential backoff.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import enum
 import fnmatch
 import json
@@ -401,8 +402,18 @@ async def _run_child(
     exit, which its pidfd reports to the loop: a background job it leaves
     holds up nothing, and no thread waits. When `deadline` (loop time)
     passes first, or the awaiting task is cancelled, the group is
-    terminated; the output is then TimedOut, or the cancellation goes on."""
-    proc = Popen(argv, stdin=stdin, stdout=stdout, stderr=stderr, start_new_session=True)
+    terminated; the output is then TimedOut, or the cancellation goes on.
+
+    A stdio stream given as a Path is opened (stdin to read, the others to
+    write) only for the spawn: the child holds its own copy, so a running
+    child costs the controller one descriptor, its pidfd. DEVNULL or an
+    open file passes through as it is."""
+    with contextlib.ExitStack() as spawning:
+        stdio = [
+            spawning.enter_context(open(stream, mode)) if isinstance(stream, Path) else stream
+            for stream, mode in ((stdin, "rb"), (stdout, "wb"), (stderr, "wb"))
+        ]
+        proc = Popen(argv, stdin=stdio[0], stdout=stdio[1], stderr=stdio[2], start_new_session=True)
     loop = asyncio.get_running_loop()
     exited = loop.create_future()
     pidfd = os.pidfd_open(proc.pid)
@@ -470,14 +481,12 @@ class LocalTransport:
         if outputs is None:
             return await self._run(script, deadline)
         outputs[0].parent.mkdir(parents=True, exist_ok=True)
-        with open(outputs[0], "wb") as stdout, open(outputs[1], "wb") as stderr:
-            return await self._run(script, deadline, stdout=stdout, stderr=stderr)
+        return await self._run(script, deadline, stdout=outputs[0], stderr=outputs[1])
 
     async def fetch(self, remote_path: str, destination: Path, deadline=None) -> ExecOutput:
         part = destination.with_name(destination.name + ".part")
         try:
-            with open(part, "wb") as stdout:
-                output = await self._run(f"cat -- {_shell_path(remote_path)}", deadline, stdout=stdout)
+            output = await self._run(f"cat -- {_shell_path(remote_path)}", deadline, stdout=part)
             if output.exit_code == 0 and not output.timed_out:
                 os.replace(part, destination)
             return output
@@ -488,8 +497,7 @@ class LocalTransport:
         path, part = _shell_path(remote_path), _shell_path(remote_path + ".part")
         parent = _shell_path(posixpath.dirname(remote_path) or ".")
         script = f"mkdir -p -- {parent} && cat > {part} && mv -- {part} {path}"
-        with open(local_path, "rb") as stdin:
-            return await self._run(script, deadline, stdin=stdin)
+        return await self._run(script, deadline, stdin=local_path)
 
     async def close(self) -> None:
         return None
@@ -735,6 +743,12 @@ class MockScript:
         return self._unscripted
 
 
+def _wake(waiter: asyncio.Future) -> None:
+    """A mock command's timer: ends its wait unless the wait was cancelled."""
+    if not waiter.cancelled():
+        waiter.set_result(None)
+
+
 class MockTransport:
     """In-memory node driven by a MockScript; all I/O is virtual.
 
@@ -773,7 +787,8 @@ class MockTransport:
         """Sleep the scripted duration, then write the scripted bytes to
         `outputs` (empty ones for a timed-out or lost command)."""
         rule, output, data = self.script.rule_for(command)
-        start = asyncio.get_running_loop().time()
+        loop = asyncio.get_running_loop()
+        start = loop.time()
         natural_end = start + rule.duration
 
         loss_at = None
@@ -784,14 +799,27 @@ class MockTransport:
             loss_at = losses[self._next_loss]
 
         if deadline is not None and deadline < natural_end and (loss_at is None or deadline < loss_at):
-            await asyncio.sleep(deadline - start)
+            delay = deadline - start
             output, data = _TIMED_OUT_OUTPUT, _NO_BYTES
         elif loss_at is not None:
             self._next_loss += 1
-            await asyncio.sleep(loss_at - start)
+            delay = loss_at - start
             output, data = _LOST_OUTPUT, _NO_BYTES
         else:
-            await asyncio.sleep(rule.duration)
+            delay = rule.duration
+        if delay > 0:
+            # asyncio.sleep(delay) with one call_at in place of its call_later:
+            # the same instant, the same heap entry, cancelled in the same place.
+            woken = loop.create_future()
+            timer = loop.call_at(
+                loop.time() + delay, _wake, woken, context=getattr(loop, "run_context", None)
+            )
+            try:
+                await woken
+            finally:
+                timer.cancel()
+        else:
+            await asyncio.sleep(0)
         if outputs is not None:
             outputs[0].parent.mkdir(parents=True, exist_ok=True)
             outputs[0].write_bytes(data[0])

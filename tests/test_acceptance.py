@@ -18,7 +18,6 @@ from gplmt.model import TargetDef, TargetKind
 from gplmt.parser import load_experiment
 from gplmt.planetlab import (
     AuthFailed,
-    FakePlanetLabApi,
     expand_planetlab_target,
     list_slice_nodes,
 )
@@ -31,7 +30,7 @@ from gplmt.transport import (
     make_transport_factory,
 )
 
-from .conftest import run_virtual
+from .conftest import FakePlanetLabApi, run_virtual
 from .oracles import all_indices, first_index, max_in_sliding_window, repeat_executions
 
 FIXTURES = Path(gplmt.__file__).parent / "fixtures"

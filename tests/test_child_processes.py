@@ -171,6 +171,37 @@ def test_a_local_fan_out_adds_no_thread(load_xml):
     assert peak == before
 
 
+FEW_DESCRIPTORS = """
+import json, resource, sys
+from gplmt.parser import load_experiment
+from gplmt.scheduler import run_experiment
+from gplmt.transport import make_transport_factory
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+experiment, _ = load_experiment(sys.argv[1])
+report = run_experiment(experiment, make_transport_factory(), real_time=True, run_dir=sys.argv[2])
+print(json.dumps(report.per_node_outcomes))
+"""
+
+
+def test_a_local_fan_out_fits_a_low_descriptor_limit(tmp_path):
+    # Under a soft limit of 64 (set in the controller's own process only),
+    # 48 running children fit: each costs the controller its pidfd alone,
+    # not its stdout and stderr files as well.
+    nodes = "".join(f'<target name="n{i}" type="local" />' for i in range(48))
+    path = tmp_path / "exp.xml"
+    path.write_text(document(
+        '<tasklist name="work"><run>sleep 0.3; echo hi</run></tasklist>',
+        targets=f'<target name="all" type="group">{nodes}</target>', step_targets="all",
+    ), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", FEW_DESCRIPTORS, str(path), str(tmp_path / "run")],
+                          capture_output=True, env=env, timeout=60, check=True)
+    outcomes = json.loads(done.stdout)
+    assert len(outcomes) == 48
+    assert set(outcomes.values()) == {"Succeeded"}
+    assert (tmp_path / "run" / "n47" / "stdout-0-0.log").read_text() == "hi\n"
+
+
 def test_a_cancelled_ssh_connect_ends_its_client(load_xml, tmp_path, monkeypatch):
     # a client whose master never comes up: it waits on a job of its own
     # until its step's stop time cancels the connect

@@ -25,10 +25,9 @@ from gplmt.cli import (
 )
 from gplmt.model import UnknownTargetError
 from gplmt.parser import load_experiment
-from gplmt.planetlab import FakePlanetLabApi
 from gplmt.telemetry import EventLog
 
-from .conftest import full_disk_log
+from .conftest import FakePlanetLabApi, full_disk_log
 
 FIXTURES = Path(gplmt.__file__).parent / "fixtures"
 

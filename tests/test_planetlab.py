@@ -15,7 +15,6 @@ from gplmt.model import TargetDef, TargetKind
 from gplmt.planetlab import (
     ApiUnreachable,
     AuthFailed,
-    FakePlanetLabApi,
     MalformedResponse,
     PlanetLabError,
     SliceNodeRecord,
@@ -25,6 +24,7 @@ from gplmt.planetlab import (
     planetlab_target_names,
 )
 
+from .conftest import FakePlanetLabApi
 from .oracles import audit
 
 THREE_HOSTS = [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import errno
 import gc
 import itertools
@@ -8,6 +9,7 @@ import json
 import logging
 import os
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -178,6 +180,100 @@ def test_real_clock_tracks_wall_time():
         assert abs(loop.wall_zero + loop.time() - time.time()) < 1.0
     finally:
         loop.close()
+
+
+def _slots(cls) -> set[str]:
+    return {name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())}
+
+
+@pytest.mark.parametrize("loop_class", [VirtualTimeEventLoop, RealTimeEventLoop])
+def test_lean_handles_set_every_slot_as_asyncio_does(loop_class):
+    # With debug mode off the engine loops build their own handles; a slot
+    # that a later Python adds to asyncio's handles must fail here.
+    loop = loop_class()
+    loop.set_debug(False)  # also under python -X dev
+    context = contextvars.copy_context()
+    try:
+        handle = loop.call_soon(print, "x", context=context)
+        timer = loop.call_at(7.0, print, "y", context=context)
+        stock = asyncio.Handle(print, ("x",), loop, context)
+        stock_timer = asyncio.TimerHandle(7.0, print, ("y",), loop, context)
+        stock_timer._scheduled = True  # as loop.call_at sets it
+        for lean, expected in ((handle, stock), (timer, stock_timer)):
+            assert type(lean) is not type(expected)
+            assert isinstance(lean, type(expected))
+            assert _slots(type(lean)) == _slots(type(expected))
+            for name in _slots(type(expected)) - {"__weakref__"}:
+                assert getattr(lean, name) == getattr(expected, name), name
+        assert loop._ready[-1] is handle and loop._scheduled == [timer]
+        timer.cancel()
+        stock_timer.cancel()
+        for name in _slots(asyncio.TimerHandle) - {"__weakref__"}:
+            assert getattr(timer, name) == getattr(stock_timer, name), name
+        assert loop._timer_cancelled_count == 2  # both told the loop
+    finally:
+        loop.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        loop.call_soon(print)
+    with pytest.raises(RuntimeError, match="closed"):
+        loop.call_at(1.0, print)
+
+
+@pytest.mark.parametrize("loop_class", [VirtualTimeEventLoop, RealTimeEventLoop])
+def test_engine_loops_in_debug_mode_keep_asyncios_checks(loop_class):
+    loop = loop_class()
+    loop.set_debug(True)
+    raised = []
+
+    def from_another_thread():
+        for schedule in (lambda: loop.call_soon(print), lambda: loop.call_at(1.0, print)):
+            try:
+                schedule()
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+    async def scenario():
+        assert type(loop.call_soon(print)) is asyncio.Handle
+        assert type(loop.call_at(loop.time(), print)) is asyncio.TimerHandle
+        with pytest.raises(TypeError, match="coroutines cannot be used"):
+            loop.call_soon(scenario)
+        thread = threading.Thread(target=from_another_thread)
+        thread.start()
+        thread.join(10)
+
+    try:
+        loop.run_until_complete(scenario())
+    finally:
+        loop.close()
+    assert len(raised) == 2
+    assert all("Non-thread-safe operation" in message for message in raised)
+
+
+def test_a_mock_command_arms_one_timer_and_no_sleep(load_xml, monkeypatch):
+    experiment = load_xml("""
+<experiment>
+ <targets><target name="n1" type="local" /></targets>
+ <tasklists><tasklist name="work"><run>slow</run></tasklist></tasklists>
+ <steps><step tasklist="work" targets="n1" /></steps>
+</experiment>""")
+    timers, sleeps = [], []
+    call_at, sleep = VirtualTimeEventLoop.call_at, asyncio.sleep
+
+    def counted_call_at(self, when, callback, *args, context=None):
+        timers.append(when)
+        return call_at(self, when, callback, *args, context=context)
+
+    def counted_sleep(delay, result=None):
+        sleeps.append(delay)
+        return sleep(delay, result)
+
+    monkeypatch.setattr(VirtualTimeEventLoop, "call_at", counted_call_at)
+    monkeypatch.setattr(asyncio, "sleep", counted_sleep)
+    script = MockScript.from_json('{"nodes": {"*": {"rules": [{"pattern": "slow", "duration": 2.5}]}}}')
+    report, events = dry_events(experiment, script)
+    assert report.per_node_outcomes == {"n1|work#s0": "Succeeded"}
+    assert (timers, sleeps) == ([2.5], [])
+    assert [event["ts"] for event in events if event["kind"] == "TaskEnd"] == [2.5]
 
 
 # --- step scheduling and ordering ---

@@ -1,5 +1,5 @@
 """One function of the package starts and waits for child processes, and
-only the PlanetLab stand-in server uses a thread.
+no module of it uses a thread.
 
 transport._run_child starts every child with subprocess.Popen and learns of
 its exit from the child's pidfd, on the event loop's own thread. asyncio's
@@ -44,7 +44,7 @@ def test_only_run_child_starts_a_process_and_learns_of_its_exit():
     assert used == []
 
 
-def test_only_the_planetlab_stand_in_imports_threading():
+def test_no_module_imports_threading():
     importers = []
     for module, text in _sources().items():
         for node in ast.walk(ast.parse(text)):
@@ -56,4 +56,4 @@ def test_only_the_planetlab_stand_in_imports_threading():
                 continue
             if any(name.split(".")[0] == "threading" for name in names):
                 importers.append(module)
-    assert importers == ["planetlab.py"]
+    assert importers == []
