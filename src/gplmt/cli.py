@@ -57,11 +57,10 @@ def parse_max_connects(text: str) -> RateLimiterConfig:
         raise argparse.ArgumentTypeError(
             f"expected N/DUR (e.g. 10/1s), got {text!r}"
         )
-    count = int(m.group(1))
-    interval = float(m.group(2)) * _UNIT_SECONDS[m.group(3)]
-    if count < 1 or interval <= 0:
-        raise argparse.ArgumentTypeError(f"rate must be positive, got {text!r}")
-    return RateLimiterConfig(max_attempts=count, interval=interval)
+    try:
+        return RateLimiterConfig(int(m.group(1)), float(m.group(2)) * _UNIT_SECONDS[m.group(3)])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"rate must be positive and finite, got {text!r}") from None
 
 
 def _target_names(text: str) -> list[str]:
@@ -164,7 +163,7 @@ def filter_targets(experiment: Experiment, names: list[str]) -> Experiment:
     for name in names:
         if name not in table:
             raise UnknownTargetError(name)
-        for leaf, _ in resolve_group(table[name], table):
+        for leaf, _ in resolve_group(table[name]):
             keep.add(leaf.name)
     return experiment.with_node_filter(frozenset(keep))
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 
 class UnknownTargetError(KeyError):
@@ -58,9 +58,6 @@ class TargetDef(NamedTuple):
     planetlab_user: str | None = None
     members: tuple[TargetDef, ...] = ()
     env_exports: EnvPairs = ()
-
-    def is_leaf(self) -> bool:
-        return self.kind is not TargetKind.GROUP
 
 
 @dataclass(frozen=True)
@@ -186,11 +183,14 @@ class Experiment:
     env_overrides: EnvPairs = ()
 
     def target_map(self) -> dict[str, TargetDef]:
-        """All target definitions by name, including nested group members."""
+        """All target definitions by name, including nested group members,
+        in preorder; the first definition of a name wins."""
         out: dict[str, TargetDef] = {}
-        for top in self.targets:
-            for t in iter_target_defs(top):
-                out.setdefault(t.name, t)
+        stack = list(reversed(self.targets))
+        while stack:
+            t = stack.pop()
+            out.setdefault(t.name, t)
+            stack += reversed(t.members)
         return out
 
     def tasklist_map(self) -> dict[str, Tasklist]:
@@ -259,13 +259,6 @@ class ExperimentReport:
     artifacts: tuple[str, ...] = ()
 
 
-def iter_target_defs(target: TargetDef) -> Iterator[TargetDef]:
-    """Preorder walk over a target definition and its nested members."""
-    yield target
-    for m in target.members:
-        yield from iter_target_defs(m)
-
-
 def _merge_env(outer: EnvPairs, inner: EnvPairs) -> EnvPairs:
     if not inner:
         return outer  # shared by every leaf below, not copied per leaf
@@ -274,44 +267,24 @@ def _merge_env(outer: EnvPairs, inner: EnvPairs) -> EnvPairs:
     return tuple(merged.items())
 
 
-def resolve_group(
-    target: TargetDef | str,
-    all_targets: Mapping[str, TargetDef],
-) -> list[tuple[TargetDef, EnvPairs]]:
+def resolve_group(target: TargetDef) -> list[tuple[TargetDef, EnvPairs]]:
     """Flatten a target to its leaf nodes with their effective environments.
 
     Returns every non-group target reachable from ``target``, deduplicated by
     name (first occurrence wins), each paired with the env_exports merged
     along the path from the outermost group to the leaf; inner definitions
     override outer ones on variable-name collision.
-
-    Raises UnknownTargetError when a name does not resolve.
     """
-    if isinstance(target, str):
-        try:
-            target = all_targets[target]
-        except KeyError:
-            raise UnknownTargetError(target) from None
-
-    leaves: list[tuple[TargetDef, EnvPairs]] = []
-    _collect_leaves(target, (), set(), leaves)
-    return leaves
-
-
-def _collect_leaves(
-    t: TargetDef, env: EnvPairs, seen: set[str], leaves: list[tuple[TargetDef, EnvPairs]]
-) -> None:
-    """resolve_group's walk. A module function, not a closure: a closure
-    that calls itself holds its own cell, and so keeps `leaves` alive in a
-    reference cycle that only the collector frees."""
-    env = _merge_env(env, t.env_exports)
-    if t.is_leaf():
-        if t.name not in seen:
-            seen.add(t.name)
-            leaves.append((t, env))
-        return
-    for member in t.members:
-        _collect_leaves(member, env, seen, leaves)
+    leaves: dict[str, tuple[TargetDef, EnvPairs]] = {}
+    stack = [(target, ())]
+    while stack:
+        t, env = stack.pop()
+        env = _merge_env(env, t.env_exports)
+        if t.kind is TargetKind.GROUP:
+            stack += [(m, env) for m in reversed(t.members)]
+        elif t.name not in leaves:
+            leaves[t.name] = (t, env)
+    return list(leaves.values())
 
 
 def depth_first(graph: Mapping[str, list[str]]) -> tuple[list[str] | None, list[str]]:

@@ -8,6 +8,7 @@ produced only when no Error-severity diagnostic was raised.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -305,6 +306,8 @@ def parse_duration(text: str) -> float:
         raw = m.group(name)
         if raw:
             total += float(raw.replace(",", ".")) * scale
+    if not math.isfinite(total):
+        raise BadTimeSpecError(f"duration is not finite: {text!r}")
     return total
 
 

@@ -205,12 +205,4 @@ def _rebuild(
 
 def planetlab_target_names(experiment: Experiment) -> list[str]:
     """Names of all planetlab targets, in definition order."""
-    from .model import iter_target_defs
-
-    names = []
-    for top in experiment.targets:
-        for t in iter_target_defs(top):
-            if t.kind is TargetKind.PLANETLAB and t.name not in names:
-                names.append(t.name)
-    return names
-
+    return [name for name, t in experiment.target_map().items() if t.kind is TargetKind.PLANETLAB]

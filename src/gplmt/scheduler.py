@@ -466,7 +466,7 @@ class ExperimentRunner:
         return spec.instant.timestamp() - self._wall_zero
 
     def _resolve_nodes(self, targets_ref: str) -> list[tuple[TargetDef, EnvPairs]]:
-        leaves = resolve_group(self.targets[targets_ref], self.targets)
+        leaves = resolve_group(self.targets[targets_ref])
         if self.experiment.node_filter is not None:
             leaves = [
                 (leaf, env) for leaf, env in leaves if leaf.name in self.experiment.node_filter
@@ -726,7 +726,7 @@ class ExperimentRunner:
         the indices `first`, `first + 1`, ... below `path`. A task whose
         deadline has passed does not start. A command or transfer runs here,
         between its TaskStart and TaskEnd, and costs no coroutine of its
-        own; a seq, par or call construct runs through _run_task.
+        own.
 
         Whatever the session raises becomes a leaf's outcome:
         ConnectionLost for a closed session, Failed for any other transport
@@ -751,7 +751,13 @@ class ExperimentRunner:
                 elif isinstance(task, PutTask):
                     verb, target = "put", task.local_path
                 else:
-                    if await self._run_task(run, governing, task, deadline, task_path) is not _SUCCESS:
+                    if isinstance(task, SeqTask):
+                        outcome = await self._run_tasks(run, governing, task.children, deadline, task_path)
+                    elif isinstance(task, ParTask):
+                        outcome = await self._run_par(run, governing, task, deadline, task_path)
+                    else:
+                        outcome = await self._run_call(run, task, deadline, task_path)
+                    if outcome is not _SUCCESS:
                         worst = _FAILED
                     continue
                 node = run.leaf.name
@@ -801,21 +807,6 @@ class ExperimentRunner:
                     raise _Abort(exc.outcome, governing.on_error) from None
                 raise
         return worst
-
-    async def _run_task(
-        self,
-        run: _NodeRun,
-        governing: Tasklist,
-        task: SeqTask | ParTask | CallTask,
-        deadline: float | None,
-        path: tuple[int, ...],
-    ) -> TaskOutcome:
-        """Run a seq, par or call construct through its children."""
-        if isinstance(task, SeqTask):
-            return await self._run_tasks(run, governing, task.children, deadline, path)
-        if isinstance(task, ParTask):
-            return await self._run_par(run, governing, task, deadline, path)
-        return await self._run_call(run, task, deadline, path)
 
     async def _run_par(
         self,

@@ -93,8 +93,8 @@ class RateLimiterConfig:
     interval: float
 
     def __post_init__(self) -> None:
-        if self.max_attempts <= 0 or self.interval <= 0:
-            raise ValueError("max_attempts and interval must be positive")
+        if self.max_attempts <= 0 or not 0 < self.interval < math.inf:
+            raise ValueError("max_attempts and interval must be positive, interval finite")
 
 
 class Turns:

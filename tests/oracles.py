@@ -225,6 +225,30 @@ def _target_defs(target) -> list:
     return out
 
 
+def target_map_reference(targets) -> dict:
+    """Every definition by name over the recursive preorder walk, the first
+    definition of a name winning: what Experiment.target_map returns."""
+    out = {}
+    for top in targets:
+        for t in _target_defs(top):
+            out.setdefault(t.name, t)
+    return out
+
+
+def resolve_group_reference(target, env: dict | None = None, leaves: dict | None = None) -> list:
+    """Recursive leaf resolution: each leaf's first occurrence in document
+    order, with the export-env pairs merged along its path, inner over
+    outer, in first-seen key order. What resolve_group returns."""
+    env = {**(env or {}), **dict(target.env_exports)}
+    leaves = {} if leaves is None else leaves
+    if target.kind.value == "group":
+        for member in target.members:
+            resolve_group_reference(member, env, leaves)
+    else:
+        leaves.setdefault(target.name, (target, tuple(env.items())))
+    return list(leaves.values())
+
+
 def _call_refs(tasks) -> list[str]:
     """The refs of every call task, in document order, at any depth."""
     out = []

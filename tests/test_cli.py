@@ -76,7 +76,9 @@ def test_parse_max_connects_accepts_rates(text, count, interval):
     assert (config.max_attempts, config.interval) == (count, interval)
 
 
-@pytest.mark.parametrize("text", ["10", "10/", "/1s", "10/1", "10/1d", "0/1s", "x/1s", "10/1s extra"])
+@pytest.mark.parametrize(
+    "text", ["10", "10/", "/1s", "10/1", "10/1d", "0/1s", "x/1s", "10/1s extra", pytest.param("1/" + "9" * 400 + "h", id="1/9...9h")]
+)
 def test_parse_max_connects_rejects_garbage(text):
     with pytest.raises(argparse.ArgumentTypeError):
         parse_max_connects(text)
@@ -299,6 +301,19 @@ def test_bad_max_connects_is_a_usage_error(tmp_path, capsys):
     path = write_doc(tmp_path, SMALL_DOC)
     assert main([str(path), "--dry-run", "--max-connects", "fast"]) == EXIT_USAGE
     assert "expected N/DUR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document,args", [
+    (SMALL_DOC.replace('targets="alpha"', 'targets="alpha" start="P' + "9" * 400 + 'W"'), []),
+    (SMALL_DOC, ["--max-connects", "1/" + "9" * 400 + "h"]),
+], ids=["step-start", "max-connects"])
+def test_a_non_finite_duration_is_a_usage_error(tmp_path, capsys, document, args):
+    """Either would park a dry run's virtual clock at inf, where the run
+    spins; --validate stops short of the run, so an accepted value fails
+    the test instead of hanging it."""
+    path = write_doc(tmp_path, document)
+    assert main([str(path), "--validate", *args]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_dry_run_expands_slices_offline(tmp_path, capsys):

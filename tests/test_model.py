@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import gplmt
 from gplmt.model import (
     CallTask,
     ErrorMode,
@@ -20,13 +25,23 @@ from gplmt.model import (
     Tasklist,
     TaskOutcome,
     TaskResult,
-    UnknownTargetError,
     depth_first,
-    iter_target_defs,
     resolve_group,
 )
+from gplmt.parser import load_experiment
 
-from .oracles import audit, call_graph, first_cycle, iter_steps_items, resolve_leaf_names
+from .differential import random_experiment
+from .oracles import (
+    audit,
+    call_graph,
+    first_cycle,
+    iter_steps_items,
+    resolve_group_reference,
+    resolve_leaf_names,
+    target_map_reference,
+)
+
+FIXTURES = Path(gplmt.__file__).parent / "fixtures"
 
 
 def ssh(name: str, host: str | None = None, env: tuple = ()) -> TargetDef:
@@ -40,37 +55,32 @@ def group(name: str, *members: TargetDef, env: tuple = ()) -> TargetDef:
 
 
 def test_leaf_and_group_classification():
-    assert ssh("a").is_leaf()
-    assert TargetDef("l", TargetKind.LOCAL).is_leaf()
-    assert not group("g", ssh("a")).is_leaf()
+    a, local = ssh("a"), TargetDef("l", TargetKind.LOCAL)
+    assert resolve_group(a) == [(a, ())]
+    assert resolve_group(local) == [(local, ())]
+    assert resolve_group(group("g", a)) == [(a, ())]
+    assert resolve_group(group("empty")) == []
 
 
 def test_resolve_group_flattens_in_document_order():
     g = group("all", ssh("b"), group("inner", ssh("a"), ssh("c")), ssh("d"))
-    leaves = resolve_group(g, {})
+    leaves = resolve_group(g)
     assert [t.name for t, _ in leaves] == ["b", "a", "c", "d"]
 
 
 def test_resolve_group_deduplicates_first_occurrence():
     a = ssh("a")
     g = group("all", a, group("inner", a, ssh("b")), a)
-    leaves = resolve_group(g, {})
+    leaves = resolve_group(g)
     assert [t.name for t, _ in leaves] == ["a", "b"]
 
 
 def test_resolve_group_env_inner_wins():
     leaf = ssh("a", env=(("REGION", "inner"), ("ROLE", "worker")))
     g = group("g", leaf, env=(("REGION", "outer"), ("SITE", "x")))
-    ((resolved, env),) = resolve_group(g, {})
+    ((resolved, env),) = resolve_group(g)
     assert resolved is leaf
     assert dict(env) == {"REGION": "inner", "SITE": "x", "ROLE": "worker"}
-
-
-def test_resolve_group_by_name_and_unknown():
-    table = {"a": ssh("a")}
-    assert resolve_group("a", table)[0][0].name == "a"
-    with pytest.raises(UnknownTargetError):
-        resolve_group("ghost", table)
 
 
 def test_resolve_group_matches_reference_resolution():
@@ -84,7 +94,7 @@ def test_resolve_group_matches_reference_resolution():
         "y": None,
         "z": None,
     }
-    assert [t.name for t, _ in resolve_group(g, {})] == resolve_leaf_names(defs, "all")
+    assert [t.name for t, _ in resolve_group(g)] == resolve_leaf_names(defs, "all")
 
 
 @st.composite
@@ -98,17 +108,54 @@ def target_trees(draw, depth: int = 3):
 
 @given(target_trees())
 def test_resolve_group_yields_unique_leaves(tree):
-    leaves = resolve_group(tree, {})
+    leaves = resolve_group(tree)
     names = [t.name for t, _ in leaves]
     assert len(names) == len(set(names))
-    assert all(t.is_leaf() for t, _ in leaves)
-    defined = {t.name for t in iter_target_defs(tree) if t.is_leaf()}
+    assert all(t.kind is not TargetKind.GROUP for t, _ in leaves)
+    defined = {name for name, t in target_map_reference((tree,)).items() if t.kind is not TargetKind.GROUP}
     assert set(names) == defined
 
 
-def test_iter_target_defs_preorder():
+def test_target_map_preorder():
     tree = group("top", ssh("a"), group("mid", ssh("b")))
-    assert [t.name for t in iter_target_defs(tree)] == ["top", "a", "mid", "b"]
+    assert list(Experiment(targets=(tree, ssh("c"))).target_map()) == ["top", "a", "mid", "b", "c"]
+
+
+def _walked_experiments():
+    for path in sorted(FIXTURES.glob("*.xml")):  # include/ holds fragments, not documents
+        experiment, diagnostics = load_experiment(path)
+        assert experiment is not None, diagnostics
+        yield path.name, experiment
+    for seed in range(200):
+        yield f"seed {seed}", random_experiment(random.Random(seed))[0]
+
+
+def test_walks_match_their_recursive_references():
+    walked = 0
+    for label, experiment in _walked_experiments():
+        table = experiment.target_map()
+        reference = target_map_reference(experiment.targets)
+        assert list(table) == list(reference), label
+        assert all(t is reference[name] for name, t in table.items()), label
+        for t in table.values():
+            assert resolve_group(t) == resolve_group_reference(t), (label, t.name)
+        walked += 1
+    assert walked == 200 + len(list(FIXTURES.glob("*.xml")))
+
+
+def test_walks_take_a_chain_deeper_than_the_recursion_limit():
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    leaf = ssh("leaf", env=(("LEVEL", "leaf"),))
+    chain = leaf
+    for level in reversed(range(depth)):
+        marks = ((f"V{level}", "x"),) if level % 1000 == 0 else ()
+        chain = group(f"g{level}", chain, env=(("LEVEL", str(level)),) + marks)
+    table = Experiment(targets=(chain,)).target_map()
+    assert list(table) == [f"g{level}" for level in range(depth)] + ["leaf"]
+    ((resolved, env),) = resolve_group(chain)
+    assert resolved is leaf
+    assert env == (("LEVEL", "leaf"),) + tuple((f"V{level}", "x") for level in range(0, depth, 1000))
 
 
 def _experiment(**overrides) -> Experiment:
@@ -284,12 +331,12 @@ def test_resolve_group_leaves_and_environments_are_pinned():
     local = TargetDef("l", TargetKind.LOCAL, env_exports=(("ROLE", "local"), ("X", "1")))
     inner = group("inner", b, a, env=(("SITE", "in"), ("ROLE", "inner")))
     top = group("top", a, inner, local, group("empty"), env=(("SITE", "out"),))
-    assert resolve_group(top, {}) == [
+    assert resolve_group(top) == [
         (a, (("SITE", "out"), ("ROLE", "a"))),
         (b, (("SITE", "in"), ("ROLE", "inner"))),
         (local, (("SITE", "out"), ("ROLE", "local"), ("X", "1"))),
     ]
-    assert resolve_group("inner", {"inner": inner}) == [
+    assert resolve_group(inner) == [
         (b, (("SITE", "in"), ("ROLE", "inner"))),
         (a, (("SITE", "in"), ("ROLE", "a"))),
     ]

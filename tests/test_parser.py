@@ -90,7 +90,11 @@ def test_parse_duration_matches_reference(text, expected):
     assert iso_duration_seconds(text) == parse_duration(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "P", "PT", "5s", "PT5", "P5M-ish", "T5S", "PT5S later"])
+#: float() of it is inf; a non-finite duration would park the virtual clock at inf
+HUGE_DURATION = "P" + "9" * 400 + "W"
+
+
+@pytest.mark.parametrize("bad", ["", "P", "PT", "5s", "PT5", "P5M-ish", "T5S", "PT5S later", pytest.param(HUGE_DURATION, id="P9...9W")])
 def test_parse_duration_rejects(bad):
     with pytest.raises(BadTimeSpecError):
         parse_duration(bad)
@@ -419,6 +423,19 @@ def test_cleanup_unknown_reference(tmp_path):
 
 
 # -- steps ------------------------------------------------------
+
+
+@pytest.mark.parametrize("old,new", [
+    ('<step tasklist="t" targets="n" />', f'<step tasklist="t" targets="n" start="{HUGE_DURATION}" />'),
+    ('<step tasklist="t" targets="n" />', f'<step tasklist="t" targets="n" stop="{HUGE_DURATION}" />'),
+    ('<tasklist name="t">', f'<tasklist name="t" timeout="{HUGE_DURATION}">'),
+    ('<step tasklist="t" targets="n" />',
+     f'<repeat during="{HUGE_DURATION}"><step tasklist="t" targets="n" /></repeat>'),
+], ids=["start", "stop", "timeout", "during"])
+def test_a_non_finite_duration_is_a_bad_time_spec(tmp_path, old, new):
+    exp, diags = check(tmp_path, VALID.replace(old, new))
+    assert exp is None
+    assert error_codes(diags) == ["BadTimeSpec"]
 
 
 def test_steps_items_lowering(tmp_path):

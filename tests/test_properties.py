@@ -159,5 +159,5 @@ def test_generated_experiments_keep_the_engine_invariants(seed, names, fault, si
 
     # the report, read from typed fields, equals a fold of the logged prose
     targets = experiment.target_map()
-    members = {name: [leaf.name for leaf, _ in resolve_group(name, targets)] for name in targets}
+    members = {name: [leaf.name for leaf, _ in resolve_group(targets[name])] for name in targets}
     assert (dict(report.per_node_outcomes), report.overall.value) == report_from_log_lines(lines, members)

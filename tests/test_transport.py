@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import tempfile
 import time
@@ -62,7 +63,9 @@ def read_logs(outputs):
 # --- rate limiter ---
 
 
-@pytest.mark.parametrize("attempts,interval", [(0, 1.0), (-1, 1.0), (5, 0.0), (5, -2.0)])
+@pytest.mark.parametrize("attempts,interval", [
+    (0, 1.0), (-1, 1.0), (5, 0.0), (5, -2.0), (5, math.inf), (5, math.nan),
+])
 def test_limiter_config_rejects_non_positive_values(attempts, interval):
     with pytest.raises(ValueError):
         RateLimiterConfig(attempts, interval)
