@@ -79,6 +79,10 @@ class BadTimeSpecError(ValueError):
     """Text is neither an ISO-8601 duration nor an RFC-3339 timestamp."""
 
 
+class _NonFiniteDuration(BadTimeSpecError):
+    """Text is a well-formed ISO-8601 duration too long to be finite."""
+
+
 @dataclass(slots=True)
 class XmlNode:
     """One element of a parsed document, carrying its source location."""
@@ -307,7 +311,7 @@ def parse_duration(text: str) -> float:
         if raw:
             total += float(raw.replace(",", ".")) * scale
     if not math.isfinite(total):
-        raise BadTimeSpecError(f"duration is not finite: {text!r}")
+        raise _NonFiniteDuration(f"duration is not finite: {text!r}")
     return total
 
 
@@ -329,6 +333,8 @@ def parse_timespec(text: str) -> TimeSpec:
     """Duration text yields a RelativeTime, timestamp text an AbsoluteTime."""
     try:
         return RelativeTime(parse_duration(text))
+    except _NonFiniteDuration:
+        raise  # duration text, so no timestamp either
     except BadTimeSpecError:
         pass
     try:

@@ -47,6 +47,7 @@ from .model import (
     Tasklist,
     TaskOutcome,
     TimeSpec,
+    _merge_env,
     resolve_group,
 )
 from .telemetry import (
@@ -471,13 +472,9 @@ class ExperimentRunner:
             leaves = [
                 (leaf, env) for leaf, env in leaves if leaf.name in self.experiment.node_filter
             ]
-        if self.experiment.env_overrides:
-            merged = []
-            for leaf, env in leaves:
-                table = dict(env)
-                table.update(self.experiment.env_overrides)
-                merged.append((leaf, tuple(table.items())))
-            leaves = merged
+        overrides = self.experiment.env_overrides
+        if overrides:
+            leaves = [(leaf, _merge_env(env, overrides)) for leaf, env in leaves]
         leaves.sort(key=lambda pair: pair[0].name)
         return leaves
 
@@ -569,10 +566,10 @@ class ExperimentRunner:
         The node's turn is taken before its session and held through the
         tasklist and its cleanup, so executions on one node serialize and
         each acquires the session afresh: one that an earlier execution lost
-        is reconnected. One try turns whatever the node's execution raised
-        into its state, an optional Warning and an optional escalation; only
-        cancellation propagates. A teardown always runs its tasklist as
-        abort-tasklist.
+        is reconnected. The step's stop time bounds the wait for both. One
+        try turns whatever the node's execution raised into its state, an
+        optional Warning and an optional escalation; only cancellation
+        propagates. A teardown always runs its tasklist as abort-tasklist.
         """
         node = leaf.name
         turns = self.pool.node_turns
@@ -589,11 +586,13 @@ class ExperimentRunner:
                         await taken
                     session = await self.pool.acquire(leaf)
                 else:
-                    remaining = ctx.stop_instant - self._now()
-                    if remaining <= 0:
+                    if ctx.stop_instant <= self._now():
                         raise asyncio.TimeoutError()
-                    session = await asyncio.wait_for(self._acquire_node(leaf), remaining)
-                    taken = None  # the turn _acquire_node took is this execution's
+                    async with asyncio.timeout_at(ctx.stop_instant):
+                        taken = turns.take(node)
+                        if taken is not None:
+                            await taken
+                        session = await self.pool.acquire(leaf)
                 run = _NodeRun(session, leaf, env, ctx, contained=ctx.is_teardown)
                 deadline = self._deadline(tasklist.timeout, ctx.stop_instant)
                 if await self._run_tasks(run, tasklist, tasklist.tasks, deadline, ()) is _SUCCESS:
@@ -606,10 +605,6 @@ class ExperimentRunner:
                 if run is None or (self.panicked and not ctx.is_teardown):
                     raise
             except Exception as exc:
-                # Only its words are kept. Raised through a stop time's
-                # wait_for, it stays held by the inner task, while its
-                # traceback holds wait_for's frame, which holds that task.
-                exc.__traceback__ = None
                 if run is not None:
                     # a fault of the controller itself, outside any one task
                     warning = f"controller: {type(exc).__name__}: {exc}"
@@ -638,20 +633,6 @@ class ExperimentRunner:
         finally:
             if taken is not _NOT_ASKED:
                 turns.release(node, taken)
-
-    async def _acquire_node(self, leaf: TargetDef) -> Session:
-        """Take the node's turn, then its session, as one awaitable for a
-        stop time's wait_for; the turn is released again if no session
-        comes of it. Without a stop time execute_tasklist awaits both
-        itself: one frame fewer per parked node."""
-        taken = self.pool.node_turns.take(leaf.name)
-        try:
-            if taken is not None:
-                await taken
-            return await self.pool.acquire(leaf)
-        except BaseException:
-            self.pool.node_turns.release(leaf.name, taken)
-            raise
 
     def _deadline(self, timeout: float | None, outer: float | None) -> float | None:
         """Now plus `timeout`, capped by the `outer` deadline; None bounds nothing."""

@@ -436,6 +436,7 @@ def test_a_non_finite_duration_is_a_bad_time_spec(tmp_path, old, new):
     exp, diags = check(tmp_path, VALID.replace(old, new))
     assert exp is None
     assert error_codes(diags) == ["BadTimeSpec"]
+    assert diags[0].message.endswith(f"duration is not finite: {HUGE_DURATION!r}")
 
 
 def test_steps_items_lowering(tmp_path):

@@ -160,7 +160,7 @@ def test_the_cli_frees_what_it_built(tmp_path):
 def test_a_real_clock_run_frees_what_it_built(tmp_path):
     """Local children on the real clock: commands that succeed, fail and
     time out, and a node whose name cannot name its artifact directory,
-    which fails its session inside a stop time's wait_for."""
+    which fails its session inside a stop time's timeout scope."""
     nodes = tuple(TargetDef(name, TargetKind.LOCAL) for name in ("a", "b", "../escape"))
     experiment = Experiment(
         targets=(TargetDef("pair", TargetKind.GROUP, members=nodes[:2]), *nodes),

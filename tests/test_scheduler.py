@@ -24,6 +24,7 @@ from gplmt.model import (
     GetTask,
     OverallStatus,
     RegisterTeardown,
+    RelativeTime,
     RunTask,
     Step,
     StepsProgram,
@@ -1697,7 +1698,7 @@ def test_a_failing_event_sink_changes_nothing_but_the_file(tmp_path, caplog, fai
     assert (tmp_path / "events.jsonl").read_text().splitlines() == clean[:fail_at]
 
 
-def _traced_peak_of_parked_fanout(nodes: int) -> int:
+def _traced_peak_of_parked_fanout(nodes: int, stop: RelativeTime | None) -> int:
     leaves = tuple(
         TargetDef(f"n{i:04d}", TargetKind.SSH, ssh_user="u", ssh_host=f"n{i:04d}.example")
         for i in range(nodes)
@@ -1705,7 +1706,7 @@ def _traced_peak_of_parked_fanout(nodes: int) -> int:
     experiment = Experiment(
         targets=(TargetDef("fleet", TargetKind.GROUP, members=leaves),),
         tasklists=(Tasklist("t", (RunTask("true"),)),),
-        steps=StepsProgram((Step("t", "fleet"),)),
+        steps=StepsProgram((Step("t", "fleet", stop=stop),)),
     )
     gc.collect()
     tracemalloc.start()
@@ -1722,7 +1723,8 @@ def _traced_peak_of_parked_fanout(nodes: int) -> int:
     sys.flags.dev_mode or bool(os.environ.get("PYTHONASYNCIODEBUG")),
     reason="asyncio debug mode keeps a creation traceback per task and handle",
 )
-def test_memory_per_node_parked_on_the_rate_limiter():
+@pytest.mark.parametrize("stop", [None, RelativeTime(5000.0)], ids=["no-stop", "stop"])
+def test_memory_per_node_parked_on_the_rate_limiter(stop):
     """While one node per second connects, nearly every other node of the
     fan-out waits for a permit, so the traced peak grows with the number
     of parked nodes. Measured on CPython 3.11: 1,917-2,049 B per parked
@@ -1730,8 +1732,11 @@ def test_memory_per_node_parked_on_the_rate_limiter():
     own, against 2,182-2,337 B with an asyncio.Lock on the limiter and per
     node, 2,815-2,947 B before a node built its session only after its
     permit and 4,639-4,742 B before the waiting path was first slimmed
-    down. The bound keeps the earlier headroom of about 19%."""
-    per_node = (_traced_peak_of_parked_fanout(1000) - _traced_peak_of_parked_fanout(500)) / 500
+    down. The bound keeps the earlier headroom of about 19%. Under a stop
+    time the node waits in a timeout scope of its own task: 2,211-2,343 B,
+    against 3,609-3,761 B when a wait_for task of its own held the wait."""
+    peaks = [_traced_peak_of_parked_fanout(nodes, stop) for nodes in (1000, 500)]
+    per_node = (peaks[0] - peaks[1]) / 500
     assert per_node < 2440
 
 
@@ -1745,10 +1750,12 @@ def _coroutine_frames(task: asyncio.Task) -> list[str]:
     return names
 
 
-def test_a_parked_node_holds_three_coroutine_frames():
+@pytest.mark.parametrize("stop", [None, RelativeTime(30.0)], ids=["no-stop", "stop"])
+def test_a_parked_node_holds_three_coroutine_frames(stop):
     """A node queued for a connect permit is suspended in execute_tasklist,
     SessionPool.acquire and RateLimiter.wait, which awaits a bare future;
-    only the head waiter sleeps in a fourth."""
+    only the head waiter sleeps in a fourth. A stop time adds a timeout
+    scope to the node's own task, not a task or frame of its own."""
     parked: list[list[str]] = []
 
     class ParkedFrames(EventLog):
@@ -1768,7 +1775,7 @@ def test_a_parked_node_holds_three_coroutine_frames():
     experiment = Experiment(
         targets=(TargetDef("fleet", TargetKind.GROUP, members=leaves),),
         tasklists=(Tasklist("t", (RunTask("true"),)),),
-        steps=StepsProgram((Step("t", "fleet"),)),
+        steps=StepsProgram((Step("t", "fleet", stop=stop),)),
     )
     report = dry_run(experiment, limiter_config=RateLimiterConfig(1, 1.0), event_log=ParkedFrames())
     assert report.overall is OverallStatus.COMPLETED
