@@ -10,12 +10,15 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import Any
 from xml.parsers import expat
 
 from .model import (
+    DEFAULT_ERROR_MODE,
     AbsoluteTime,
     CallTask,
     ErrorMode,
@@ -363,38 +366,28 @@ _new_tuple = tuple.__new__  # builds a named tuple without its Python __new__
 
 def validate_and_lower(
     tree: XmlNode, diagnostics: list[Diagnostic] | None = None
-) -> Experiment | list[Diagnostic]:
+) -> tuple[Experiment | None, list[Diagnostic]]:
     """Check a merged tree against the full language and lower it.
 
-    Returns the Experiment when no Error was found, otherwise the list of
-    all diagnostics. Warnings never block lowering; pass ``diagnostics`` to
-    receive them alongside a successful result.
+    Appends every finding to ``diagnostics`` (a new list by default) and
+    returns the Experiment, None when the list holds an Error, and that
+    list. Warnings never block lowering.
     """
-    found: list[Diagnostic] = []
-    experiment = _Validator(found).run(tree)
-    if diagnostics is not None:
-        diagnostics.extend(found)
-    if experiment is None or has_errors(found):
-        return found
-    return experiment
+    if diagnostics is None:
+        diagnostics = []
+    experiment = _Validator(diagnostics).run(tree)
+    return (None if has_errors(diagnostics) else experiment), diagnostics
 
 
 def load_experiment(path: str | Path) -> tuple[Experiment | None, list[Diagnostic]]:
     """Parse, resolve includes, and validate one experiment document."""
-    diagnostics: list[Diagnostic] = []
     try:
         tree = parse_document(path)
     except ParseFailure as exc:
         return None, [exc.diagnostic]
-    canonical = str(Path(path).resolve())
-    tree, include_diags = resolve_includes(
-        tree, Path(path).resolve().parent, frozenset({canonical})
-    )
-    diagnostics.extend(include_diags)
-    result = validate_and_lower(tree, diagnostics)
-    if isinstance(result, Experiment) and not has_errors(diagnostics):
-        return result, diagnostics
-    return None, diagnostics
+    path = Path(path).resolve()
+    tree, diagnostics = resolve_includes(tree, path.parent, frozenset({str(path)}))
+    return validate_and_lower(tree, diagnostics)
 
 
 class _Validator:
@@ -406,12 +399,10 @@ class _Validator:
         self.top_targets: list[TargetDef] = []
         self.group_depths: dict[str, int] = {}  # per group: the levels down to its deepest leaf
         self.tasklists: dict[str, Tasklist] = {}
-        self.tasklist_nodes: dict[str, XmlNode] = {}
-        self.tasklist_order: list[Tasklist] = []
         self.call_refs: list[tuple[str, XmlNode]] = []
-        # per defined tasklist: its deepest seq/par level and its calls as
-        # (level, ref, node), the call itself counting as one level
-        self.task_shapes: dict[str, tuple[int, list[tuple[int, str, XmlNode]]]] = {}
+        # per defined tasklist: its element, its deepest seq/par level and
+        # its calls as (level, ref, node), the call itself counting as one level
+        self.task_shapes: dict[str, tuple[XmlNode, int, list[tuple[int, str, XmlNode]]]] = {}
         self._depth = 0
         self._calls: list[tuple[int, str, XmlNode]] = []
 
@@ -425,15 +416,18 @@ class _Validator:
         if root.tag != "experiment":
             self.err(root, "UnknownElement", f"root element must be 'experiment', found {root.tag!r}")
             return None
-        self._check_attrs(root, allowed=())
-        self._check_no_text(root)
+        self._shape(root, children=True)
 
         steps_nodes: list[XmlNode] = []
         for child in root.children:
             if child.tag == "targets":
-                self._collect_targets(child)
+                for node in self._children(child, "target"):
+                    target = self._lower_target(node, inside_group=False)
+                    if target is not None:
+                        self.top_targets.append(target)
             elif child.tag == "tasklists":
-                self._collect_tasklists(child)
+                for node in self._children(child, "tasklist"):
+                    self._lower_tasklist(node)
             elif child.tag == "steps":
                 steps_nodes.append(child)
             elif child.tag == "include":
@@ -449,8 +443,7 @@ class _Validator:
             for extra in steps_nodes[1:]:
                 self.err(extra, "MultipleStepsElements", "experiment allows a single steps element")
             node = steps_nodes[0]
-            self._check_attrs(node, allowed=())
-            self._check_no_text(node)
+            self._shape(node, children=True)
             items = self._lower_steps_items(node.children)
 
         # Includes splice whole top-level subtrees, and every element of a
@@ -460,23 +453,26 @@ class _Validator:
         )
         return Experiment(
             targets=tuple(self.top_targets),
-            tasklists=tuple(self.tasklist_order),
+            tasklists=tuple(self.tasklists.values()),
             steps=StepsProgram(items),
             source_documents=tuple(documents),
         )
 
     # -- shared checks ----------------------------------------------------
 
-    def _check_attrs(
+    def _shape(
         self,
         node: XmlNode,
-        allowed: tuple[str, ...],
+        allowed: tuple[str, ...] = (),
         required: tuple[str, ...] = (),
+        text: bool = False,
+        children: bool = False,
     ) -> dict[str, str]:
-        """Report unknown and missing attributes; return the known ones:
-        ``node.attrs`` itself unless one had to be dropped, so read-only."""
-        attrs = node.attrs
-        known = attrs
+        """Report unknown attributes, missing ones, text unless the element
+        takes ``text``, then each child unless it takes ``children``.
+        Return the known attributes: ``node.attrs`` itself unless one had
+        to be dropped, so read-only."""
+        attrs = known = node.attrs
         for attr in attrs:
             if attr not in allowed and attr not in required:
                 self.err(node, "UnknownAttribute", f"{node.tag} does not take attribute {attr!r}")
@@ -484,33 +480,43 @@ class _Validator:
         for attr in required:
             if attr not in attrs:
                 self.err(node, "MissingAttribute", f"{node.tag} requires attribute {attr!r}")
+        if not text and node.text.strip():
+            self.err(node, "UnexpectedText", f"{node.tag} does not take text content")
+        if not children:
+            for child in node.children:
+                self.err(child, "UnknownElement", f"element {child.tag!r} not allowed under {node.tag}")
         if known is None:
             return {k: v for k, v in attrs.items() if k in allowed or k in required}
         return known
 
-    def _check_no_text(self, node: XmlNode) -> None:
-        if node.text.strip():
-            self.err(node, "UnexpectedText", f"{node.tag} does not take text content")
+    def _children(self, container: XmlNode, tag: str) -> Iterator[XmlNode]:
+        """Shape-check a container, then yield its ``tag`` children and
+        report any other."""
+        self._shape(container, children=True)
+        for child in container.children:
+            if child.tag == tag:
+                yield child
+            else:
+                self.err(child, "UnknownElement", f"element {child.tag!r} not allowed under {container.tag}")
 
-    def _check_no_children(self, node: XmlNode) -> None:
-        for child in node.children:
-            self.err(child, "UnknownElement", f"element {child.tag!r} not allowed under {node.tag}")
+    def _time(
+        self, node: XmlNode, attrs: dict[str, str], key: str, parse: Callable[[str], Any]
+    ) -> Any:
+        """``parse`` of attribute ``key``, or None when it is absent or bad;
+        a bad value is a BadTimeSpec, labelled with ``key`` but for timeout."""
+        if key not in attrs:
+            return None
+        try:
+            return parse(attrs[key])
+        except BadTimeSpecError as exc:
+            self.err(node, "BadTimeSpec", str(exc) if key == "timeout" else f"{key}: {exc}")
+            return None
 
     # -- targets ----------------------------------------------------------
 
-    def _collect_targets(self, container: XmlNode) -> None:
-        self._check_attrs(container, allowed=())
-        self._check_no_text(container)
-        for child in container.children:
-            if child.tag != "target":
-                self.err(child, "UnknownElement", f"element {child.tag!r} not allowed under targets")
-                continue
-            target = self._lower_target(child, inside_group=False)
-            if target is not None:
-                self.top_targets.append(target)
-
     def _lower_target(self, node: XmlNode, inside_group: bool) -> TargetDef | None:
-        self._check_no_text(node)
+        if node.text.strip():  # before the name and type checks
+            self.err(node, "UnexpectedText", "target does not take text content")
         name = node.attrs.get("name")
         if name is None:
             self.err(node, "MissingAttribute", "target requires attribute 'name'")
@@ -527,12 +533,8 @@ class _Validator:
             )
             return None
         kind, allowed_children = target_type
-        if kind is _PLANETLAB:
-            attrs = self._check_attrs(
-                node, allowed=("name", "type"), required=("api-url", "slice", "user")
-            )
-        else:
-            attrs = self._check_attrs(node, allowed=("name", "type"), required=())
+        required = ("api-url", "slice", "user") if kind is _PLANETLAB else ()
+        attrs = self._shape(node, ("name", "type"), required, text=True, children=True)
         if name is None:
             return None
         try:
@@ -565,7 +567,7 @@ class _Validator:
         if not inside_group:
             self.err(node, "MissingAttribute", "target requires attribute 'type'")
             return None
-        self._check_attrs(node, allowed=("name",))
+        self._shape(node, allowed=("name",), text=True, children=True)
         if node.children:
             self.err(node, "BadTargetDef", "a member reference carries only a name")
         if name is None:
@@ -592,9 +594,7 @@ class _Validator:
                     self.err(child, "UnknownElement", f"element {child.tag!r} not allowed under target")
                 continue
             if child.tag == "export-env":
-                attrs = self._check_attrs(child, allowed=(), required=("var", "value"))
-                self._check_no_text(child)
-                self._check_no_children(child)
+                attrs = self._shape(child, required=("var", "value"))
                 if "var" in attrs and not ENV_NAME.fullmatch(attrs["var"]):
                     self.err(
                         child, "BadAttributeValue", f"export-env var {attrs['var']!r} is not a shell name"
@@ -606,8 +606,7 @@ class _Validator:
                 if member is not None:
                     fields["members"].append(member)
             else:
-                self._check_attrs(child, allowed=())
-                self._check_no_children(child)
+                self._shape(child, text=True)
                 key = "user" if child.tag == "username" else child.tag
                 if key in fields:
                     self.err(child, "BadTargetDef", f"duplicate {child.tag!r} in target")
@@ -656,22 +655,12 @@ class _Validator:
 
     # -- tasklists ----------------------------------------------------------
 
-    def _collect_tasklists(self, container: XmlNode) -> None:
-        self._check_attrs(container, allowed=())
-        self._check_no_text(container)
-        for child in container.children:
-            if child.tag != "tasklist":
-                self.err(child, "UnknownElement", f"element {child.tag!r} not allowed under tasklists")
-                continue
-            self._lower_tasklist(child)
-
     def _lower_tasklist(self, node: XmlNode) -> None:
-        attrs = self._check_attrs(
-            node, allowed=("on-error", "error", "timeout", "cleanup"), required=("name",)
+        attrs = self._shape(
+            node, ("on-error", "error", "timeout", "cleanup"), ("name",), children=True
         )
-        self._check_no_text(node)
 
-        on_error = ErrorMode.ABORT_TASKLIST
+        on_error = DEFAULT_ERROR_MODE
         mode_text = None
         if "on-error" in attrs and "error" in attrs:
             self.err(node, "BadAttributeValue", "give either 'on-error' or 'error', not both")
@@ -691,16 +680,10 @@ class _Validator:
             else:
                 on_error = mode
 
-        timeout = None
-        if "timeout" in attrs:
-            try:
-                timeout = parse_duration(attrs["timeout"])
-            except BadTimeSpecError as exc:
-                self.err(node, "BadTimeSpec", str(exc))
-            else:
-                if timeout <= 0:
-                    self.err(node, "BadTimeSpec", "timeout must be strictly positive")
-                    timeout = None
+        timeout = self._time(node, attrs, "timeout", parse_duration)
+        if timeout is not None and timeout <= 0:
+            self.err(node, "BadTimeSpec", "timeout must be strictly positive")
+            timeout = None
 
         name = attrs.get("name")
         self._depth, self._calls = 0, []
@@ -722,28 +705,23 @@ class _Validator:
             self.err(node, "DuplicateName", f"tasklist {name!r} is already defined")
             return
         self.tasklists[name] = tasklist
-        self.tasklist_nodes[name] = node
-        self.tasklist_order.append(tasklist)
-        self.task_shapes[name] = (self._depth, self._calls)
+        self.task_shapes[name] = (node, self._depth, self._calls)
 
     def _lower_task(self, node: XmlNode, outer: int) -> Task | None:
         """Lower one task element; ``outer`` counts the seq and par levels
         around it within its tasklist."""
         if node.tag == "run":
-            self._check_attrs(node, allowed=())
-            self._check_no_children(node)
+            self._shape(node, text=True)
             return RunTask(node.text.strip())
         if node.tag in ("get", "put"):
-            self._check_attrs(node, allowed=())
-            self._check_no_children(node)
+            self._shape(node, text=True)
             path = node.text.strip()
             if not path:
                 self.err(node, "BadAttributeValue", f"{node.tag} requires a file path as text")
                 return None
             return GetTask(path) if node.tag == "get" else PutTask(path)
         if node.tag in ("seq", "par"):
-            self._check_attrs(node, allowed=())
-            self._check_no_text(node)
+            self._shape(node, children=True)
             level = outer + 1
             self._depth = max(self._depth, level)
             children = tuple(
@@ -753,9 +731,7 @@ class _Validator:
             )
             return SeqTask(children) if node.tag == "seq" else ParTask(children)
         if node.tag == "call":
-            attrs = self._check_attrs(node, allowed=(), required=("ref",))
-            self._check_no_text(node)
-            self._check_no_children(node)
+            attrs = self._shape(node, required=("ref",))
             if "ref" not in attrs:
                 return None
             self.call_refs.append((attrs["ref"], node))
@@ -771,33 +747,24 @@ class _Validator:
         for ref, node in self.call_refs:
             if ref not in self.tasklists:
                 self.err(node, "UnknownReference", f"call references undefined tasklist {ref!r}")
-        for tasklist in self.tasklist_order:
-            if tasklist.cleanup is not None and tasklist.cleanup not in self.tasklists:
-                self.err(
-                    self.tasklist_nodes[tasklist.name],
-                    "UnknownReference",
-                    f"cleanup references undefined tasklist {tasklist.cleanup!r}",
-                )
         calls: dict[str, list[str]] = {}
         graph: dict[str, list[str]] = {}  # calls first, then the cleanup
-        for name, (_, shape_calls) in self.task_shapes.items():
+        for name, (node, _, shape_calls) in self.task_shapes.items():
             refs = calls[name] = [ref for _, ref, _ in shape_calls]
             cleanup = self.tasklists[name].cleanup
+            if cleanup is not None and cleanup not in self.tasklists:
+                self.err(node, "UnknownReference", f"cleanup references undefined tasklist {cleanup!r}")
             graph[name] = refs + [cleanup] if cleanup is not None else refs
         cycle, callees_first = depth_first(graph)
         if cycle is not None:
             # A link that is both a call and the cleanup was met as a call.
             if all(callee in calls[caller] for caller, callee in zip(cycle, cycle[1:])):
-                node = self.tasklist_nodes[cycle[0]]
+                node = self.task_shapes[cycle[0]][0]
                 self.err(node, "CallCycle", "call cycle: " + " -> ".join(cycle))
                 return
-            for tasklist in self.tasklist_order:
-                if tasklist.name in cycle:
-                    self.err(
-                        self.tasklist_nodes[tasklist.name],
-                        "CleanupCycle",
-                        f"cleanup chain of {tasklist.name!r} cycles at {tasklist.name!r}",
-                    )
+            for name, (node, _, _) in self.task_shapes.items():
+                if name in cycle:
+                    self.err(node, "CleanupCycle", f"cleanup chain of {name!r} cycles at {name!r}")
             return
         # Each tasklist's task depth, callees and cleanups first, so each is
         # computed once. A callee's cleanup runs at the callee's level. A
@@ -805,7 +772,7 @@ class _Validator:
         # limit past it: a chain gets one error, not one per link.
         depths: dict[str, int] = {}
         for name in callees_first:
-            depth, shape_calls = self.task_shapes[name]
+            _, depth, shape_calls = self.task_shapes[name]
             for level, ref, node in shape_calls:
                 inner = depths.get(ref, 0)
                 if level + inner > MAX_NESTING_DEPTH >= inner:
@@ -832,14 +799,10 @@ class _Validator:
         if node.tag == "step":
             return self._lower_step(node)
         if node.tag == "synchronize":
-            self._check_attrs(node, allowed=())
-            self._check_no_text(node)
-            self._check_no_children(node)
+            self._shape(node)
             return Synchronize()
         if node.tag == "register-teardown":
-            attrs = self._check_attrs(node, allowed=(), required=("ref", "targets"))
-            self._check_no_text(node)
-            self._check_no_children(node)
+            attrs = self._shape(node, required=("ref", "targets"))
             self._require_tasklist(node, attrs.get("ref"))
             self._require_target(node, attrs.get("targets"))
             if "ref" not in attrs or "targets" not in attrs:
@@ -851,22 +814,11 @@ class _Validator:
         return None
 
     def _lower_step(self, node: XmlNode) -> Step | None:
-        attrs = self._check_attrs(
-            node, allowed=("start", "stop"), required=("tasklist", "targets")
-        )
-        self._check_no_text(node)
-        self._check_no_children(node)
+        attrs = self._shape(node, ("start", "stop"), ("tasklist", "targets"))
         self._require_tasklist(node, attrs.get("tasklist"))
         self._require_target(node, attrs.get("targets"))
-
-        spec: dict[str, TimeSpec | None] = {"start": None, "stop": None}
-        for key in ("start", "stop"):
-            if key in attrs:
-                try:
-                    spec[key] = parse_timespec(attrs[key])
-                except BadTimeSpecError as exc:
-                    self.err(node, "BadTimeSpec", f"{key}: {exc}")
-        start, stop = spec["start"], spec["stop"]
+        start = self._time(node, attrs, "start", parse_timespec)
+        stop = self._time(node, attrs, "stop", parse_timespec)
         if isinstance(start, RelativeTime) and isinstance(stop, RelativeTime):
             if not start.offset < stop.offset:
                 self.err(node, "StartNotBeforeStop", "step start must be before stop")
@@ -883,8 +835,7 @@ class _Validator:
         )
 
     def _lower_repeat(self, node: XmlNode) -> Repeat | None:
-        attrs = self._check_attrs(node, allowed=("iterations", "during", "until"))
-        self._check_no_text(node)
+        attrs = self._shape(node, allowed=("iterations", "during", "until"), children=True)
 
         iterations = None
         if "iterations" in attrs:
@@ -896,18 +847,8 @@ class _Validator:
                     "BadAttributeValue",
                     f"iterations must be a positive integer, found {attrs['iterations']!r}",
                 )
-        during = None
-        if "during" in attrs:
-            try:
-                during = parse_duration(attrs["during"])
-            except BadTimeSpecError as exc:
-                self.err(node, "BadTimeSpec", f"during: {exc}")
-        until = None
-        if "until" in attrs:
-            try:
-                until = parse_timestamp(attrs["until"])
-            except BadTimeSpecError as exc:
-                self.err(node, "BadTimeSpec", f"until: {exc}")
+        during = self._time(node, attrs, "during", parse_duration)
+        until = self._time(node, attrs, "until", parse_timestamp)
 
         bounded = any(key in attrs for key in ("iterations", "during", "until"))
         if not bounded:

@@ -168,7 +168,7 @@ class _VirtualSelector(selectors.DefaultSelector):
                 "deadlock: every coroutine is blocked and no timer is scheduled"
             )
         if timeout > 0:
-            self._loop_ref._advance(timeout)
+            self._loop_ref._advance()
         return []
 
 
@@ -190,14 +190,10 @@ class VirtualTimeEventLoop(_EngineLoop):
     def time(self):
         return self._vtime
 
-    def _advance(self, timeout):
-        # timeout only bounds how long a real select would block (asyncio
-        # caps it at a day); the next timer is the true wake-up instant
-        heap = self._scheduled
-        if heap:
-            self._vtime = max(self._vtime, heap[0]._when)
-        else:
-            self._vtime += timeout
+    def _advance(self):
+        # asyncio passes select a positive timeout only while a timer is
+        # scheduled, capped at a day; the next timer is the true wake-up
+        self._vtime = max(self._vtime, self._scheduled[0]._when)
         # Must scale with the magnitude of the clock: at large virtual times
         # one float ulp exceeds a fixed resolution and timers would starve.
         # Time moves only here, so the resolution is set only here.

@@ -3,7 +3,6 @@ from __future__ import annotations
 import gc
 import json
 import random
-import re
 import shutil
 import time
 from datetime import datetime, timezone
@@ -15,6 +14,7 @@ from hypothesis import given, strategies as st
 from gplmt.model import (
     CallTask,
     ErrorMode,
+    Experiment,
     GetTask,
     ParTask,
     PutTask,
@@ -40,6 +40,7 @@ from gplmt.parser import (
 )
 
 from .oracles import audit, iso_duration_seconds
+from .test_golden_mutations import mutate
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -551,17 +552,16 @@ def test_validate_and_lower_direct_api(tmp_path):
     tree = parse_document(path)
     tree, include_diags = resolve_includes(tree, tmp_path)
     assert include_diags == []
-    collected = []
-    result = validate_and_lower(tree, diagnostics=collected)
-    assert not isinstance(result, list)
-    assert collected == []
+    exp, diags = validate_and_lower(tree)
+    assert isinstance(exp, Experiment)
+    assert diags == []
 
     bad = tmp_path / "bad.xml"
     bad.write_text(VALID.replace('targets="n"', 'targets="ghost"'), encoding="utf-8")
     tree = parse_document(bad)
-    result = validate_and_lower(tree)
-    assert isinstance(result, list)
-    assert error_codes(result) == ["UnknownReference"]
+    exp, diags = validate_and_lower(tree)
+    assert exp is None
+    assert error_codes(diags) == ["UnknownReference"]
 
 
 def test_parser_output_always_passes_audit(tmp_path):
@@ -930,34 +930,6 @@ def test_an_unusable_declared_encoding_is_a_syntax_error_at_line_1(tmp_path, enc
 
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "gplmt" / "fixtures"
-ATTRIBUTE = re.compile(r'([\w:-]+)="([^"]*)"')  # the XML declaration's too
-EMPTY_ELEMENT = re.compile(r"<[\w-]+[^<>]*/>")
-ODD_VALUES = (
-    "", "x", "0", "-1", "1e309", "nan", "PT0S", "P9999Y", "../up", "a=b c", "all", "*",
-    "x" * 300, "rot13", "utf-32", "idna", "2038-01-19T03:14:08Z",
-)
-
-
-def mutate(text: str, rng: random.Random) -> str:
-    """One to three edits: an attribute value replaced by an odd value or by
-    another attribute's value, an attribute deleted, or an empty element
-    duplicated or deleted."""
-    for _ in range(rng.randint(1, 3)):
-        attributes = list(ATTRIBUTE.finditer(text))
-        elements = list(EMPTY_ELEMENT.finditer(text))
-        roll = rng.random()
-        if roll < 0.6 and attributes:
-            match = rng.choice(attributes)
-            value = rng.choice(ODD_VALUES + tuple(m.group(2) for m in attributes))
-            text = f'{text[:match.start(2)]}{value}{text[match.end(2):]}'
-        elif roll < 0.75 and attributes:
-            match = rng.choice(attributes)
-            text = text[:match.start()] + text[match.end():]
-        elif elements:
-            match = rng.choice(elements)
-            copy = match.group() if roll < 0.9 else ""
-            text = text[:match.start()] + copy + text[match.end():]
-    return text
 
 
 @pytest.mark.parametrize("seed", range(24))
