@@ -47,27 +47,11 @@ class TransportError(Exception):
 
 
 class ConnectFailed(TransportError):
-    pass
-
-
-class Unreachable(ConnectFailed):
-    """The node is declared unavailable before any attempt is made."""
-
-
-class AuthUnsupported(ConnectFailed):
-    """The requested authentication scheme is not supported."""
+    """An attempt to establish a session failed, or every retry did."""
 
 
 class SessionClosed(TransportError):
-    pass
-
-
-class LocalFileMissing(TransportError):
-    pass
-
-
-class RetriesExhausted(ConnectFailed):
-    pass
+    """A command was issued on a session that is not connected."""
 
 
 class SessionState(enum.Enum):
@@ -203,8 +187,8 @@ class Session:
             raise SessionClosed(f"session to {self.node} is {self.state.value}")
 
     def mark_lost(self) -> None:
-        if self.state is SessionState.CONNECTED:
-            self.state = SessionState.LOST
+        if self.state is _CONNECTED:
+            self.state = _LOST
             self.pool.emit(EventKind.CONNECT_LOST, self.node, detail="")
 
     def _result(self, output: ExecOutput, stdout_ref: str = "", stderr_ref: str = "") -> TaskResult:
@@ -246,7 +230,9 @@ class Session:
 
     async def fetch(self, remote_path: str, deadline=None) -> TaskResult:
         """Copy a node-side file to `<artifact_root>/<node>/<basename>` under
-        `deadline`, as exec; stdout_ref names that file, there on Success."""
+        `deadline`, as exec; stdout_ref names that file, there on Success.
+        The transport writes `<basename>.part`, renamed on exit 0 and
+        otherwise removed, so no transport leaves a partial file."""
         self._require_connected()
         if self.pool.artifact_root is None:
             raise TransportError("no artifact directory configured for fetch")
@@ -255,7 +241,13 @@ class Session:
             destination = artifact_path(self.pool.artifact_root, self.node, remote_path)
         except ArtifactPathError:
             raise TransportError(f"not a file path: {remote_path!r}") from None
-        output = await self.transport.fetch(remote_path, destination, deadline)
+        part = destination.with_name(destination.name + ".part")
+        try:
+            output = await self.transport.fetch(remote_path, part, deadline)
+            if output.exit_code == 0 and not output.timed_out:
+                os.replace(part, destination)
+        finally:
+            part.unlink(missing_ok=True)
         return self._result(output, f"{self.node}/{destination.name}")
 
     async def push(self, local_path: str | Path, remote_path: str, deadline=None) -> TaskResult:
@@ -263,7 +255,7 @@ class Session:
         self._require_connected()
         local_path = Path(local_path)
         if not local_path.is_file():
-            raise LocalFileMissing(str(local_path))
+            raise TransportError(str(local_path))
         return self._result(await self.transport.push(local_path, remote_path, deadline))
 
     async def close(self) -> None:
@@ -307,7 +299,7 @@ class SessionPool:
 
         A first connect is tried once and raises its own error. A lost
         session is retried with exponential backoff, at most
-        DEFAULT_RECONNECT_BUDGET attempts, and then raises RetriesExhausted.
+        DEFAULT_RECONNECT_BUDGET attempts, and then raises ConnectFailed.
         Every attempt waits for its permit from the pool's limiter.
         With an artifact root, a node name that cannot serve as one path
         component raises ArtifactPathError before any connection attempt.
@@ -359,7 +351,7 @@ class SessionPool:
                 session.state = _CONNECTED
                 self.emit(_CONNECT_SUCCESS, session.node, detail=detail)
                 return session
-            raise RetriesExhausted(
+            raise ConnectFailed(
                 f"gave up reconnecting to {target.name} after {DEFAULT_RECONNECT_BUDGET} attempts"
             )
         finally:
@@ -460,8 +452,8 @@ def _signal_group(proc, signum: int) -> None:
 class LocalTransport:
     """Runs every command and transfer as a `/bin/sh -c` child under its
     deadline; SshTransport runs the same scripts through its ssh client.
-    `fetch` streams `cat` into `<destination>.part`, renamed on exit 0;
-    `push` is `cat` on the node, reading the local file."""
+    `fetch` streams `cat` into the file it is given (Session.fetch stages
+    it); `push` is `cat` on the node, reading the local file."""
 
     def __init__(self, target: TargetDef):
         self.target = target
@@ -484,14 +476,7 @@ class LocalTransport:
         return await self._run(script, deadline, stdout=outputs[0], stderr=outputs[1])
 
     async def fetch(self, remote_path: str, destination: Path, deadline=None) -> ExecOutput:
-        part = destination.with_name(destination.name + ".part")
-        try:
-            output = await self._run(f"cat -- {_shell_path(remote_path)}", deadline, stdout=part)
-            if output.exit_code == 0 and not output.timed_out:
-                os.replace(part, destination)
-            return output
-        finally:
-            part.unlink(missing_ok=True)
+        return await self._run(f"cat -- {_shell_path(remote_path)}", deadline, stdout=destination)
 
     async def push(self, local_path: Path, remote_path: str, deadline=None) -> ExecOutput:
         path, part = _shell_path(remote_path), _shell_path(remote_path + ".part")
@@ -533,7 +518,7 @@ class SshTransport(LocalTransport):
 
     async def connect(self) -> None:
         if self.target.ssh_password is not None:
-            raise AuthUnsupported(
+            raise ConnectFailed(
                 f"target {self.target.name!r} requests password authentication; "
                 "use the ssh client's key configuration instead"
             )
@@ -770,7 +755,7 @@ class MockTransport:
 
     async def connect(self) -> None:
         if not self.script.available:
-            raise Unreachable(f"node {self.target.name} is scripted unavailable")
+            raise ConnectFailed(f"node {self.target.name} is scripted unavailable")
         if self._ever_connected:
             # connect_failures throttles reconnection only: the pool never
             # retries a first connect, so initial failure is 'available'.
@@ -831,9 +816,7 @@ class MockTransport:
         data = self.files.get(remote_path, None if self.strict_files else b"")
         if data is None:
             return _EXIT_1
-        part = destination.with_name(destination.name + ".part")
-        part.write_bytes(data)
-        os.replace(part, destination)
+        destination.write_bytes(data)
         return _EXIT_0
 
     async def push(self, local_path: Path, remote_path: str, deadline=None) -> ExecOutput:

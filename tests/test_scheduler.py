@@ -638,6 +638,30 @@ def test_stop_already_passed_at_step_entry(load_xml):
     assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
 
 
+def test_a_command_ending_at_its_deadline_succeeds_and_the_next_task_does_not_start(load_xml):
+    # `first` ends at 1 s, the tasklist's deadline: it succeeds, and
+    # `second`, whose deadline is then the current instant, never starts
+    experiment = load_xml("""
+<experiment>
+ <targets>
+   <target name="alpha" type="local" />
+ </targets>
+ <tasklists>
+   <tasklist name="job" timeout="PT1S"><run>first</run><run>second</run></tasklist>
+ </tasklists>
+ <steps>
+   <step tasklist="job" targets="alpha" />
+ </steps>
+</experiment>
+""")
+    script = MockScript.from_json('{"nodes": {"*": {"rules": [{"pattern": "first", "duration": 1}]}}}')
+    report, events = dry_events(experiment, script)
+    assert [events[i]["detail"] for i in all_indices(events, "TaskStart")] == ["run first"]
+    ends = [(events[i]["detail"], at(events, i)) for i in all_indices(events, "TaskEnd")]
+    assert ends == [("Success exit=0", 1.0)]
+    assert report.overall is OverallStatus.COMPLETED_WITH_ERRORS
+
+
 def test_stop_expiring_while_parked_on_the_rate_limiter(load_xml):
     nodes = "\n".join(
         f'     <target name="n{i}" type="ssh"><user>u</user><host>n{i}.example</host></target>'

@@ -4,6 +4,7 @@ import asyncio
 import json
 import math
 import os
+import re
 import tempfile
 import time
 
@@ -11,9 +12,8 @@ import pytest
 
 from gplmt.model import TargetDef, TargetKind, TaskOutcome
 from gplmt.transport import (
-    AuthUnsupported,
     ConnectFailed,
-    LocalFileMissing,
+    ExecOutput,
     LocalTransport,
     MockNodeScript,
     MockRule,
@@ -21,13 +21,11 @@ from gplmt.transport import (
     MockTransport,
     RateLimiter,
     RateLimiterConfig,
-    RetriesExhausted,
     SessionClosed,
     SessionPool,
     SessionState,
     SshTransport,
     TransportError,
-    Unreachable,
     _shell_path,
     make_transport_factory,
     ssh_client_executable,
@@ -381,10 +379,28 @@ def test_mock_stale_loss_instants_are_discarded():
     assert output.exit_code == 0
 
 
+@pytest.mark.parametrize("deadline, losses, expected", [
+    (1.0, (), ExecOutput(0)),  # ends exactly at its deadline: succeeds
+    (None, (1.0,), ExecOutput(-1, connection_lost=True)),  # a loss at its end strikes
+    (None, (0.0,), ExecOutput(0)),  # a loss at its start does not
+    (0.5, (0.5,), ExecOutput(-1, connection_lost=True)),  # a loss beats the deadline
+])
+def test_mock_exec_decides_ties_by_the_stated_rules(deadline, losses, expected):
+    script = MockScript(nodes={"alpha": MockNodeScript(
+        rules=(MockRule("*", duration=1.0),), lose_connection_at=losses)})
+    transport = MockTransport(mock_node(), script)
+
+    async def scenario():
+        await transport.connect()
+        return await transport.exec("cmd", (), deadline, None)
+
+    assert run_virtual(scenario()) == expected
+
+
 def test_mock_unavailable_node_refuses_connect():
     script = MockScript.from_json('{"nodes": {"alpha": {"available": false}}}')
     transport = MockTransport(mock_node(), script)
-    with pytest.raises(Unreachable):
+    with pytest.raises(ConnectFailed, match="node alpha is scripted unavailable"):
         run_virtual(transport.connect())
 
 
@@ -577,7 +593,7 @@ def test_session_push_requires_local_file(tmp_path):
 
     async def scenario():
         session = await pool.acquire(mock_node())
-        with pytest.raises(LocalFileMissing):
+        with pytest.raises(TransportError, match=re.escape(str(tmp_path / "absent.bin"))):
             await session.push(tmp_path / "absent.bin", "/remote/x")
 
     run_virtual(scenario())
@@ -699,7 +715,7 @@ def test_reconnect_budget_exhaustion():
     async def scenario():
         session = await pool.acquire(mock_node())
         session.mark_lost()
-        with pytest.raises(RetriesExhausted):
+        with pytest.raises(ConnectFailed, match="gave up reconnecting to alpha after 5 attempts"):
             await pool.acquire(mock_node())
         return session.state
 
@@ -763,11 +779,11 @@ def test_a_first_connect_is_tried_once_and_raises_its_own_error():
         attempts.append(detail) if kind == "ConnectAttempt" else None)
 
     async def scenario():
-        with pytest.raises(Unreachable):
+        with pytest.raises(ConnectFailed, match="node alpha is scripted unavailable"):
             await pool.acquire(mock_node())
         assert attempts == ["attempt=1"]
         # the next acquire of the node tries exactly once more
-        with pytest.raises(Unreachable):
+        with pytest.raises(ConnectFailed, match="node alpha is scripted unavailable"):
             await pool.acquire(mock_node())
         return now()
 
@@ -885,22 +901,55 @@ def test_local_exec_deadline_kills_process_group():
     assert time.monotonic() - started < 5.0
 
 
+def shell_pool(artifact_root):
+    """A pool of real transports (local and ssh) fetching into artifact_root."""
+    return SessionPool(make_transport_factory(), lambda kind, node, detail: None,
+                       artifact_root=artifact_root)
+
+
 def test_local_fetch_and_push_copy_files(tmp_path):
-    transport = LocalTransport(local_target())
+    pool = shell_pool(tmp_path / "run")
+    node_dir = tmp_path / "run" / "controller"
     source = tmp_path / "src.bin"
     source.write_bytes(b"x" * 4096)
 
     async def scenario():
-        assert (await transport.fetch(str(source), tmp_path / "fetched.bin")).exit_code == 0
+        session = await pool.acquire(local_target())
+        assert (await session.fetch(str(source))).exit_code == 0
         pushed = str(tmp_path / "deep" / "pushed.bin")
-        assert (await transport.push(tmp_path / "fetched.bin", pushed)).exit_code == 0
-        assert (await transport.fetch(str(tmp_path / "nope"), tmp_path / "x")).exit_code != 0
+        assert (await session.push(node_dir / "src.bin", pushed)).exit_code == 0
+        assert (await session.fetch(str(tmp_path / "nope"))).exit_code != 0
+        await pool.close_all()
 
     asyncio.run(scenario())
-    assert not (tmp_path / "x").exists()
-    assert (tmp_path / "fetched.bin").read_bytes() == b"x" * 4096
+    assert not (node_dir / "nope").exists()
+    assert (node_dir / "src.bin").read_bytes() == b"x" * 4096
     assert (tmp_path / "deep" / "pushed.bin").read_bytes() == b"x" * 4096
-    assert not list(tmp_path.glob("*.part"))  # no stray temp files
+    assert not list(node_dir.glob("*.part"))  # no stray temp files
+
+
+@pytest.mark.parametrize("kind", ["mock", "local"])
+def test_a_get_that_cannot_be_renamed_leaves_no_part_file(tmp_path, kind):
+    # the destination's name is already taken by a directory, so the rename
+    # of the staged part fails on either kind of node
+    remote = tmp_path / "data.bin"
+    remote.write_bytes(b"payload")
+    node_dir = tmp_path / "run" / "n1"
+    (node_dir / "data.bin").mkdir(parents=True)
+    if kind == "mock":
+        script = MockScript(nodes={"n1": MockNodeScript(files={str(remote): b"payload"})})
+        pool, target = mock_pool(script, artifact_root=tmp_path / "run"), mock_node("n1")
+    else:
+        pool, target = shell_pool(tmp_path / "run"), TargetDef(name="n1", kind=TargetKind.LOCAL)
+
+    async def scenario():
+        session = await pool.acquire(target)
+        with pytest.raises(OSError):
+            await session.fetch(str(remote))
+
+    asyncio.run(scenario())
+    assert not (node_dir / "data.bin.part").exists()
+    assert (node_dir / "data.bin").is_dir()
 
 
 @pytest.mark.parametrize("path, word", [
@@ -962,7 +1011,7 @@ def test_ssh_client_executable_env_override(monkeypatch):
 
 def test_ssh_rejects_password_targets(fake_ssh):
     transport = SshTransport(ssh_target(password="hunter2"))
-    with pytest.raises(AuthUnsupported):
+    with pytest.raises(ConnectFailed, match="target 'alpha' requests password authentication"):
         asyncio.run(transport.connect())
 
 
@@ -1045,7 +1094,8 @@ def test_an_ssh_transfer_whose_client_exits_255_loses_the_session(tmp_path, monk
 
 
 def test_ssh_fetch_and_push_use_the_channel(fake_ssh, tmp_path):
-    transport = SshTransport(ssh_target())
+    pool = shell_pool(tmp_path / "run")
+    node_dir = tmp_path / "run" / "alpha"
     remote = tmp_path / "remote.bin"
     payload = os.urandom(1 << 20)
     remote.write_bytes(payload)
@@ -1053,33 +1103,33 @@ def test_ssh_fetch_and_push_use_the_channel(fake_ssh, tmp_path):
     local.write_bytes(payload[::-1])
 
     async def scenario():
-        await transport.connect()
-        assert (await transport.fetch(str(remote), tmp_path / "fetched.bin")).exit_code == 0
-        assert (await transport.push(local, str(tmp_path / "pushed.bin"))).exit_code == 0
-        missing = await transport.fetch(str(tmp_path / "missing.bin"), tmp_path / "x.bin")
-        assert missing.exit_code != 0 and not missing.connection_lost
-        await transport.close()
+        session = await pool.acquire(ssh_target())
+        assert (await session.fetch(str(remote))).exit_code == 0
+        assert (await session.push(local, str(tmp_path / "pushed.bin"))).exit_code == 0
+        missing = await session.fetch(str(tmp_path / "missing.bin"))
+        assert missing.exit_code != 0 and missing.outcome is not TaskOutcome.CONNECTION_LOST
+        await pool.close_all()
 
     asyncio.run(scenario())
-    assert (tmp_path / "fetched.bin").read_bytes() == payload
+    assert (node_dir / "remote.bin").read_bytes() == payload
     assert (tmp_path / "pushed.bin").read_bytes() == payload[::-1]
-    assert not (tmp_path / "x.bin").exists()
-    assert not list(tmp_path.glob("*.part"))  # a failed fetch removes its partial file
+    assert not (node_dir / "missing.bin").exists()
+    assert not list(node_dir.glob("*.part"))  # a failed fetch removes its partial file
 
 
 def test_ssh_fetch_streams_into_a_part_file(fake_ssh, tmp_path):
     # the remote file is a FIFO the test writes: its first bytes must reach
     # <dest>.part while the transfer still runs
-    transport = SshTransport(ssh_target())
-    fifo, destination = tmp_path / "remote.fifo", tmp_path / "fetched.bin"
-    part = tmp_path / "fetched.bin.part"
+    pool = shell_pool(tmp_path / "run")
+    fifo, destination = tmp_path / "remote.fifo", tmp_path / "run" / "alpha" / "remote.fifo"
+    part = tmp_path / "run" / "alpha" / "remote.fifo.part"
     os.mkfifo(fifo)
     writer = None
 
     async def scenario():
         nonlocal writer
-        await transport.connect()
-        fetch = asyncio.create_task(transport.fetch(str(fifo), destination))
+        session = await pool.acquire(ssh_target())
+        fetch = asyncio.create_task(session.fetch(str(fifo)))
         deadline = time.monotonic() + 10
         while writer is None:  # opening a FIFO without a reader fails with ENXIO
             try:
@@ -1098,7 +1148,7 @@ def test_ssh_fetch_streams_into_a_part_file(fake_ssh, tmp_path):
         os.close(writer)
         writer = None
         await fetch
-        await transport.close()
+        await pool.close_all()
         return streamed
 
     try:
