@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import operator
 import re
-import socket
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .model import Experiment, TargetDef, TargetKind
 
 # The XML-RPC and HTTP client modules are imported where they are used: a
-# run that never contacts a slice API does not load them. asyncio loads
-# socket anyway.
+# run that never contacts a slice API does not load them.
 
 BOOT_STATE_LIVE = "boot"
 
@@ -28,19 +26,7 @@ _HOSTNAME_RE = re.compile(rf"{_LABEL}(?:\.{_LABEL})*")
 
 
 class PlanetLabError(Exception):
-    """Base class for slice API failures."""
-
-
-class AuthFailed(PlanetLabError):
-    """The API rejected the supplied credentials."""
-
-
-class ApiUnreachable(PlanetLabError):
-    """The API endpoint could not be reached or did not speak XML-RPC."""
-
-
-class MalformedResponse(PlanetLabError):
-    """The API answered with data of an unexpected shape."""
+    """Any failure of the slice API or of its answer; the message says which."""
 
 
 @dataclass(frozen=True)
@@ -56,24 +42,22 @@ class SliceNodeRecord:
 _FAULT_AUTH = 103
 
 
-def _auth_struct(user: str, credential: str) -> dict[str, str]:
-    return {"AuthMethod": "password", "Username": user, "AuthString": credential}
-
-
 def list_slice_nodes(
     api_url: str, user: str, credential: str, slice_name: str
 ) -> list[SliceNodeRecord]:
     """Ask the slice API which nodes belong to `slice_name`.
 
     Returns an empty list when the slice exists but has no nodes, or when
-    the API does not know the slice at all.
+    the API does not know the slice at all. Every failure of the exchange
+    raises PlanetLabError.
     """
     import http.client
     import xmlrpc.client
+    from xml.parsers.expat import ExpatError
 
-    auth = _auth_struct(user, credential)
-    proxy = xmlrpc.client.ServerProxy(api_url, allow_none=True)
+    auth = {"AuthMethod": "password", "Username": user, "AuthString": credential}
     try:
+        proxy = xmlrpc.client.ServerProxy(api_url, allow_none=True)
         slices = proxy.GetSlices(auth, [slice_name], ["name", "node_ids"])
         node_ids = _slice_node_ids(slices, slice_name)
         if not node_ids:
@@ -81,39 +65,39 @@ def list_slice_nodes(
         nodes = proxy.GetNodes(auth, node_ids, ["hostname", "boot_state", "node_id"])
     except xmlrpc.client.Fault as fault:
         if fault.faultCode == _FAULT_AUTH:
-            raise AuthFailed(fault.faultString) from fault
+            raise PlanetLabError(fault.faultString) from fault
         raise PlanetLabError(f"fault {fault.faultCode}: {fault.faultString}") from fault
     except xmlrpc.client.ProtocolError as exc:
-        raise ApiUnreachable(f"{api_url}: HTTP {exc.errcode} {exc.errmsg}") from exc
-    except (OSError, socket.timeout, http.client.HTTPException) as exc:
-        raise ApiUnreachable(f"{api_url}: {exc}") from exc
-    except xmlrpc.client.ResponseError as exc:
-        raise MalformedResponse(str(exc)) from exc
+        raise PlanetLabError(f"{api_url}: HTTP {exc.errcode} {exc.errmsg}") from exc
+    # no connection, an unusable api-url, or an answer that is not XML-RPC
+    except (OSError, http.client.HTTPException, xmlrpc.client.Error, ExpatError,
+            TypeError, ValueError) as exc:
+        raise PlanetLabError(f"{api_url}: {exc}") from exc
     return _node_records(nodes)
 
 
 def _slice_node_ids(slices: object, slice_name: str) -> list[int]:
     if not isinstance(slices, list):
-        raise MalformedResponse(f"GetSlices returned {type(slices).__name__}, expected list")
+        raise PlanetLabError(f"GetSlices returned {type(slices).__name__}, expected list")
     for entry in slices:
         if not isinstance(entry, dict):
-            raise MalformedResponse("GetSlices entry is not a struct")
+            raise PlanetLabError("GetSlices entry is not a struct")
         if entry.get("name") not in (None, slice_name):
             continue
         node_ids = entry.get("node_ids", [])
         if not isinstance(node_ids, list) or not all(isinstance(i, int) for i in node_ids):
-            raise MalformedResponse(f"slice {slice_name!r} carries malformed node_ids")
+            raise PlanetLabError(f"slice {slice_name!r} carries malformed node_ids")
         return node_ids
     return []
 
 
 def _node_records(nodes: object) -> list[SliceNodeRecord]:
     if not isinstance(nodes, list):
-        raise MalformedResponse(f"GetNodes returned {type(nodes).__name__}, expected list")
+        raise PlanetLabError(f"GetNodes returned {type(nodes).__name__}, expected list")
     records = []
     for entry in nodes:
         if not isinstance(entry, dict) or not isinstance(entry.get("hostname"), str):
-            raise MalformedResponse("GetNodes entry lacks a hostname")
+            raise PlanetLabError("GetNodes entry lacks a hostname")
         boot_state = entry.get("boot_state")
         if not isinstance(boot_state, str):
             boot_state = "unknown"
@@ -135,7 +119,7 @@ def expand_planetlab_target(
     as the slice (the PlanetLab convention). Nodes not in boot state are
     dropped unless `include_non_boot` is set. The target's exports move to
     the group, so resolution applies them to every leaf. A kept hostname
-    that is not an RFC 1123 host name raises MalformedResponse.
+    that is not an RFC 1123 host name raises PlanetLabError.
     """
     members = []
     seen: set[str] = set()
@@ -145,7 +129,7 @@ def expand_planetlab_target(
             continue
         hostname = record.hostname
         if len(hostname) > 253 or not _HOSTNAME_RE.fullmatch(hostname):
-            raise MalformedResponse(f"slice node hostname {hostname!r} is not a host name")
+            raise PlanetLabError(f"slice node hostname {hostname!r} is not a host name")
         if hostname in seen:
             continue
         seen.add(hostname)

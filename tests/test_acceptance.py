@@ -17,7 +17,7 @@ from gplmt.cli import main
 from gplmt.model import TargetDef, TargetKind
 from gplmt.parser import load_experiment
 from gplmt.planetlab import (
-    AuthFailed,
+    PlanetLabError,
     expand_planetlab_target,
     list_slice_nodes,
 )
@@ -316,6 +316,6 @@ def test_planetlab_expansion():
         denied = False
         try:
             list_slice_nodes(api.url, api.user, "wrong-password", "myslice")
-        except AuthFailed:
-            denied = True
+        except PlanetLabError as exc:
+            denied = str(exc) == "authentication failed"
         assert denied

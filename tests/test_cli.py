@@ -590,6 +590,23 @@ def test_slice_hostname_that_is_not_a_host_name_exits_one(tmp_path, capsys):
     assert not log_dir.exists()
 
 
+def test_an_unusable_api_url_exits_one_with_one_line(tmp_path, capsys):
+    # a real run, so the slice API is asked; the client refuses the scheme
+    doc = SMALL_DOC.replace(
+        '<target name="alpha" type="local" />',
+        '<target name="alpha" type="planetlab" api-url="ftp://example.org/"'
+        ' slice="myslice" user="me@example.org" />',
+    )
+    log_dir = tmp_path / "logs"
+    code = main([str(write_doc(tmp_path, doc)), "--log-dir", str(log_dir)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("gplmt: error: slice API: ")] == [
+        "gplmt: error: slice API: ftp://example.org/: unsupported XML-RPC protocol"]
+    assert "Traceback" not in err
+    assert not log_dir.exists()
+
+
 def test_one_shot_event_sink_failure_at_any_event_exits_one(tmp_path, capsys, monkeypatch):
     """A write that fails once leaves a hole in events.jsonl even when the
     engine absorbs the error and every later write succeeds."""

@@ -546,6 +546,18 @@ def test_include_relative_to_including_document(tmp_path):
     assert "deep" in exp.tasklist_map()
 
 
+def test_an_include_of_a_symlink_loop_is_include_not_found(tmp_path):
+    # Path.resolve reports the loop as RuntimeError before 3.13, OSError after
+    (tmp_path / "loop1").symlink_to("loop2")
+    (tmp_path / "loop2").symlink_to("loop1")
+    xml = VALID.replace("<targets>", '<include file="loop1" /><targets>')
+    exp, diags = check(tmp_path, xml)
+    assert exp is None
+    loop1 = tmp_path.resolve() / "loop1"
+    assert [(d.code, d.message) for d in diags] == [
+        ("IncludeNotFound", f"cannot read included file {loop1}")]
+
+
 def test_validate_and_lower_direct_api(tmp_path):
     path = tmp_path / "doc.xml"
     path.write_text(VALID, encoding="utf-8")
@@ -927,6 +939,20 @@ def test_an_unusable_declared_encoding_is_a_syntax_error_at_line_1(tmp_path, enc
     exp, diags = load_experiment(path)
     assert exp is None
     assert [(d.code, d.location[:2]) for d in diags] == [("XmlSyntax", (str(bad), 1))]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"", b" \n\t", b"<?xml version='1.0'?>", b"<!-- c -->", b"<?pi x?>",
+     b"<!DOCTYPE experiment>", b"\xef\xbb\xbf"],
+    ids=["empty", "whitespace", "declaration", "comment", "pi", "doctype", "bom"],
+)
+def test_a_document_without_a_root_element_is_no_element_found(tmp_path, data):
+    path = tmp_path / "doc.xml"
+    path.write_bytes(data)
+    exp, diags = load_experiment(path)
+    assert exp is None
+    assert [(d.code, d.message) for d in diags] == [("XmlSyntax", "no element found")]
 
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "gplmt" / "fixtures"

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import http.server
 import os
+import re
 import socket
 import subprocess
 import sys
 import threading
 import xmlrpc.client
+from xml.parsers.expat import ExpatError
 from xmlrpc.server import SimpleXMLRPCServer
 
 import pytest
@@ -13,9 +16,6 @@ import pytest
 import gplmt
 from gplmt.model import TargetDef, TargetKind
 from gplmt.planetlab import (
-    ApiUnreachable,
-    AuthFailed,
-    MalformedResponse,
     PlanetLabError,
     SliceNodeRecord,
     expand_experiment,
@@ -89,7 +89,8 @@ def test_expansion_deduplicates_hostnames():
 )
 def test_expansion_rejects_hostnames_that_are_not_host_names(hostname):
     records = [SliceNodeRecord("a.example.org", "boot", 1), SliceNodeRecord(hostname, "boot", 2)]
-    with pytest.raises(MalformedResponse):
+    message = f"slice node hostname {hostname!r} is not a host name"
+    with pytest.raises(PlanetLabError, match=f"^{re.escape(message)}$"):
         expand_planetlab_target(pl_target(), records)
 
 
@@ -198,7 +199,7 @@ def test_list_slice_nodes_happy_path():
 
 def test_list_slice_nodes_rejects_bad_credentials():
     with FakePlanetLabApi("myslice", "sekrit", [("a.example.org", "boot")]) as api:
-        with pytest.raises(AuthFailed):
+        with pytest.raises(PlanetLabError, match="^authentication failed$"):
             list_slice_nodes(api.url, api.user, "wrong", "myslice")
 
 
@@ -213,8 +214,9 @@ def test_list_slice_nodes_unreachable_endpoint():
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
-    with pytest.raises(ApiUnreachable):
-        list_slice_nodes(f"http://127.0.0.1:{port}/", "me", "pw", "myslice")
+    url = f"http://127.0.0.1:{port}/"
+    with pytest.raises(PlanetLabError, match=f"^{re.escape(url)}: "):
+        list_slice_nodes(url, "me", "pw", "myslice")
 
 
 class _ShapedApi:
@@ -239,18 +241,22 @@ class _ShapedApi:
 
 
 @pytest.mark.parametrize(
-    "slices,nodes",
+    "slices,nodes,message",
     [
-        (7, None),                                             # GetSlices not a list
-        ([["not-a-struct"]], None),                            # entry not a struct
-        ([{"name": "myslice", "node_ids": "1,2"}], None),      # node_ids not ints
-        ([{"name": "myslice", "node_ids": [1]}], {"bad": 1}),  # GetNodes not a list
-        ([{"name": "myslice", "node_ids": [1]}], [{"boot_state": "boot"}]),  # no hostname
+        (7, None, "GetSlices returned int, expected list"),
+        ([["not-a-struct"]], None, "GetSlices entry is not a struct"),
+        ([{"name": "myslice", "node_ids": "1,2"}], None,
+         "slice 'myslice' carries malformed node_ids"),
+        ([{"name": "myslice", "node_ids": [1]}], {"bad": 1},
+         "GetNodes returned dict, expected list"),
+        ([{"name": "myslice", "node_ids": [1]}], [{"boot_state": "boot"}],
+         "GetNodes entry lacks a hostname"),
     ],
+    ids=["7-None", "slices1-None", "slices2-None", "slices3-nodes3", "slices4-nodes4"],
 )
-def test_list_slice_nodes_rejects_malformed_shapes(slices, nodes):
+def test_list_slice_nodes_rejects_malformed_shapes(slices, nodes, message):
     with _ShapedApi(slices, nodes) as url:
-        with pytest.raises(MalformedResponse):
+        with pytest.raises(PlanetLabError, match=f"^{re.escape(message)}$"):
             list_slice_nodes(url, "me", "pw", "myslice")
 
 
@@ -272,13 +278,73 @@ def test_other_faults_are_not_auth_failures():
     thread.start()
     host, port = server.server_address
     try:
-        with pytest.raises(PlanetLabError) as info:
+        with pytest.raises(PlanetLabError, match="^fault 42: maintenance window$"):
             list_slice_nodes(f"http://{host}:{port}/", "me", "pw", "myslice")
-        assert not isinstance(info.value, AuthFailed)
     finally:
         server.shutdown()
         server.server_close()
         thread.join()
+
+
+class _RawApi(_ShapedApi):
+    """HTTP server that answers every POST with one fixed status and body."""
+
+    def __init__(self, status, body):
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                data = body.encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "text/xml")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+
+
+def _answer(value):
+    return ("<?xml version='1.0'?><methodResponse><params><param>"
+            f"<value>{value}</value></param></params></methodResponse>")
+
+
+@pytest.mark.parametrize(
+    "status,body,cause",
+    [
+        (200, "not xml at all", ExpatError),
+        (200, _answer("<boolean>2</boolean>"), TypeError),
+        (200, "<?xml version='1.0'?><methodResponse><fault><value><int>3</int>"
+              "</value></fault></methodResponse>", TypeError),  # fault value not a struct
+        (200, _answer("<int>x</int>"), ValueError),
+        (200, "<foo/>", xmlrpc.client.ResponseError),  # well-formed, not XML-RPC
+        (500, "oops", xmlrpc.client.ProtocolError),
+    ],
+    ids=["not-xml", "boolean-2", "fault-not-a-struct", "int-x", "not-xml-rpc", "http-500"],
+)
+def test_every_odd_answer_is_a_planetlab_error(status, body, cause):
+    with _RawApi(status, body) as url:
+        with pytest.raises(PlanetLabError, match=f"^{re.escape(url)}: ") as info:
+            list_slice_nodes(url, "me", "pw", "myslice")
+    assert isinstance(info.value.__cause__, cause)
+    if status == 500:
+        assert str(info.value) == f"{url}: HTTP 500 Internal Server Error"
+
+
+@pytest.mark.parametrize(
+    "url,cause",
+    [
+        ("ftp://example.org/", OSError),  # a scheme the client does not speak
+        ("http://[::1", ValueError),       # not a URL
+    ],
+)
+def test_an_unusable_api_url_is_a_planetlab_error(url, cause):
+    with pytest.raises(PlanetLabError, match=f"^{re.escape(url)}: ") as info:
+        list_slice_nodes(url, "me", "pw", "myslice")
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_fake_api_get_nodes_filters_by_requested_ids():
